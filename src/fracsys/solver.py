@@ -11,6 +11,7 @@ weight s^sigma absorbed into the quadrature weights so s = 0 is never sampled.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import struct
@@ -90,6 +91,10 @@ class InitialData:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         if self.kind == "from_file" and not self.path:
             raise ValueError("from_file initial data needs a path")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
+        if not (math.isfinite(self.width) and self.width > 0.0):
+            raise ValueError(f"width must be finite and positive, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -255,7 +260,9 @@ def propagate_linear(values: np.ndarray, grid: SpectralGrid, alpha: float, rho: 
     return grid.inverse_rfft(mult * np.fft.rfftn(values))
 
 
+@functools.lru_cache(maxsize=8)
 def _dealias_mask(grid: SpectralGrid) -> np.ndarray:
+    """Two-thirds rule on the rfftn layout; cached per grid, so read-only."""
     keep = grid.n // 3
     full = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= keep
     half = np.abs(np.fft.rfftfreq(grid.n) * grid.n) <= keep
@@ -264,7 +271,26 @@ def _dealias_mask(grid: SpectralGrid) -> np.ndarray:
     out = mesh[0]
     for m in mesh[1:]:
         out = out & m
+    out.flags.writeable = False
     return out
+
+
+def _power(x: np.ndarray, beta: float) -> np.ndarray:
+    """x**beta, by repeated multiplication for beta in {2, 3, 4}.
+
+    The integer cases overwrite ``x`` and return it; they differ from the
+    general ``pow`` by a few ulp.
+    """
+    if beta == 2.0:
+        x *= x
+    elif beta == 3.0:
+        x *= x * x
+    elif beta == 4.0:
+        x *= x
+        x *= x
+    else:
+        x = x**beta
+    return x
 
 
 def nonlinear_term(pair: FieldPair, params: SystemParams, s: float,
@@ -282,7 +308,7 @@ def nonlinear_term(pair: FieldPair, params: SystemParams, s: float,
         u_other = pair.components()[1 - i]
         if float(u_other.min()) < -FIELD_CLAMP_FLOOR:
             raise RuntimeError("negative field values beyond the clamp floor; upstream invariant breach")
-        powed = np.maximum(u_other, 0.0) ** params.beta[i]
+        powed = _power(np.maximum(u_other, 0.0), params.beta[i])
         if dealias == "two_thirds":
             powed = grid.inverse_rfft(_dealias_mask(grid) * np.fft.rfftn(powed))
         out.append(s ** params.sigma[i] * powed)
@@ -321,7 +347,10 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     The coupling integral uses 2-point Gauss quadrature in the graded
     variable tau = s^(1/gamma); the integrand value of the other component
     at interior quadrature times is interpolated linearly in tau between the
-    cell endpoints.  Raises :class:`Divergence` on overflow and
+    cell endpoints.  Propagation is a linear Fourier multiplier, so the node
+    terms are weighted, dealiased, propagated to t_next and summed in Fourier
+    space, and each component takes one inverse transform per iteration
+    (exponential quadrature).  Raises :class:`Divergence` on overflow and
     :class:`StepRejected` when the iteration does not settle.
     """
     cfg = plan.config
@@ -338,16 +367,23 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     theta_q = (tau_q - tau_a) / (tau_b - tau_a)
     jac_q = plan.gauss_w * half * gamma * tau_q ** (gamma - 1.0)
 
-    hat_cur = [np.fft.rfftn(pair.u1), np.fft.rfftn(pair.u2)]
     base = []
-    weights = []
-    node_mult = []
+    # coef[i][q] = weight x dealias mask x propagator from s_q to t_next, built
+    # in place in the fresh array that multiplier() returns
+    coef = []
     for i in (0, 1):
         rho_i = params.rho[i]
-        g_full = plan.multiplier(i, t_next**rho_i - t_cur**rho_i)
-        base.append(grid.inverse_rfft(g_full * hat_cur[i]))
-        weights.append(jac_q * s_q ** params.sigma[i])
-        node_mult.append([plan.multiplier(i, t_next**rho_i - s**rho_i) for s in s_q])
+        hat = np.fft.rfftn(pair.components()[i])
+        hat *= plan.multiplier(i, t_next**rho_i - t_cur**rho_i)
+        base.append(grid.inverse_rfft(hat))
+        weights = jac_q * s_q ** params.sigma[i]
+        coef.append([])
+        for q, s in enumerate(s_q):
+            mult = plan.multiplier(i, t_next**rho_i - s**rho_i)
+            mult *= cfg.coupling_scale * weights[q]
+            if plan.mask is not None:
+                mult *= plan.mask
+            coef[i].append(mult)
 
     cur = [pair.u1, pair.u2]
     v = [b.copy() for b in base]
@@ -365,15 +401,17 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
             j = 1 - i
             acc = base[i].copy()
             if cfg.coupling_scale != 0.0:
+                total = None
                 for q in range(s_q.size):
                     interp = (1.0 - theta_q[q]) * cur[j] + theta_q[q] * v[j]
                     np.maximum(interp, 0.0, out=interp)
-                    integrand = interp ** params.beta[i]
-                    hat = np.fft.rfftn(integrand)
-                    if plan.mask is not None:
-                        hat *= plan.mask
-                    acc += (cfg.coupling_scale * weights[i][q]) \
-                        * grid.inverse_rfft(node_mult[i][q] * hat)
+                    hat = np.fft.rfftn(_power(interp, params.beta[i]))
+                    hat *= coef[i][q]
+                    if total is None:
+                        total = hat
+                    else:
+                        total += hat
+                acc += grid.inverse_rfft(total)
             acc, c = _clamp(acc)
             clamped += c
             new.append(acc)
@@ -515,14 +553,18 @@ def read_snapshot(path):
     off += 16
     pvals = struct.unpack_from("<8d", raw, off)
     off += 64
+    # the grid checks dim and n before n**dim is formed from them
+    try:
+        grid = SpectralGrid(dim, n, half_length)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: bad header: {exc}") from None
     count = n**dim
     expected = off + 2 * count * 8
     if len(raw) != expected:
         raise SnapshotFormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    shape = (n,) * dim
+    shape = grid.shape()
     u1 = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
     u2 = np.frombuffer(raw, dtype="<f8", count=count, offset=off + count * 8).reshape(shape).copy()
-    grid = SpectralGrid(dim, n, half_length)
     params = SystemParams((pvals[0], pvals[1]), (pvals[2], pvals[3]),
                           (pvals[4], pvals[5]), (pvals[6], pvals[7]), dim)
     return FieldPair(u1, u2, time), grid, params

@@ -168,6 +168,17 @@ def test_solve_divergence_exit_code(tmp_path):
     assert rows[1].split(",")[3] == "" and rows[1].split(",")[5] == ""
 
 
+@pytest.mark.parametrize("swap", [("epsilon = 0.01", "epsilon = nan"),
+                                  ("epsilon = 0.01", "epsilon = -1"),
+                                  ("init = stable_kernel", "init = gaussian\nwidth = 0")])
+def test_solve_rejects_bad_initial_data(tmp_path, capsys, swap):
+    cfg = _write(tmp_path, BASE.replace(*swap))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
+
+
 def test_solve_seed_id_overrides_run_id(tmp_path):
     cfg = _write(tmp_path, BASE)
     out = tmp_path / "s"
@@ -194,6 +205,16 @@ def test_verify_kernel_quick(capsys):
     assert main(["verify-kernel", "--alpha", "2", "--dims", "1"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "FAIL" not in out
+
+
+def test_verify_kernel_reports_failed_case_and_continues(capsys):
+    # L = 15 is too small for the Cauchy tails in d = 3: that case fails, d = 3
+    # at alpha = 2 still runs
+    assert main(["verify-kernel", "--alpha", "1,2", "--dims", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] alpha=1 d=3 TruncationError: " in out
+    assert out.count("[PASS] alpha=2 d=3 ") == 7
+    assert out.endswith("# 9/10 checks passed\n")
 
 
 def test_verify_kernel_empty_vacuous(capsys):

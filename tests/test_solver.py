@@ -9,10 +9,10 @@ import pytest
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, density_profile, eval_density_grid
 from fracsys.solver import (Divergence, FieldPair, InitialData, NormSeries, RunConfig,
-                            SnapshotFormatError, StepRejected, TimeMesh, _Plan,
-                            make_initial_data, nonlinear_term, propagate_linear,
-                            read_snapshot, recommended_half_length, solve, step,
-                            write_snapshot)
+                            SnapshotFormatError, StepDiagnostics, StepRejected, TimeMesh,
+                            _Plan, _power, make_initial_data, nonlinear_term,
+                            propagate_linear, read_snapshot, recommended_half_length,
+                            solve, step, write_snapshot)
 
 PARAMS_B4 = SystemParams((2, 2), (4, 4), (1, 1), (0, 0), 1)
 PARAMS_B2 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 1)
@@ -180,8 +180,100 @@ def test_initial_data_kind_validation():
         InitialData("from_file")
 
 
+@pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"epsilon": math.inf},
+                                {"epsilon": -1.0}, {"width": 0.0}, {"width": -1.0},
+                                {"width": math.nan}])
+def test_initial_data_rejects_bad_amplitude_and_width(kw):
+    with pytest.raises(ValueError):
+        InitialData("gaussian", **kw)
+
+
 # ---------------------------------------------------------------------------
 # stepping
+
+def _step_reference(pair, t_next, plan):
+    """The stepping loop as first written: every Gauss-node term is masked,
+    propagated and inverted on its own and summed in real space (8 transforms
+    per Picard iteration), with x**beta for every beta."""
+    cfg, params, grid = plan.config, plan.config.params, plan.grid
+    t_cur = pair.time
+    gamma = cfg.mesh.grading
+    tau_a, tau_b = t_cur ** (1.0 / gamma), t_next ** (1.0 / gamma)
+    half = 0.5 * (tau_b - tau_a)
+    tau_q = 0.5 * (tau_a + tau_b) + half * plan.gauss_x
+    s_q = tau_q**gamma
+    theta_q = (tau_q - tau_a) / (tau_b - tau_a)
+    jac_q = plan.gauss_w * half * gamma * tau_q ** (gamma - 1.0)
+
+    hat_cur = [np.fft.rfftn(pair.u1), np.fft.rfftn(pair.u2)]
+    base, weights, node_mult = [], [], []
+    for i in (0, 1):
+        rho_i = params.rho[i]
+        g_full = plan.multiplier(i, t_next**rho_i - t_cur**rho_i)
+        base.append(grid.inverse_rfft(g_full * hat_cur[i]))
+        weights.append(jac_q * s_q ** params.sigma[i])
+        node_mult.append([plan.multiplier(i, t_next**rho_i - s**rho_i) for s in s_q])
+
+    cur = [pair.u1, pair.u2]
+    v = [np.maximum(b, 0.0) for b in base]
+    changes = []
+    for _ in range(cfg.picard_max_iter):
+        new = []
+        for i in (0, 1):
+            j = 1 - i
+            acc = base[i].copy()
+            if cfg.coupling_scale != 0.0:
+                for q in range(s_q.size):
+                    interp = (1.0 - theta_q[q]) * cur[j] + theta_q[q] * v[j]
+                    np.maximum(interp, 0.0, out=interp)
+                    hat = np.fft.rfftn(interp ** params.beta[i])
+                    if plan.mask is not None:
+                        hat *= plan.mask
+                    acc += (cfg.coupling_scale * weights[i][q]) \
+                        * grid.inverse_rfft(node_mult[i][q] * hat)
+            new.append(np.maximum(acc, 0.0))
+        diff = 0.0
+        for i in (0, 1):
+            scale = float(np.abs(new[i]).max(initial=0.0))
+            d = float(np.abs(new[i] - v[i]).max(initial=0.0))
+            diff = max(diff, d / scale if scale > 0.0 else d)
+        changes.append(diff)
+        v = new
+        if diff < cfg.picard_tol:
+            break
+    else:
+        raise StepRejected(t_next, changes[-1])
+    return FieldPair(v[0], v[1], t_next), StepDiagnostics(len(changes), changes, 0)
+
+
+GRID_2D = SpectralGrid(2, 32, 10.0)
+
+
+@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
+@pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 3.5])
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_step_matches_per_node_reference_2d(dealias, beta, coupling):
+    params = SystemParams((1.5, 1.5), (beta, beta), (1.0, 0.7), (0.0, 0.5), 2)
+    cfg = _config(params=params, grid=GRID_2D, horizon=0.4, steps=2,
+                  init=InitialData("gaussian", epsilon=5.0, width=1.0),
+                  dealias=dealias, coupling_scale=coupling)
+    plan = _Plan(cfg)
+    pair = ref = make_initial_data(cfg.init, cfg.grid, cfg.params)
+    for t_next in cfg.mesh.nodes()[1:]:
+        pair, diag = step(pair, float(t_next), plan)
+        ref, ref_diag = _step_reference(ref, float(t_next), plan)
+        assert diag.iterations == ref_diag.iterations
+        assert (diag.iterations > 2) == (coupling != 0.0)
+        for got, want in zip(pair.components(), ref.components()):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 3.5])
+def test_power_matches_pow(beta):
+    x = np.random.default_rng(7).uniform(0.0, 3.0, 4096)
+    x[:3] = (0.0, 1.0, 1e-100)
+    np.testing.assert_array_max_ulp(_power(x.copy(), beta), x**beta, maxulp=4)
+
 
 def test_step_decoupled_equals_propagator():
     cfg = _config(coupling_scale=0.0)
@@ -234,6 +326,19 @@ def test_solve_linear_matches_multiplier_at_every_node():
     for snap in res.snapshots:
         ref = propagate_linear(phi.u1, cfg.grid, 2.0, 1.0, 0.0, snap.time)
         rel = np.linalg.norm(snap.u1 - ref) / np.linalg.norm(ref)
+        assert rel < 1e-10
+
+
+def test_solve_linear_matches_multiplier_2d_fractional():
+    params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 2)
+    cfg = _config(params=params, grid=GRID_2D, coupling_scale=0.0, horizon=1.0, steps=8,
+                  snapshot_stride=1, init=InitialData("gaussian", epsilon=1.0, width=1.0))
+    res = solve(cfg)
+    assert res.status.completed and len(res.snapshots) == 9
+    phi = make_initial_data(cfg.init, cfg.grid, cfg.params)
+    for snap in res.snapshots[1:]:
+        ref = propagate_linear(phi.u2, cfg.grid, 1.5, 1.0, 0.0, snap.time)
+        rel = np.linalg.norm(snap.u2 - ref) / np.linalg.norm(ref)
         assert rel < 1e-10
 
 
@@ -347,6 +452,18 @@ def test_snapshot_format_errors(tmp_path):
     write_snapshot(path, pair, SpectralGrid(1, 8, 1.0), PARAMS_B4)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(SnapshotFormatError):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("dim, n", [(2**31, 8), (0, 8), (1, 12), (1, 4), (3, 2**31 + 1)])
+def test_snapshot_corrupt_header_dims(tmp_path, dim, n):
+    path = tmp_path / "hdr.bin"
+    write_snapshot(path, FieldPair(np.zeros(8), np.zeros(8), 0.0),
+                   SpectralGrid(1, 8, 1.0), PARAMS_B4)
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = dim.to_bytes(4, "little") + n.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="bad header"):
         read_snapshot(path)
 
 

@@ -11,7 +11,7 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,11 +87,12 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
     """
     delta = delta if delta is not None else cfg.delta
     report = classify(cfg.params, delta=delta)
+    run_config = cfg.run_config()
     run_dir = out_base / cfg.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
     exponents = report if report.s is not None else None
-    result = solve(cfg.run_config(), exponents)
+    result = solve(run_config, exponents)
 
     artifacts = {}
     norms_path = run_dir / "norms.csv"
@@ -129,8 +130,8 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
                 lines.append(f"linf_max_excess_u{b.component} = {_fmt(b.max_excess)}")
                 lines.append(f"linf_verdict_u{b.component} = {str(b.verdict).lower()}")
                 verdicts.append(b.verdict)
-        except verify.RegimeMismatch:
-            pass
+        except verify.RegimeMismatch as exc:
+            lines.append(f"linf_skipped = {exc}")
         if report.theorem3_applicable and cfg.init.kind == "stable_kernel":
             try:
                 envs = verify.selfsimilar_envelope_check(result.snapshots, cfg.params,
@@ -319,6 +320,15 @@ def _row_text(row: dict) -> str:
     return ",".join(_fmt(row.get(col)) for col in SWEEP_COLUMNS) + "\n"
 
 
+def _write_point(points_dir: Path, idx: int, row: dict):
+    """Write one point file whole or not at all: a torn write leaves only
+    the tmp file, which never counts as a finished point."""
+    path = points_dir / f"point_{idx:04d}.csv"
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(_row_text(row))
+    os.replace(tmp, path)
+
+
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if args.seed_id:
@@ -338,14 +348,22 @@ def cmd_sweep(args) -> int:
             continue  # resumable: keep finished points
         tasks.append((idx, cfg, cfg.sweep_param, value, args.with_dynamics, str(out_base)))
 
-    if tasks:
-        if args.with_dynamics and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=min(_worker_count(), len(tasks))) as pool:
-                rows = list(pool.map(sweep_point, tasks))
-        else:
-            rows = [sweep_point(t) for t in tasks]
-        for task, row in zip(tasks, rows):
-            (points_dir / f"point_{task[0]:04d}.csv").write_text(_row_text(row))
+    # each point file is written as soon as its row is ready, so an
+    # interrupted sweep keeps every finished point
+    if args.with_dynamics and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(_worker_count(), len(tasks))) as pool:
+            futures = {pool.submit(sweep_point, task): task[0] for task in tasks}
+            failures = []
+            for done in as_completed(futures):
+                try:
+                    _write_point(points_dir, futures[done], done.result())
+                except Exception as exc:  # e.g. a lost worker; the other points still land
+                    failures.append(exc)
+            if failures:
+                raise failures[0]
+    else:
+        for task in tasks:
+            _write_point(points_dir, task[0], sweep_point(task))
 
     merged = out_base / "sweep.csv"
     with open(merged, "w", newline="") as fh:

@@ -67,11 +67,15 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def run_config(self) -> RunConfig:
-        return RunConfig(params=self.params, grid=self.grid, mesh=self.mesh,
-                         init=self.init, picard_tol=self.picard_tol,
-                         picard_max_iter=self.picard_max_iter, dealias=self.dealias,
-                         snapshot_stride=self.snapshot_stride,
-                         coupling_scale=self.coupling_scale)
+        """The solver settings; invalid ones raise :class:`ConfigError`."""
+        try:
+            return RunConfig(params=self.params, grid=self.grid, mesh=self.mesh,
+                             init=self.init, picard_tol=self.picard_tol,
+                             picard_max_iter=self.picard_max_iter, dealias=self.dealias,
+                             snapshot_stride=self.snapshot_stride,
+                             coupling_scale=self.coupling_scale)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def resolved_lines(self) -> list:
         """Canonical config text reproducing this experiment."""

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracsys import cli
 from fracsys.cli import main
 from fracsys.config import ConfigError, parse_config_text
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid
@@ -179,6 +180,32 @@ def test_solve_rejects_bad_initial_data(tmp_path, capsys, swap):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("setting", ["picard_tol = nan", "dealias = foo",
+                                     "picard_max_iter = 0"])
+def test_solve_rejects_bad_solver_settings(tmp_path, capsys, setting):
+    cfg = _write(tmp_path, BASE + setting + "\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
+
+
+def test_solve_records_skipped_linf_check(tmp_path):
+    # alpha = 1/2, beta = 2 is GlobalSmallData: decay is checked, the sup-norm
+    # bound (bounded regime only) is skipped with its reason
+    text = BASE.replace("alpha1 = 2.0", "alpha1 = 0.5").replace("alpha2 = 2.0", "alpha2 = 0.5")
+    text = text.replace("beta1 = 4.0", "beta1 = 2.0").replace("beta2 = 4.0", "beta2 = 2.0")
+    text = text.replace("init = stable_kernel", "init = gaussian").replace("delta = 0.3", "delta =")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "gsd"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "t" / "verification.txt").read_text().splitlines()
+    assert "regime = GlobalSmallData" in lines
+    assert "linf_skipped = sup-norm bound requires the bounded regime, got GlobalSmallData" in lines
+    assert not any(line.startswith("linf_verdict") for line in lines)
+    assert "decay_verdict_u1 = true" in lines
+
+
 def test_solve_seed_id_overrides_run_id(tmp_path):
     cfg = _write(tmp_path, BASE)
     out = tmp_path / "s"
@@ -265,6 +292,45 @@ def test_sweep_is_resumable(tmp_path):
     merged = (out / "sweep.csv").read_text()
     assert "Sentinel" in merged            # kept, not recomputed
     assert merged.count("\n") == 4
+
+
+_REAL_SWEEP_POINT = cli.sweep_point
+
+
+def _sweep_point_crashing_at_one(task):
+    # module level, so that a process pool can send it to its workers
+    if task[0] == 1:
+        raise RuntimeError("point 1 crashed")
+    return _REAL_SWEEP_POINT(task)
+
+
+@pytest.mark.parametrize("dynamics", [False, True])
+def test_sweep_keeps_finished_points_when_a_point_raises(tmp_path, monkeypatch, dynamics):
+    text = BASE.replace("horizon = 4.0", "horizon = 2.0").replace("steps = 40", "steps = 20")
+    text += "sweep_param = epsilon\nsweep_values = 0.005,0.01,0.02\n"
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "swc"
+    argv = ["sweep", "--config", cfg, "--out", str(out)] + (["--with-dynamics"] if dynamics else [])
+    points = out / "points"
+    monkeypatch.setattr(cli, "sweep_point", _sweep_point_crashing_at_one)
+    with pytest.raises(RuntimeError, match="point 1 crashed"):
+        main(argv)
+    # sequentially the sweep stops at point 1; a pool still finishes point 2
+    kept = {"point_0000.csv", "point_0002.csv"} if dynamics else {"point_0000.csv"}
+    assert {p.name for p in points.iterdir()} == kept
+    assert not (out / "sweep.csv").exists()
+    # a torn write leaves only a tmp file, which does not count as finished
+    (points / "point_0001.csv.tmp").write_text("torn")
+    first = (points / "point_0000.csv").read_text()
+    (points / "point_0000.csv").write_text(first.replace("GlobalSmallDataBounded", "Sentinel"))
+    monkeypatch.setattr(cli, "sweep_point", _REAL_SWEEP_POINT)
+    assert main(argv) == 0
+    assert {p.name for p in points.iterdir()} == {f"point_{i:04d}.csv" for i in range(3)}
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 4 and "Sentinel" in rows[1]    # point 0 kept, not recomputed
+    header = rows[0].split(",")
+    assert [float(dict(zip(header, r.split(",")))["sweep_value"]) for r in rows[1:]] == \
+        [0.005, 0.01, 0.02]
 
 
 def test_sweep_with_dynamics_row(tmp_path):

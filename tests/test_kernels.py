@@ -14,7 +14,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import j0
 
+import fracsys.kernels as K
 from fracsys.kernels import (CAUCHY, FOURIER, GAUSSIAN, KernelSpec, QuadratureError,
                              SpectralGrid, TruncationError, check_monotone_domination,
                              check_scaling, cross_domination_constant, density_profile,
@@ -89,6 +91,40 @@ def test_quadrature_matches_closed_form(alpha, dim):
     ref = density_profile(closed, 0.8, r)
     got = density_profile(quad, 0.8, r)
     assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def _profile_unblocked(alpha, dim, t, r):
+    """The whole (nodes x radii) kernel matrix at once, reduced by one
+    matrix-vector product: the form the blocked quadrature replaced."""
+    rho, w = K._quad_panels(alpha, t, float(np.max(r)), 1.0)
+    x = np.outer(rho, r)
+    if dim == 1:
+        return (w @ np.cos(x)) / math.pi
+    if dim == 2:
+        return (w @ (rho[:, None] * j0(x))) / (2.0 * math.pi)
+    return (w @ (rho[:, None] ** 2 * np.sinc(x / math.pi))) / (2.0 * math.pi**2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha,t", [(1.5, 1.0), (0.8, 2.0)])
+def test_blocked_quadrature_matches_unblocked(alpha, dim, t):
+    rho, _ = K._quad_panels(alpha, t, 8.0, 1.0)
+    rows = K._BLOCK_ELEMENTS // rho.size
+    assert rows > 2
+    # every radius array reaches 8, so the nodes and the block height are fixed
+    for count in (1, rows - 1, rows + 1, 3 * rows + 5):
+        r = np.linspace(8.0, 0.0, count)
+        got = K._profile_quadrature(alpha, dim, t, r, 1.0)
+        ref = _profile_unblocked(alpha, dim, t, r)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * K._peak_value(alpha, dim, t), count
+
+
+def test_blocked_quadrature_row_longer_than_block(monkeypatch):
+    r = np.linspace(0.0, 8.0, 7)
+    ref = K._profile_quadrature(1.5, 3, 1.0, r, 1.0)
+    monkeypatch.setattr(K, "_BLOCK_ELEMENTS", 100)   # fewer than the nodes
+    got = K._profile_quadrature(1.5, 3, 1.0, r, 1.0)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * K._peak_value(1.5, 3, 1.0)
 
 
 def test_domain_errors():

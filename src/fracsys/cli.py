@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 configuration or usage error, 2 solver divergence,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -23,18 +22,10 @@ from .exponents import (DeltaOutsideWindow, REGIME_NO_GUARANTEE, SystemParams, c
 from .kernels import (KernelSpec, SpectralGrid, check_monotone_domination, check_scaling,
                       eval_density_grid, grid_mass, lp_norm_slope, semigroup_residual,
                       tail_mass_bound)
-from .solver import solve, write_snapshot
+from .solver import _fmt, solve, write_snapshot
 
 SUMMARY_COLUMNS = ("run_id", "regime", "sup_scaled_u1", "sup_scaled_u2",
                    "slope_u1", "slope_u2", "env_k", "env_c", "verdict")
-
-
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def _worker_count() -> int:
@@ -107,7 +98,7 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
     lines.append(f"status = {result.status.kind}")
     lines.append(f"status_time = {_fmt(result.status.time)}")
     for key, value in sorted(result.diagnostics.items()):
-        lines.append(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
+        lines.append(f"{key} = {_fmt(value)}")
 
     row = {"run_id": cfg.run_id, "regime": report.regime, "verdict": ""}
     verdicts = []
@@ -320,13 +311,36 @@ def _row_text(row: dict) -> str:
     return ",".join(_fmt(row.get(col)) for col in SWEEP_COLUMNS) + "\n"
 
 
-def _write_point(points_dir: Path, idx: int, row: dict):
-    """Write one point file whole or not at all: a torn write leaves only
-    the tmp file, which never counts as a finished point."""
-    path = points_dir / f"point_{idx:04d}.csv"
+def _write_whole(path: Path, text: str):
+    """Write ``path`` whole or not at all: a torn write leaves only the tmp
+    file, which never counts as a finished point or a sweep key."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(_row_text(row))
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_point(points_dir: Path, idx: int, row: dict):
+    _write_whole(points_dir / f"point_{idx:04d}.csv", _row_text(row))
+
+
+SWEEP_KEY = "sweep_key.txt"
+
+
+def _claim_points(points_dir: Path, key: str):
+    """Tie ``points_dir`` to one sweep: finished points are reused only under
+    the key they were written with.  A mismatch raises and deletes nothing."""
+    path = points_dir / SWEEP_KEY
+    if path.exists():
+        found = path.read_text()
+        if found != key:
+            raise ConfigError(f"{points_dir} holds points of another sweep "
+                              f"({'; '.join(found.splitlines())}); "
+                              f"rerun with that config or choose another --out")
+    elif any(points_dir.glob("point_*.csv")):
+        raise ConfigError(f"{points_dir} holds points without a {SWEEP_KEY}; "
+                          f"choose another --out")
+    else:
+        _write_whole(path, key)
 
 
 def cmd_sweep(args) -> int:
@@ -337,9 +351,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"{args.config}: sweep needs sweep_param and sweep_values")
     if cfg.sweep_param not in (_SWEEP_PAIRS | _SWEEP_SINGLES):
         raise ConfigError(f"unsupported sweep parameter {cfg.sweep_param!r}")
+    if args.with_dynamics:
+        cfg.run_config()    # bad solver settings fail here, not once per point
     out_base = Path(args.out) if args.out else Path(cfg.output_dir)
     points_dir = out_base / "points"
     points_dir.mkdir(parents=True, exist_ok=True)
+    _claim_points(points_dir, f"config_sha256 = {cfg.config_hash()}\n"
+                              f"with_dynamics = {str(args.with_dynamics).lower()}\n")
 
     tasks = []
     for idx, value in enumerate(cfg.sweep_values):

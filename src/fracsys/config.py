@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -64,7 +64,6 @@ class ExperimentConfig:
     output_dir: str
     sweep_param: str = ""
     sweep_values: tuple = ()
-    raw: dict = field(default_factory=dict)
 
     def run_config(self) -> RunConfig:
         """The solver settings; invalid ones raise :class:`ConfigError`."""
@@ -208,7 +207,6 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         output_dir=raw["output_dir"][0],
         sweep_param=raw["sweep_param"][0],
         sweep_values=sweep_values,
-        raw={k: v[0] for k, v in raw.items()},
     )
 
 

@@ -205,10 +205,13 @@ class NormSeries:
                           picard_iters=arr[:, 9].astype(int))
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
+def _fmt(x) -> str:
+    """The artifact form of a value: floats as %.17g, None and NaN blank."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
-    return f"{x:.17g}"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
 
 
 @dataclass
@@ -275,21 +278,22 @@ def _dealias_mask(grid: SpectralGrid) -> np.ndarray:
     return out
 
 
-def _power(x: np.ndarray, beta: float) -> np.ndarray:
-    """x**beta, by repeated multiplication for beta in {2, 3, 4}.
+def _power(x: np.ndarray, beta: float, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """x**beta in place: overwrites ``x`` and returns it.
 
-    The integer cases overwrite ``x`` and return it; they differ from the
-    general ``pow`` by a few ulp.
+    beta in {2, 3, 4} goes by repeated multiplication, which differs from the
+    general ``pow`` by a few ulp; beta = 3 puts x*x in ``scratch`` (a fresh
+    array when none is given).
     """
     if beta == 2.0:
         x *= x
     elif beta == 3.0:
-        x *= x * x
+        x *= np.multiply(x, x, out=scratch)
     elif beta == 4.0:
         x *= x
         x *= x
     else:
-        x = x**beta
+        np.power(x, beta, out=x)
     return x
 
 
@@ -316,7 +320,13 @@ def nonlinear_term(pair: FieldPair, params: SystemParams, s: float,
 
 
 class _Plan:
-    """Precomputed spectral data for one run."""
+    """Precomputed spectral data and the reused workspace of one run.
+
+    The workspace holds the per-step coefficients (``coef[i][q]``, ``full``),
+    the spectra ``hat`` and ``total``, the real scratch fields ``work`` and
+    ``scratch`` and the two ``base`` fields.  It is overwritten by every
+    :func:`step`, so a plan serves one trajectory at a time.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -327,8 +337,39 @@ class _Plan:
         self.gauss_x = np.array([-1.0, 1.0]) / math.sqrt(3.0)
         self.gauss_w = np.array([1.0, 1.0])
 
-    def multiplier(self, i: int, tau: float) -> np.ndarray:
-        return np.exp(-tau * self.symb[i])
+        spec_shape = self.symb[0].shape
+        field_shape = config.grid.shape()
+        self.coef = [[np.empty(spec_shape) for _ in self.gauss_x] for _ in (0, 1)]
+        self.full = np.empty(spec_shape)
+        self.hat = np.empty(spec_shape, dtype=complex)
+        self.total = np.empty(spec_shape, dtype=complex)
+        self.work = np.empty(field_shape)
+        self.scratch = np.empty(field_shape)
+        self.base = [np.empty(field_shape) for _ in (0, 1)]
+
+    def multiplier(self, i: int, tau: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """exp(-tau |xi|^alpha_i), written into ``out`` or a fresh array."""
+        out = np.multiply(self.symb[i], -tau, out=out)
+        return np.exp(out, out=out)
+
+    def forward(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """rfftn of ``values`` into ``out``, one axis pass at a time in
+        numpy's own order, so the bits equal ``np.fft.rfftn``."""
+        np.fft.rfft(values, axis=-1, out=out)
+        for ax in range(self.grid.dim - 2, -1, -1):
+            np.fft.fft(out, axis=ax, out=out)
+        return out
+
+    def inverse(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """irfftn of ``spectrum`` into ``out``; ``spectrum`` is overwritten.
+
+        The complex passes run over axes 0 .. d-2 as in ``np.fft.irfftn``;
+        ``ifftn`` takes them in the other order and differs in the last bits
+        for d = 3.
+        """
+        for ax in range(self.grid.dim - 1):
+            np.fft.ifft(spectrum, axis=ax, out=spectrum)
+        return np.fft.irfft(spectrum, n=self.grid.n, axis=-1, out=out)
 
 
 def _clamp(values: np.ndarray):
@@ -350,12 +391,20 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     cell endpoints.  Propagation is a linear Fourier multiplier, so the node
     terms are weighted, dealiased, propagated to t_next and summed in Fourier
     space, and each component takes one inverse transform per iteration
-    (exponential quadrature).  Raises :class:`Divergence` on overflow and
-    :class:`StepRejected` when the iteration does not settle.
+    (exponential quadrature).
+
+    Every pass writes into the plan's workspace (see :class:`_Plan`): the
+    transforms fill given arrays axis by axis, interpolation and powers run
+    in place, and each iterate is inverted straight into its output field.
+    The only fresh arrays are two output sets per step, between which the
+    iterates alternate, so the returned pair never aliases the plan and
+    stays valid after later steps.  Clamped fields are nonnegative, so one
+    ``max`` per component gives the peak, the scale of the change and, as
+    it propagates NaN, the finiteness check.  Raises :class:`Divergence` on
+    overflow and :class:`StepRejected` when the iteration does not settle.
     """
     cfg = plan.config
     params = cfg.params
-    grid = plan.grid
     t_cur = pair.time
     if not t_next > t_cur:
         raise ValueError("t_next must exceed the current time")
@@ -367,65 +416,60 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     theta_q = (tau_q - tau_a) / (tau_b - tau_a)
     jac_q = plan.gauss_w * half * gamma * tau_q ** (gamma - 1.0)
 
-    base = []
-    # coef[i][q] = weight x dealias mask x propagator from s_q to t_next, built
-    # in place in the fresh array that multiplier() returns
-    coef = []
+    cur = pair.components()
+    base, coef, hat, total = plan.base, plan.coef, plan.hat, plan.total
+    work, scratch = plan.work, plan.scratch
+    # coef[i][q] = weight x dealias mask x propagator from s_q to t_next
     for i in (0, 1):
         rho_i = params.rho[i]
-        hat = np.fft.rfftn(pair.components()[i])
-        hat *= plan.multiplier(i, t_next**rho_i - t_cur**rho_i)
-        base.append(grid.inverse_rfft(hat))
+        plan.forward(cur[i], hat)
+        hat *= plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=plan.full)
+        plan.inverse(hat, base[i])
         weights = jac_q * s_q ** params.sigma[i]
-        coef.append([])
         for q, s in enumerate(s_q):
-            mult = plan.multiplier(i, t_next**rho_i - s**rho_i)
+            mult = plan.multiplier(i, t_next**rho_i - s**rho_i, out=coef[i][q])
             mult *= cfg.coupling_scale * weights[q]
             if plan.mask is not None:
                 mult *= plan.mask
-            coef[i].append(mult)
 
-    cur = [pair.u1, pair.u2]
-    v = [b.copy() for b in base]
+    v = [np.copy(b) for b in base]
+    new = [np.empty_like(b) for b in base]
     clamped = 0
     for i in (0, 1):
-        v[i], c = _clamp(v[i])
-        clamped += c
+        clamped += _clamp(v[i])[1]
 
     changes = []
     iterations = 0
     for _ in range(cfg.picard_max_iter):
         iterations += 1
-        new = []
         for i in (0, 1):
             j = 1 - i
-            acc = base[i].copy()
             if cfg.coupling_scale != 0.0:
-                total = None
                 for q in range(s_q.size):
-                    interp = (1.0 - theta_q[q]) * cur[j] + theta_q[q] * v[j]
-                    np.maximum(interp, 0.0, out=interp)
-                    hat = np.fft.rfftn(_power(interp, params.beta[i]))
-                    hat *= coef[i][q]
-                    if total is None:
-                        total = hat
-                    else:
-                        total += hat
-                acc += grid.inverse_rfft(total)
-            acc, c = _clamp(acc)
-            clamped += c
-            new.append(acc)
+                    np.multiply(cur[j], 1.0 - theta_q[q], out=work)
+                    work += np.multiply(v[j], theta_q[q], out=scratch)
+                    np.maximum(work, 0.0, out=work)
+                    spectrum = plan.forward(_power(work, params.beta[i], scratch),
+                                            total if q == 0 else hat)
+                    spectrum *= coef[i][q]
+                    if q > 0:
+                        total += spectrum
+                plan.inverse(total, new[i])
+                new[i] += base[i]
+            else:
+                np.copyto(new[i], base[i])
+            clamped += _clamp(new[i])[1]
 
-        peak = max(float(new[0].max(initial=0.0)), float(new[1].max(initial=0.0)))
-        if not (np.isfinite(new[0]).all() and np.isfinite(new[1]).all()) or peak > DIVERGENCE_LIMIT:
+        peaks = [float(new[i].max(initial=0.0)) for i in (0, 1)]
+        if not (peaks[0] <= DIVERGENCE_LIMIT and peaks[1] <= DIVERGENCE_LIMIT):
             raise Divergence(t_next)
         diff = 0.0
         for i in (0, 1):
-            scale = float(np.abs(new[i]).max(initial=0.0))
-            d = float(np.abs(new[i] - v[i]).max(initial=0.0))
-            diff = max(diff, d / scale if scale > 0.0 else d)
+            np.subtract(new[i], v[i], out=work)
+            d = float(np.abs(work, out=work).max(initial=0.0))
+            diff = max(diff, d / peaks[i] if peaks[i] > 0.0 else d)
         changes.append(diff)
-        v = new
+        v, new = new, v
         if diff < cfg.picard_tol:
             break
     else:

@@ -317,7 +317,7 @@ def test_sweep_keeps_finished_points_when_a_point_raises(tmp_path, monkeypatch, 
         main(argv)
     # sequentially the sweep stops at point 1; a pool still finishes point 2
     kept = {"point_0000.csv", "point_0002.csv"} if dynamics else {"point_0000.csv"}
-    assert {p.name for p in points.iterdir()} == kept
+    assert {p.name for p in points.iterdir()} == kept | {cli.SWEEP_KEY}
     assert not (out / "sweep.csv").exists()
     # a torn write leaves only a tmp file, which does not count as finished
     (points / "point_0001.csv.tmp").write_text("torn")
@@ -325,7 +325,8 @@ def test_sweep_keeps_finished_points_when_a_point_raises(tmp_path, monkeypatch, 
     (points / "point_0000.csv").write_text(first.replace("GlobalSmallDataBounded", "Sentinel"))
     monkeypatch.setattr(cli, "sweep_point", _REAL_SWEEP_POINT)
     assert main(argv) == 0
-    assert {p.name for p in points.iterdir()} == {f"point_{i:04d}.csv" for i in range(3)}
+    assert {p.name for p in points.iterdir()} == \
+        {f"point_{i:04d}.csv" for i in range(3)} | {cli.SWEEP_KEY}
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 4 and "Sentinel" in rows[1]    # point 0 kept, not recomputed
     header = rows[0].split(",")
@@ -345,6 +346,39 @@ def test_sweep_with_dynamics_row(tmp_path):
     assert row["status"] == "completed"
     assert float(row["sup_scaled_u1"]) > 0.0
     assert (out / "t-p0000" / "norms.csv").exists()
+
+
+def test_sweep_with_dynamics_rejects_bad_solver_settings_first(tmp_path, capsys):
+    text = BASE + "picard_tol = nan\nsweep_param = epsilon\nsweep_values = 0.005,0.01\n"
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "swn"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--with-dynamics"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "picard_tol" in err[0]
+    assert not out.exists()
+
+
+def test_sweep_resume_under_another_config_fails_and_keeps_points(tmp_path, capsys):
+    text = BASE + "sweep_param = beta\nsweep_values = 2.0,3.0\n"
+    out = tmp_path / "swk"
+    argv = ["sweep", "--config", _write(tmp_path, text), "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in (out / "points").iterdir()}
+    assert set(before) == {"point_0000.csv", "point_0001.csv", cli.SWEEP_KEY}
+    (out / "points" / "point_0001.csv").unlink()
+    del before["point_0001.csv"]
+    capsys.readouterr()
+    changed = _write(tmp_path, text.replace("epsilon = 0.01", "epsilon = 0.02"), "other.cfg")
+    for other in (["sweep", "--config", changed, "--out", str(out)], argv + ["--with-dynamics"]):
+        assert main(other) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "another sweep" in err[0]
+        assert {p.name: p.read_bytes() for p in (out / "points").iterdir()} == before
+    # points written before sweeps carried a key are not trusted either
+    (out / "points" / cli.SWEEP_KEY).unlink()
+    assert main(argv) == 1
+    assert "without a" in capsys.readouterr().err
+    assert (out / "points" / "point_0000.csv").read_bytes() == before["point_0000.csv"]
 
 
 def test_sweep_requires_spec(tmp_path):

@@ -273,6 +273,81 @@ def test_power_matches_pow(beta):
     x = np.random.default_rng(7).uniform(0.0, 3.0, 4096)
     x[:3] = (0.0, 1.0, 1e-100)
     np.testing.assert_array_max_ulp(_power(x.copy(), beta), x**beta, maxulp=4)
+    work = x.copy()
+    assert _power(work, beta, np.empty_like(x)) is work
+    assert np.array_equal(work, _power(x.copy(), beta))
+
+
+# ---------------------------------------------------------------------------
+# the plan's workspace
+
+@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+def test_plan_transforms_bitwise_equal_numpy(dim, n, dealias):
+    params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), dim)
+    plan = _Plan(_config(params=params, grid=SpectralGrid(dim, n, 10.0), dealias=dealias))
+    values = np.random.default_rng(dim).standard_normal((n,) * dim)
+    spectrum = plan.forward(values, plan.hat)
+    assert spectrum is plan.hat
+    assert np.array_equal(spectrum, np.fft.rfftn(values))
+    want = np.fft.irfftn(spectrum, s=(n,) * dim, axes=tuple(range(dim)))
+    assert plan.inverse(spectrum, plan.work) is plan.work
+    assert np.array_equal(plan.work, want)
+    fresh = plan.multiplier(1, 0.3)
+    assert plan.multiplier(1, 0.3, out=plan.full) is plan.full
+    assert np.array_equal(plan.full, fresh)
+    assert np.array_equal(fresh, np.exp(-0.3 * plan.symb[1]))
+
+
+def _stepper(beta=3.0, epsilon=5.0, steps=6):
+    params = SystemParams((1.5, 1.5), (beta, beta), (1.0, 0.7), (0.0, 0.5), 2)
+    cfg = _config(params=params, grid=GRID_2D, horizon=0.6, steps=steps,
+                  init=InitialData("gaussian", epsilon=epsilon, width=1.0))
+    return cfg, [float(t) for t in cfg.mesh.nodes()[1:]]
+
+
+def test_step_result_survives_later_steps():
+    cfg, times = _stepper()
+    plan = _Plan(cfg)
+    pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
+    pair, _ = step(pair, times[0], plan)
+    kept = pair.copy()
+    later = pair
+    for t_next in times[1:3]:
+        later, _ = step(later, t_next, plan)
+    for got, want in zip(pair.components(), kept.components()):
+        assert np.array_equal(got, want)
+    workspace = [plan.full, plan.hat, plan.total, plan.work, plan.scratch, *plan.base,
+                 *plan.coef[0], *plan.coef[1]]
+    assert not any(np.shares_memory(u, w) for u in later.components() for w in workspace)
+
+
+def test_interleaved_plans_match_separate_runs():
+    runs = [_stepper(beta=3.0), _stepper(beta=2.0, epsilon=3.0)]
+    alone = []
+    for cfg, times in runs:
+        plan = _Plan(cfg)
+        pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
+        for t_next in times:
+            pair, _ = step(pair, t_next, plan)
+        alone.append(pair)
+    plans = [_Plan(cfg) for cfg, _ in runs]
+    pairs = [make_initial_data(cfg.init, cfg.grid, cfg.params) for cfg, _ in runs]
+    for k in range(len(runs[0][1])):
+        for r in (0, 1):
+            pairs[r], _ = step(pairs[r], runs[r][1][k], plans[r])
+    for got, want in zip(pairs, alone):
+        assert np.array_equal(got.u1, want.u1) and np.array_equal(got.u2, want.u2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_step_non_finite_pair_diverges(bad, coupling):
+    cfg = _config(coupling_scale=coupling)
+    pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
+    pair.u2[100] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(Divergence):
+        step(pair, 0.1, _Plan(cfg))
 
 
 def test_step_decoupled_equals_propagator():

@@ -131,7 +131,12 @@ class RunConfig:
 
 @dataclass
 class FieldPair:
-    """Both solution components sampled on the grid at one time."""
+    """Both solution components sampled on the grid at one time.
+
+    On a symmetric run (see :func:`solve`) ``u1`` and ``u2`` are the same
+    array.  The arrays of a solve's snapshots are read-only; :meth:`copy`
+    gives two independent, writable arrays.
+    """
 
     u1: np.ndarray
     u2: np.ndarray
@@ -231,9 +236,12 @@ def recommended_half_length(params: SystemParams, horizon: float, safety: float 
 def make_initial_data(init: InitialData, grid: SpectralGrid, params: SystemParams) -> FieldPair:
     """Nonnegative, integrable, bounded initial data at t = 0."""
     if init.kind == "stable_kernel":
-        fields = [init.epsilon * eval_density_grid(KernelSpec(params.alpha[i], grid.dim), 1.0, grid)
-                  for i in (0, 1)]
-        return FieldPair(fields[0], fields[1], 0.0)
+        def density(alpha):
+            return init.epsilon * eval_density_grid(KernelSpec(alpha, grid.dim), 1.0, grid)
+
+        u1 = density(params.alpha[0])
+        u2 = u1.copy() if params.alpha[1] == params.alpha[0] else density(params.alpha[1])
+        return FieldPair(u1, u2, 0.0)
     if init.kind == "gaussian":
         r2 = grid.radius() ** 2
         w2 = init.width**2
@@ -347,6 +355,12 @@ class _Plan:
         self.scratch = np.empty(field_shape)
         self.base = [np.empty(field_shape) for _ in (0, 1)]
 
+    @property
+    def symmetric(self) -> bool:
+        """Both components share alpha, beta, rho and sigma exactly."""
+        p = self.config.params
+        return all(v[0] == v[1] for v in (p.alpha, p.beta, p.rho, p.sigma))
+
     def multiplier(self, i: int, tau: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """exp(-tau |xi|^alpha_i), written into ``out`` or a fresh array."""
         out = np.multiply(self.symb[i], -tau, out=out)
@@ -402,6 +416,13 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     ``max`` per component gives the peak, the scale of the change and, as
     it propagates NaN, the finiteness check.  Raises :class:`Divergence` on
     overflow and :class:`StepRejected` when the iteration does not settle.
+
+    When the plan is symmetric and ``pair.u1 is pair.u2``, the two
+    components solve the same equation from the same data, so only the
+    first is computed and the returned pair is aliased the same way; its
+    clamped values count twice, as if both had been clamped.  The fields
+    and diagnostics are bitwise those of the unaliased pair.  ``step``
+    never writes into its input.
     """
     cfg = plan.config
     params = cfg.params
@@ -417,10 +438,12 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     jac_q = plan.gauss_w * half * gamma * tau_q ** (gamma - 1.0)
 
     cur = pair.components()
+    shared = plan.symmetric and pair.u1 is pair.u2
+    comps = (0,) if shared else (0, 1)
     base, coef, hat, total = plan.base, plan.coef, plan.hat, plan.total
     work, scratch = plan.work, plan.scratch
     # coef[i][q] = weight x dealias mask x propagator from s_q to t_next
-    for i in (0, 1):
+    for i in comps:
         rho_i = params.rho[i]
         plan.forward(cur[i], hat)
         hat *= plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=plan.full)
@@ -432,17 +455,22 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
             if plan.mask is not None:
                 mult *= plan.mask
 
-    v = [np.copy(b) for b in base]
-    new = [np.empty_like(b) for b in base]
+    v = [np.copy(base[i]) for i in comps]
+    new = [np.empty_like(u) for u in v]
+    if shared:
+        v.append(v[0])
+        new.append(new[0])
+    # a shared component's clamped values stand for both components
+    clamp_weight = 2 if shared else 1
     clamped = 0
-    for i in (0, 1):
-        clamped += _clamp(v[i])[1]
+    for i in comps:
+        clamped += clamp_weight * _clamp(v[i])[1]
 
     changes = []
     iterations = 0
     for _ in range(cfg.picard_max_iter):
         iterations += 1
-        for i in (0, 1):
+        for i in comps:
             j = 1 - i
             if cfg.coupling_scale != 0.0:
                 for q in range(s_q.size):
@@ -458,13 +486,13 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
                 new[i] += base[i]
             else:
                 np.copyto(new[i], base[i])
-            clamped += _clamp(new[i])[1]
+            clamped += clamp_weight * _clamp(new[i])[1]
 
-        peaks = [float(new[i].max(initial=0.0)) for i in (0, 1)]
-        if not (peaks[0] <= DIVERGENCE_LIMIT and peaks[1] <= DIVERGENCE_LIMIT):
+        peaks = [float(new[i].max(initial=0.0)) for i in comps]
+        if not all(peak <= DIVERGENCE_LIMIT for peak in peaks):
             raise Divergence(t_next)
         diff = 0.0
-        for i in (0, 1):
+        for i in comps:
             np.subtract(new[i], v[i], out=work)
             d = float(np.abs(work, out=work).max(initial=0.0))
             diff = max(diff, d / peaks[i] if peaks[i] > 0.0 else d)
@@ -478,12 +506,16 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     return FieldPair(v[0], v[1], t_next), StepDiagnostics(iterations, changes, clamped)
 
 
-def _grid_norms(values: np.ndarray, grid: SpectralGrid, order: Optional[float]):
-    linf = float(np.abs(values).max(initial=0.0))
+def _grid_norms(values: np.ndarray, grid: SpectralGrid, order: Optional[float],
+                buf: np.ndarray):
+    """(sup norm, L^order norm or NaN, mass) of ``values``; ``buf`` is a
+    field-shaped scratch array that is overwritten."""
+    np.abs(values, out=buf)
+    linf = float(buf.max(initial=0.0))
     mass = float(values.sum() * grid.cell_volume)
     if order is None:
         return linf, math.nan, mass
-    ls = float((np.abs(values) ** order).sum() * grid.cell_volume) ** (1.0 / order)
+    ls = float(np.power(buf, order, out=buf).sum() * grid.cell_volume) ** (1.0 / order)
     return linf, ls, mass
 
 
@@ -494,6 +526,12 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     ``exponents`` is an ExponentReport; when given (and carrying norm
     orders) the ls and scaled columns use its s_i and xi_i, otherwise those
     columns stay blank.
+
+    A symmetric run, where both components share alpha, beta, rho, sigma
+    and byte-equal initial fields, computes one component: every snapshot
+    then has ``u1 is u2``, and its norms are taken once when the norm
+    orders agree.  Snapshots are the step results themselves, made
+    read-only; use :meth:`FieldPair.copy` for writable arrays.
     """
     s_orders = xi = None
     if exponents is not None and getattr(exponents, "s", None) is not None:
@@ -504,6 +542,9 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     nodes = config.mesh.nodes()
     n_nodes = nodes.size
     pair = make_initial_data(config.init, config.grid, config.params)
+    # bytes, not values: -0.0 == 0.0 would alias fields that differ
+    if plan.symmetric and pair.u1.tobytes() == pair.u2.tobytes():
+        pair = FieldPair(pair.u1, pair.u1, pair.time)
 
     t_arr = np.full(n_nodes, math.nan)
     linf = np.full((n_nodes, 2), math.nan)
@@ -514,20 +555,27 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
 
     snapshots = []
     total_clamped = 0
+    orders = (None, None) if s_orders is None else s_orders
+    buf = np.empty(config.grid.shape())
 
     def record(k, fp, n_iter):
         t_arr[k] = fp.time
         iters[k] = n_iter
         for i in (0, 1):
-            order = None if s_orders is None else s_orders[i]
-            li, lsi, mi = _grid_norms(fp.components()[i], config.grid, order)
+            if i == 0 or fp.u2 is not fp.u1 or orders[1] != orders[0]:
+                li, lsi, mi = _grid_norms(fp.components()[i], config.grid, orders[i], buf)
             linf[k, i] = li
             ls[k, i] = lsi
             mass[k, i] = mi
             scaled[k, i] = math.nan if xi is None else fp.time ** xi[i] * lsi
 
+    def keep(fp):
+        for u in fp.components():
+            u.flags.writeable = False
+        snapshots.append(fp)
+
     record(0, pair, 0)
-    snapshots.append(pair.copy())
+    keep(pair)
     status = SolveStatus("completed", float(nodes[-1]))
     recorded = 1
 
@@ -546,7 +594,7 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
         record(k, pair, diag.iterations)
         recorded = k + 1
         if k % config.snapshot_stride == 0 or k == n_nodes - 1:
-            snapshots.append(pair.copy())
+            keep(pair)
 
     norms = NormSeries(t=t_arr[:recorded], linf=linf[:recorded], ls=ls[:recorded],
                        scaled=scaled[:recorded], mass=mass[:recorded],

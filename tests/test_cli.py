@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from fracsys import cli
+from fracsys import cli, solver
 from fracsys.cli import main
-from fracsys.config import ConfigError, parse_config_text
+from fracsys.config import ConfigError, parse_config, parse_config_text
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid
 from fracsys.solver import NormSeries, read_snapshot
 
@@ -223,6 +223,24 @@ def test_solve_determinism_and_manifest_rerun(tmp_path):
     # the manifest is itself a runnable config
     assert main(["solve", "--config", str(out1 / "t" / "manifest.txt"), "--out", str(out3)]) == 0
     assert (out1 / "t" / "norms.csv").read_bytes() == (out3 / "t" / "norms.csv").read_bytes()
+
+
+def test_symmetric_solve_writes_the_general_path_artifacts(tmp_path, monkeypatch):
+    cfg = parse_config(_write(tmp_path, BASE))
+    code, _, aliased = cli.run_experiment(cfg, tmp_path / "alias")
+    assert code == 0
+    assert all(snap.u1 is snap.u2 for snap in aliased.snapshots)
+    assert aliased.diagnostics["clamped_values"] > 0
+    monkeypatch.setattr(solver._Plan, "symmetric", False)
+    code, _, general = cli.run_experiment(cfg, tmp_path / "general")
+    assert code == 0
+    assert all(snap.u1 is not snap.u2 for snap in general.snapshots)
+    names = sorted(p.name for p in (tmp_path / "alias" / "t").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "general" / "t").iterdir())
+    assert "verification.txt" in names and len(names) == 9
+    for name in names:
+        assert (tmp_path / "alias" / "t" / name).read_bytes() \
+            == (tmp_path / "general" / "t" / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

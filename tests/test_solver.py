@@ -2,15 +2,17 @@
 trajectory invariants, and the snapshot/norm file formats."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fracsys import solver as solver_module
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, density_profile, eval_density_grid
 from fracsys.solver import (Divergence, FieldPair, InitialData, NormSeries, RunConfig,
                             SnapshotFormatError, StepDiagnostics, StepRejected, TimeMesh,
-                            _Plan, _power, make_initial_data, nonlinear_term,
+                            _grid_norms, _Plan, _power, make_initial_data, nonlinear_term,
                             propagate_linear, read_snapshot, recommended_half_length,
                             solve, step, write_snapshot)
 
@@ -147,6 +149,24 @@ def test_initial_data_stable_kernel():
     pair = make_initial_data(init, GRID, PARAMS_B4)
     assert pair.time == 0.0
     assert pair.u1.max() == pytest.approx((4 * math.pi) ** -0.5, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha, evaluations", [((2.0, 2.0), 1), ((2.0, 1.5), 2)])
+def test_initial_data_stable_kernel_evaluates_each_alpha_once(monkeypatch, alpha, evaluations):
+    calls = []
+
+    def counting(spec, t, grid):
+        calls.append(spec.alpha)
+        return eval_density_grid(spec, t, grid)
+
+    monkeypatch.setattr(solver_module, "eval_density_grid", counting)
+    params = SystemParams(alpha, (4, 4), (1, 1), (0, 0), 1)
+    pair = make_initial_data(InitialData("stable_kernel", epsilon=0.5), GRID, params)
+    assert calls == list(alpha[:evaluations])
+    assert pair.u1 is not pair.u2
+    for i in (0, 1):
+        want = 0.5 * eval_density_grid(KernelSpec(alpha[i], 1), 1.0, GRID)
+        assert pair.components()[i].tobytes() == want.tobytes()
 
 
 def test_initial_data_gaussian_mass():
@@ -350,6 +370,103 @@ def test_step_non_finite_pair_diverges(bad, coupling):
         step(pair, 0.1, _Plan(cfg))
 
 
+# ---------------------------------------------------------------------------
+# symmetric runs: one computed component stands for both
+
+SYMMETRIC_CASES = {
+    "1d_clamping": dict(),
+    "2d_fractional": dict(params=SystemParams((1.5, 1.5), (3.0, 3.0), (0.7, 0.7), (0.5, 0.5), 2),
+                          grid=GRID_2D, horizon=0.6,
+                          init=InitialData("gaussian", epsilon=5.0, width=1.0)),
+    "decoupled": dict(coupling_scale=0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIC_CASES))
+def test_aliased_step_is_bitwise_the_unaliased_step(case):
+    cfg = _config(steps=6, **SYMMETRIC_CASES[case])
+    assert cfg.dealias == "two_thirds"
+    plan = _Plan(cfg)
+    assert plan.symmetric
+    u = make_initial_data(cfg.init, cfg.grid, cfg.params).u1
+    alias, full = FieldPair(u, u, 0.0), FieldPair(u, u.copy(), 0.0)
+    clamped = 0
+    for t_next in cfg.mesh.nodes()[1:]:
+        alias, a_diag = step(alias, float(t_next), plan)
+        full, f_diag = step(full, float(t_next), plan)
+        assert alias.u1 is alias.u2 and full.u1 is not full.u2
+        assert alias.u1.tobytes() == full.u1.tobytes() == full.u2.tobytes()
+        assert (a_diag.iterations, a_diag.changes, a_diag.clamped) \
+            == (f_diag.iterations, f_diag.changes, f_diag.clamped)
+        clamped += f_diag.clamped
+    assert clamped > 0 or case == "2d_fractional"
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_aliased_step_nan_diverges(coupling):
+    cfg = _config(coupling_scale=coupling)
+    u = make_initial_data(cfg.init, cfg.grid, cfg.params).u1
+    u[100] = math.nan
+    with np.errstate(invalid="ignore"), pytest.raises(Divergence):
+        step(FieldPair(u, u, 0.0), 0.1, _Plan(cfg))
+
+
+def test_aliased_step_stall_is_rejected():
+    cfg = _config(picard_max_iter=1)
+    pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
+    with pytest.raises(StepRejected):
+        step(FieldPair(pair.u1, pair.u1, 0.0), 0.1, _Plan(cfg))
+
+
+@pytest.mark.parametrize("name, pair", [("alpha", (2.0, 1.5)), ("beta", (4.0, 3.0)),
+                                        ("rho", (1.0, 0.7)), ("sigma", (0.0, 0.5))])
+def test_asymmetric_parameters_take_the_general_path(name, pair):
+    fields = dict(alpha=(2.0, 2.0), beta=(4.0, 4.0), rho=(1.0, 1.0), sigma=(0.0, 0.0))
+    fields[name] = pair
+    cfg = _config(params=SystemParams(dim=1, **fields), horizon=0.5, steps=2)
+    assert not _Plan(cfg).symmetric
+    res = solve(cfg)
+    assert res.status.completed
+    assert all(snap.u1 is not snap.u2 for snap in res.snapshots)
+
+
+@pytest.mark.parametrize("edit, aliased", [(None, True), ((200, 0.1), False),
+                                           ((0, -0.0), False)])
+def test_from_file_data_is_aliased_only_when_byte_equal(tmp_path, edit, aliased):
+    u = make_initial_data(_config().init, GRID, PARAMS_B4).u1
+    u[0] = 0.0
+    u2 = u.copy()
+    if edit is not None:
+        u2[edit[0]] = edit[1]
+    path = tmp_path / "phi.bin"
+    write_snapshot(path, FieldPair(u, u2, 0.0), GRID, PARAMS_B4)
+    res = solve(_config(init=InitialData("from_file", path=str(path)), horizon=0.5, steps=2))
+    assert res.status.completed
+    assert all((snap.u1 is snap.u2) == aliased for snap in res.snapshots)
+
+
+@pytest.mark.parametrize("orders", [(5.0, 5.0), (5.0, 3.0)])
+def test_symmetric_norms_match_the_general_path(monkeypatch, orders):
+    exponents = SimpleNamespace(s=orders, xi=(0.2, 0.3))
+    cfg = _config(horizon=0.5, steps=4)
+    aliased = solve(cfg, exponents).norms
+    monkeypatch.setattr(_Plan, "symmetric", False)
+    general = solve(cfg, exponents).norms
+    for col in ("t", "linf", "ls", "scaled", "mass", "picard_iters"):
+        assert getattr(aliased, col).tobytes() == getattr(general, col).tobytes(), col
+    assert (aliased.ls[1:, 0] == aliased.ls[1:, 1]).all() == (orders[0] == orders[1])
+
+
+def test_symmetric_solve_snapshots_are_read_only_and_copies_independent():
+    res = solve(_config(horizon=0.5, steps=4, snapshot_stride=2))
+    assert len(res.snapshots) == 3
+    for snap in res.snapshots:
+        assert snap.u1 is snap.u2 and not snap.u1.flags.writeable
+        dup = snap.copy()
+        dup.u1 += 1.0
+        assert dup.u1 is not dup.u2 and np.array_equal(dup.u2, snap.u1)
+
+
 def test_step_decoupled_equals_propagator():
     cfg = _config(coupling_scale=0.0)
     plan = _Plan(cfg)
@@ -487,6 +604,26 @@ def test_solve_iteration_counts_grow_toward_breakdown():
     assert res.status.kind in ("diverged", "step_rejected")
     iters = res.norms.picard_iters[1:]
     assert iters[-1] >= iters[0] + 5
+
+
+def _grid_norms_reference(values, grid, order):
+    """The norms as first written, with fresh temporaries."""
+    linf = float(np.abs(values).max(initial=0.0))
+    mass = float(values.sum() * grid.cell_volume)
+    ls = float((np.abs(values) ** order).sum() * grid.cell_volume) ** (1.0 / order)
+    return linf, ls, mass
+
+
+@pytest.mark.parametrize("order", [2.0, 5.0, 16.0 / 3.0])
+def test_grid_norms_bitwise_equal_temporaries(order):
+    values = np.random.default_rng(5).uniform(-0.1, 2.0, GRID.shape())
+    values[:2] = (-0.0, 0.0)
+    kept = values.copy()
+    buf = np.empty_like(values)
+    assert _grid_norms(values, GRID, order, buf) == _grid_norms_reference(values, GRID, order)
+    assert values.tobytes() == kept.tobytes()
+    linf, ls, mass = _grid_norms(values, GRID, None, buf)
+    assert (linf, mass) == _grid_norms_reference(values, GRID, order)[::2] and math.isnan(ls)
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,18 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import verify
-from .config import ConfigError, ExperimentConfig, parse_config, sha256_file, write_manifest
-from .exponents import (DeltaOutsideWindow, REGIME_NO_GUARANTEE, SystemParams, classify)
+from .config import (PARAM_KEYS, ConfigError, ExperimentConfig, build, parse_config,
+                     sha256_file, sweep_keys, swept, system_params, write_manifest)
+from .exponents import DeltaOutsideWindow, REGIME_NO_GUARANTEE, _fmt, classify
 from .kernels import (KernelSpec, SpectralGrid, check_monotone_domination, check_scaling,
                       eval_density_grid, grid_mass, lp_norm_slope, semigroup_residual,
                       tail_mass_bound)
-from .solver import _fmt, solve, write_snapshot
+from .solver import solve, write_snapshot
 
 SUMMARY_COLUMNS = ("run_id", "regime", "sup_scaled_u1", "sup_scaled_u2",
                    "slope_u1", "slope_u2", "env_k", "env_c", "verdict")
@@ -78,12 +78,11 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
     """
     delta = delta if delta is not None else cfg.delta
     report = classify(cfg.params, delta=delta)
-    run_config = cfg.run_config()
-    run_dir = out_base / cfg.run_id
+    run_dir = out_base / cfg.values.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
     exponents = report if report.s is not None else None
-    result = solve(run_config, exponents)
+    result = solve(cfg.run, exponents)
 
     artifacts = {}
     norms_path = run_dir / "norms.csv"
@@ -91,7 +90,7 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
     artifacts["norms.csv"] = sha256_file(norms_path)
     for idx, snap in enumerate(result.snapshots):
         name = f"snap_{idx:06d}.bin"
-        write_snapshot(run_dir / name, snap, cfg.grid, cfg.params)
+        write_snapshot(run_dir / name, snap, cfg.run.grid, cfg.params)
         artifacts[name] = sha256_file(run_dir / name)
 
     lines = [f"{k} = {v}" for k, v in report.flat_items()]
@@ -100,7 +99,7 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
     for key, value in sorted(result.diagnostics.items()):
         lines.append(f"{key} = {_fmt(value)}")
 
-    row = {"run_id": cfg.run_id, "regime": report.regime, "verdict": ""}
+    row = {"run_id": cfg.values.run_id, "regime": report.regime, "verdict": ""}
     verdicts = []
     if result.status.completed and exponents is not None:
         try:
@@ -123,10 +122,10 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
                 verdicts.append(b.verdict)
         except verify.RegimeMismatch as exc:
             lines.append(f"linf_skipped = {exc}")
-        if report.theorem3_applicable and cfg.init.kind == "stable_kernel":
+        if report.theorem3_applicable and cfg.run.init.kind == "stable_kernel":
             try:
                 envs = verify.selfsimilar_envelope_check(result.snapshots, cfg.params,
-                                                         cfg.init.epsilon, cfg.grid)
+                                                         cfg.run.init.epsilon, cfg.run.grid)
                 for e in envs:
                     lines.append(f"env_k_u{e.component} = {_fmt(e.fitted_k)}")
                     lines.append(f"env_c_u{e.component} = {_fmt(e.fitted_c)}")
@@ -156,10 +155,10 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
 def cmd_solve(args) -> int:
     cfg = parse_config(args.config)
     if args.seed_id:
-        cfg = replace(cfg, run_id=args.seed_id)
-    out_base = Path(args.out) if args.out else Path(cfg.output_dir)
+        cfg = cfg.with_values(run_id=args.seed_id)
+    out_base = Path(args.out or cfg.values.output_dir)
     code, row, result = run_experiment(cfg, out_base, delta=args.delta)
-    print(f"run_id = {cfg.run_id}")
+    print(f"run_id = {cfg.values.run_id}")
     print(f"regime = {row['regime']}")
     print(f"status = {result.status.kind}")
     print(f"status_time = {_fmt(result.status.time)}")
@@ -234,45 +233,7 @@ def cmd_verify_kernel(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-_SWEEP_PAIRS = {"alpha", "beta", "rho", "sigma"}
-_SWEEP_SINGLES = {"alpha1", "alpha2", "beta1", "beta2", "rho1", "rho2",
-                  "sigma1", "sigma2", "dim", "epsilon", "delta"}
-
-
-def _apply_sweep(cfg: ExperimentConfig, name: str, value: float) -> ExperimentConfig:
-    p = cfg.params
-    if name in _SWEEP_PAIRS:
-        kw = {name: (value, value)}
-        params = SystemParams(**{**_params_kw(p), **kw})
-        return replace(cfg, params=params)
-    if name in ("alpha1", "alpha2", "beta1", "beta2", "rho1", "rho2", "sigma1", "sigma2"):
-        base = name[:-1]
-        idx = int(name[-1]) - 1
-        pair = list(getattr(p, base))
-        pair[idx] = value
-        params = SystemParams(**{**_params_kw(p), base: tuple(pair)})
-        return replace(cfg, params=params)
-    if name == "dim":
-        params = SystemParams(**{**_params_kw(p), "dim": int(value)})
-        if int(value) <= 3:
-            # classification works in any dimension; only grids are capped
-            return replace(cfg, params=params,
-                           grid=SpectralGrid(int(value), cfg.grid.n, cfg.grid.half_length))
-        return replace(cfg, params=params)
-    if name == "epsilon":
-        return replace(cfg, init=replace(cfg.init, epsilon=value))
-    if name == "delta":
-        return replace(cfg, delta=value)
-    raise ConfigError(f"unsupported sweep parameter {name!r}")
-
-
-def _params_kw(p: SystemParams) -> dict:
-    return {"alpha": p.alpha, "beta": p.beta, "rho": p.rho, "sigma": p.sigma, "dim": p.dim}
-
-
-SWEEP_COLUMNS = ("index", "sweep_param", "sweep_value",
-                 "alpha1", "alpha2", "beta1", "beta2", "rho1", "rho2",
-                 "sigma1", "sigma2", "dim",
+SWEEP_COLUMNS = ("index", "sweep_param", "sweep_value", *PARAM_KEYS,
                  "window_lo", "window_hi", "delta", "regime", "theorem3",
                  "status", "sup_scaled_u1", "sup_scaled_u2",
                  "slope_u1", "slope_u2", "env_k", "env_c", "verdict", "error")
@@ -283,20 +244,18 @@ def sweep_point(task) -> dict:
     idx, cfg, name, value, with_dynamics, out_base = task
     row = {"index": idx, "sweep_param": name, "sweep_value": value, "error": ""}
     try:
-        point_cfg = _apply_sweep(cfg, name, value)
-        point_cfg = replace(point_cfg, run_id=f"{cfg.run_id}-p{idx:04d}")
-        p = point_cfg.params
-        row.update(alpha1=p.alpha[0], alpha2=p.alpha[1], beta1=p.beta[0], beta2=p.beta[1],
-                   rho1=p.rho[0], rho2=p.rho[1], sigma1=p.sigma[0], sigma2=p.sigma[1],
-                   dim=p.dim)
-        report = classify(p, delta=point_cfg.delta)
+        values = swept(cfg.values, name, value)._replace(run_id=f"{cfg.values.run_id}-p{idx:04d}")
+        # classification works in any dimension; only grids are capped at 3
+        params = system_params(values)
+        row.update((key, getattr(values, key)) for key in PARAM_KEYS)
+        report = classify(params, delta=values.delta)
         row.update(window_lo=report.window.lo, window_hi=report.window.hi,
                    delta=report.delta, regime=report.regime,
                    theorem3=str(report.theorem3_applicable).lower())
         if with_dynamics and report.regime != REGIME_NO_GUARANTEE:
             # workers never touch the shared summary; the sweep CSV is merged
             # by the coordinator
-            code, run_row, _ = run_experiment(point_cfg, Path(out_base),
+            code, run_row, _ = run_experiment(build(values), Path(out_base),
                                               append_summary=False)
             row["status"] = {0: "completed", 2: "diverged", 3: "step_rejected"}[code]
             for key in ("sup_scaled_u1", "sup_scaled_u2", "slope_u1", "slope_u2",
@@ -346,25 +305,23 @@ def _claim_points(points_dir: Path, key: str):
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if args.seed_id:
-        cfg = replace(cfg, run_id=args.seed_id)
-    if not cfg.sweep_param or not cfg.sweep_values:
+        cfg = cfg.with_values(run_id=args.seed_id)
+    name, sweep_values = cfg.values.sweep_param, cfg.values.sweep_values
+    if not name or not sweep_values:
         raise ConfigError(f"{args.config}: sweep needs sweep_param and sweep_values")
-    if cfg.sweep_param not in (_SWEEP_PAIRS | _SWEEP_SINGLES):
-        raise ConfigError(f"unsupported sweep parameter {cfg.sweep_param!r}")
-    if args.with_dynamics:
-        cfg.run_config()    # bad solver settings fail here, not once per point
-    out_base = Path(args.out) if args.out else Path(cfg.output_dir)
+    sweep_keys(name)    # an unsupported name fails before any point
+    out_base = Path(args.out or cfg.values.output_dir)
     points_dir = out_base / "points"
     points_dir.mkdir(parents=True, exist_ok=True)
     _claim_points(points_dir, f"config_sha256 = {cfg.config_hash()}\n"
                               f"with_dynamics = {str(args.with_dynamics).lower()}\n")
 
     tasks = []
-    for idx, value in enumerate(cfg.sweep_values):
+    for idx, value in enumerate(sweep_values):
         point_path = points_dir / f"point_{idx:04d}.csv"
         if point_path.exists():
             continue  # resumable: keep finished points
-        tasks.append((idx, cfg, cfg.sweep_param, value, args.with_dynamics, str(out_base)))
+        tasks.append((idx, cfg, name, value, args.with_dynamics, str(out_base)))
 
     # each point file is written as soon as its row is ready, so an
     # interrupted sweep keeps every finished point
@@ -386,9 +343,9 @@ def cmd_sweep(args) -> int:
     merged = out_base / "sweep.csv"
     with open(merged, "w", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for idx in range(len(cfg.sweep_values)):
+        for idx in range(len(sweep_values)):
             fh.write((points_dir / f"point_{idx:04d}.csv").read_text())
-    print(f"# wrote {merged} ({len(cfg.sweep_values)} points)")
+    print(f"# wrote {merged} ({len(sweep_values)} points)")
     return 0
 
 

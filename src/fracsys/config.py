@@ -1,116 +1,169 @@
 """Flat key = value experiment configuration, plus the run manifest.
 
-The format is one assignment per line with ``#`` comments.  A manifest is
-itself a valid configuration file (checksums ride along as comments), so a
-finished run can be reproduced by pointing the CLI at its manifest.
+The format is one assignment per line with ``#`` comments.  ``KEYS`` lists
+every key once, in manifest order, with its kind and default; parsing, the
+resolved (manifest) lines and sweeps all read it.  A manifest is itself a
+valid configuration file (checksums ride along as comments), so a finished
+run can be reproduced by pointing the CLI at its manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .exponents import SystemParams
+from .exponents import SystemParams, _fmt
 from .kernels import SpectralGrid
 from .solver import InitialData, RunConfig, TimeMesh
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-
-_DEFAULTS = {
-    "grading": "1.0",
-    "init": "stable_kernel",
-    "epsilon": "0.01",
-    "width": "1.0",
-    "init_path": "",
-    "picard_tol": "1e-10",
-    "picard_max_iter": "25",
-    "dealias": "two_thirds",
-    "snapshot_stride": "10",
-    "coupling_scale": "1.0",
-    "delta": "",
-    "run_id": "run",
-    "output_dir": "out",
-    "sweep_param": "",
-    "sweep_values": "",
-}
-
-_REQUIRED = ("alpha1", "alpha2", "beta1", "beta2", "rho1", "rho2",
-             "sigma1", "sigma2", "dim", "grid_n", "half_length",
-             "horizon", "steps")
-
-_ALL_KEYS = set(_REQUIRED) | set(_DEFAULTS)
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    params: SystemParams
-    grid: SpectralGrid
-    mesh: TimeMesh
-    init: InitialData
-    picard_tol: float
-    picard_max_iter: int
-    dealias: str
-    snapshot_stride: int
-    coupling_scale: float
-    delta: Optional[float]
-    run_id: str
-    output_dir: str
-    sweep_param: str = ""
-    sweep_values: tuple = ()
+class Kind(NamedTuple):
+    parse: Callable    # text -> value; ValueError when the text is invalid
+    needs: str         # what an invalid text is told the key needs
 
-    def run_config(self) -> RunConfig:
-        """The solver settings; invalid ones raise :class:`ConfigError`."""
-        try:
-            return RunConfig(params=self.params, grid=self.grid, mesh=self.mesh,
-                             init=self.init, picard_tol=self.picard_tol,
-                             picard_max_iter=self.picard_max_iter, dealias=self.dealias,
-                             snapshot_stride=self.snapshot_stride,
-                             coupling_scale=self.coupling_scale)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
+
+
+def _optional_number(text: str) -> Optional[float]:
+    return _number(text) if text else None
+
+
+def _numbers(text: str) -> tuple:
+    return tuple(_number(v) for v in text.split(",")) if text else ()
+
+
+NUMBER = Kind(_number, "a finite number")
+INTEGER = Kind(int, "an integer")
+TEXT = Kind(str, "text")
+OPTIONAL_NUMBER = Kind(_optional_number, "a finite number or nothing")
+NUMBERS = Kind(_numbers, "a comma-separated list of finite numbers")
+
+# (key, kind, default or None when required, may be swept), in manifest
+# order; the first nine keys are the system constants
+KEYS = (
+    ("alpha1", NUMBER, None, True), ("alpha2", NUMBER, None, True),
+    ("beta1", NUMBER, None, True), ("beta2", NUMBER, None, True),
+    ("rho1", NUMBER, None, True), ("rho2", NUMBER, None, True),
+    ("sigma1", NUMBER, None, True), ("sigma2", NUMBER, None, True),
+    ("dim", INTEGER, None, True),
+    ("grid_n", INTEGER, None, False),
+    ("half_length", NUMBER, None, False),
+    ("horizon", NUMBER, None, False),
+    ("steps", INTEGER, None, False),
+    ("grading", NUMBER, "1.0", False),
+    ("init", TEXT, "stable_kernel", False),
+    ("epsilon", NUMBER, "0.01", True),
+    ("width", NUMBER, "1.0", False),
+    ("init_path", TEXT, "", False),
+    ("picard_tol", NUMBER, "1e-10", False),
+    ("picard_max_iter", INTEGER, "25", False),
+    ("dealias", TEXT, "two_thirds", False),
+    ("snapshot_stride", INTEGER, "10", False),
+    ("coupling_scale", NUMBER, "1.0", False),
+    ("delta", OPTIONAL_NUMBER, "", True),
+    ("run_id", TEXT, "run", False),
+    ("output_dir", TEXT, "out", False),
+    ("sweep_param", TEXT, "", False),
+    ("sweep_values", NUMBERS, "", False),
+)
+
+# the typed value of every key
+Values = namedtuple("Values", [key for key, *_ in KEYS])
+
+PARAM_KEYS = Values._fields[:9]
+_SWEPT = {key: (key,) for key, _, _, sweep in KEYS if sweep}
+# a pair name sweeps both of its components: "beta" sets beta1 and beta2
+_SWEPT.update({key[:-1]: (key, key[:-1] + "2") for key in list(_SWEPT) if key.endswith("1")})
+_INTEGER_KEYS = {key for key, kind, _, _ in KEYS if kind is INTEGER}
+
+
+def _show(value) -> str:
+    """The canonical text of a value, which parses back to the same value."""
+    return ",".join(_fmt(v) for v in value) if isinstance(value, tuple) else _fmt(value)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A valid experiment: the typed value of every key and the solver
+    settings built from them.  :func:`build` makes one."""
+
+    values: Values
+    run: RunConfig
+
+    @property
+    def params(self) -> SystemParams:
+        return self.run.params
+
+    @property
+    def delta(self) -> Optional[float]:
+        return self.values.delta
+
+    def with_values(self, **changes) -> "ExperimentConfig":
+        return build(self.values._replace(**changes))
 
     def resolved_lines(self) -> list:
         """Canonical config text reproducing this experiment."""
-        p, g, m, i = self.params, self.grid, self.mesh, self.init
-
-        def f(x):
-            return f"{x:.17g}"
-
-        items = [
-            ("alpha1", f(p.alpha[0])), ("alpha2", f(p.alpha[1])),
-            ("beta1", f(p.beta[0])), ("beta2", f(p.beta[1])),
-            ("rho1", f(p.rho[0])), ("rho2", f(p.rho[1])),
-            ("sigma1", f(p.sigma[0])), ("sigma2", f(p.sigma[1])),
-            ("dim", str(p.dim)),
-            ("grid_n", str(g.n)), ("half_length", f(g.half_length)),
-            ("horizon", f(m.horizon)), ("steps", str(m.steps)), ("grading", f(m.grading)),
-            ("init", i.kind), ("epsilon", f(i.epsilon)), ("width", f(i.width)),
-            ("init_path", i.path or ""),
-            ("picard_tol", f(self.picard_tol)),
-            ("picard_max_iter", str(self.picard_max_iter)),
-            ("dealias", self.dealias),
-            ("snapshot_stride", str(self.snapshot_stride)),
-            ("coupling_scale", f(self.coupling_scale)),
-            ("delta", "" if self.delta is None else f(self.delta)),
-            ("run_id", self.run_id),
-            ("output_dir", self.output_dir),
-            ("sweep_param", self.sweep_param),
-            ("sweep_values", ",".join(f(v) for v in self.sweep_values)),
-        ]
-        return [f"{k} = {v}" for k, v in items]
+        return [f"{key} = {_show(value)}" for key, value in zip(Values._fields, self.values)]
 
     def resolved_text(self) -> str:
         return "\n".join(self.resolved_lines()) + "\n"
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()
+
+
+def system_params(v: Values) -> SystemParams:
+    """The system constants of ``v``; invalid ones raise ValueError."""
+    return SystemParams(alpha=(v.alpha1, v.alpha2), beta=(v.beta1, v.beta2),
+                        rho=(v.rho1, v.rho2), sigma=(v.sigma1, v.sigma2), dim=v.dim)
+
+
+def build(v: Values, source: str = "") -> ExperimentConfig:
+    """Check ``v`` and build its solver settings; errors are ConfigErrors
+    that name ``source`` when one is given."""
+    prefix = f"{source}: " if source else ""
+    try:
+        params = system_params(v)
+        run = RunConfig(params=params, grid=SpectralGrid(v.dim, v.grid_n, v.half_length),
+                        mesh=TimeMesh(v.horizon, v.steps, v.grading),
+                        init=InitialData(v.init, v.epsilon, v.width, v.init_path or None),
+                        picard_tol=v.picard_tol, picard_max_iter=v.picard_max_iter,
+                        dealias=v.dealias, snapshot_stride=v.snapshot_stride,
+                        coupling_scale=v.coupling_scale)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+    if not _RUN_ID_RE.match(v.run_id):
+        raise ConfigError(f"{prefix}run_id {v.run_id!r} is not filesystem-safe")
+    return ExperimentConfig(v, run)
+
+
+def sweep_keys(name: str) -> tuple:
+    """The keys that the sweep parameter ``name`` sets."""
+    if name not in _SWEPT:
+        raise ConfigError(f"unsupported sweep parameter {name!r}")
+    return _SWEPT[name]
+
+
+def swept(v: Values, name: str, value: float) -> Values:
+    """``v`` with the sweep parameter ``name`` set to ``value``."""
+    return v._replace(**{key: int(value) if key in _INTEGER_KEYS else value
+                         for key in sweep_keys(name)})
 
 
 def _parse_lines(text: str, source: str) -> dict:
@@ -124,28 +177,12 @@ def _parse_lines(text: str, source: str) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in Values._fields:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = (value, lineno)
     return out
-
-
-def _get_float(raw, key, source):
-    value, lineno = raw[key]
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{source}:{lineno}: key {key!r} needs a number, got {value!r}") from None
-
-
-def _get_int(raw, key, source):
-    value, lineno = raw[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{source}:{lineno}: key {key!r} needs an integer, got {value!r}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -156,58 +193,17 @@ def parse_config(path) -> ExperimentConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     raw = _parse_lines(text, source)
-    for key in _REQUIRED:
-        if key not in raw:
+    typed = {}
+    for key, kind, default, _ in KEYS:
+        if default is None and key not in raw:
             raise ConfigError(f"{source}: missing required key {key!r}")
-    for key, default in _DEFAULTS.items():
-        raw.setdefault(key, (default, 0))
-
-    try:
-        params = SystemParams(
-            alpha=(_get_float(raw, "alpha1", source), _get_float(raw, "alpha2", source)),
-            beta=(_get_float(raw, "beta1", source), _get_float(raw, "beta2", source)),
-            rho=(_get_float(raw, "rho1", source), _get_float(raw, "rho2", source)),
-            sigma=(_get_float(raw, "sigma1", source), _get_float(raw, "sigma2", source)),
-            dim=_get_int(raw, "dim", source),
-        )
-        grid = SpectralGrid(dim=params.dim, n=_get_int(raw, "grid_n", source),
-                            half_length=_get_float(raw, "half_length", source))
-        mesh = TimeMesh(horizon=_get_float(raw, "horizon", source),
-                        steps=_get_int(raw, "steps", source),
-                        grading=_get_float(raw, "grading", source))
-        init = InitialData(kind=raw["init"][0], epsilon=_get_float(raw, "epsilon", source),
-                           width=_get_float(raw, "width", source),
-                           path=raw["init_path"][0] or None)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{source}: {exc}") from exc
-
-    delta_raw = raw["delta"][0]
-    sweep_values = ()
-    if raw["sweep_values"][0]:
+        value, lineno = raw.get(key, (default, 0))
         try:
-            sweep_values = tuple(float(v) for v in raw["sweep_values"][0].split(","))
+            typed[key] = kind.parse(value)
         except ValueError:
-            raise ConfigError(f"{source}: sweep_values must be a comma-separated number list") from None
-
-    run_id = raw["run_id"][0]
-    if not _RUN_ID_RE.match(run_id):
-        raise ConfigError(f"{source}: run_id {run_id!r} is not filesystem-safe")
-
-    return ExperimentConfig(
-        params=params, grid=grid, mesh=mesh, init=init,
-        picard_tol=_get_float(raw, "picard_tol", source),
-        picard_max_iter=_get_int(raw, "picard_max_iter", source),
-        dealias=raw["dealias"][0],
-        snapshot_stride=_get_int(raw, "snapshot_stride", source),
-        coupling_scale=_get_float(raw, "coupling_scale", source),
-        delta=float(delta_raw) if delta_raw else None,
-        run_id=run_id,
-        output_dir=raw["output_dir"][0],
-        sweep_param=raw["sweep_param"][0],
-        sweep_values=sweep_values,
-    )
+            raise ConfigError(f"{source}:{lineno}: key {key!r} needs {kind.needs}, "
+                              f"got {value!r}") from None
+    return build(Values(**typed), source)
 
 
 def sha256_file(path) -> str:

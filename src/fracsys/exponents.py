@@ -18,24 +18,32 @@ lose nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 __all__ = [
-    "SystemParams", "Window", "WindowInfo", "NormExponents",
-    "AdmissibilityCheck", "ExponentReport",
+    "SystemParams", "Window", "AdmissibilityCheck", "ExponentReport",
     "REGIME_SMALL_DATA", "REGIME_SMALL_DATA_BOUNDED",
     "REGIME_SELF_SIMILAR", "REGIME_NO_GUARANTEE",
-    "compute_window", "derive_norm_exponents", "check_admissibility",
-    "compute_k_hat", "theorem3_check", "classify",
-    "eta_theta_residuals", "DeltaOutsideWindow", "InadmissibleParams",
+    "check_admissibility", "classify",
+    "DeltaOutsideWindow", "InadmissibleParams",
 ]
 
 REGIME_SMALL_DATA = "GlobalSmallData"
 REGIME_SMALL_DATA_BOUNDED = "GlobalSmallDataBounded"
 REGIME_SELF_SIMILAR = "Theorem3SelfSimilar"
 REGIME_NO_GUARANTEE = "NoGuarantee"
+
+
+def _fmt(x) -> str:
+    """The artifact form of a value: floats as %.17g, None and NaN blank."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
 
 
 class DeltaOutsideWindow(ValueError):
@@ -81,11 +89,6 @@ class SystemParams:
         """Index (1 or 2) of the smaller stability index; ties go to 1."""
         return 1 if self.alpha[0] <= self.alpha[1] else 2
 
-    def swapped(self) -> "SystemParams":
-        """The same system with the component labels exchanged."""
-        return SystemParams(self.alpha[::-1], self.beta[::-1],
-                            self.rho[::-1], self.sigma[::-1], self.dim)
-
 
 @dataclass(frozen=True)
 class Window:
@@ -97,29 +100,6 @@ class Window:
     @property
     def empty(self) -> bool:
         return not self.lo < self.hi
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
-
-@dataclass(frozen=True)
-class WindowInfo:
-    x_tilde: tuple
-    rho_tilde: tuple
-    k_tilde: tuple
-    window: Window
-
-
-@dataclass(frozen=True)
-class NormExponents:
-    r: tuple
-    s: tuple
-    xi: tuple
-    delta_small: tuple
 
 
 @dataclass(frozen=True)
@@ -252,6 +232,8 @@ class _Calc:
         return (1 + self.si[i] + self.be[i] * (1 + self.si[j])) / self.bb1
 
     def theorem3_applicable(self):
+        """The self-similar envelope gate: equal stability indices, equal
+        time exponents with rho <= 1, and the strict rate inequality."""
         if self.al[0] != self.al[1] or self.ro[0] != self.ro[1] or self.ro[0] > 1:
             return False
         lhs = (1 + max(self.si[0] + self.be[0] * (1 + self.si[1]),
@@ -261,40 +243,6 @@ class _Calc:
 
 def _pair(fn) -> tuple:
     return (float(fn(0)), float(fn(1)))
-
-
-def compute_window(params: SystemParams) -> WindowInfo:
-    """All Theorem-level exponent pairs and the open admissibility window
-    for Delta.  The window may be empty; that is a valid answer."""
-    c = _Calc(params)
-    lo, hi = c.window_bounds()
-    return WindowInfo(
-        x_tilde=_pair(c.x_tilde),
-        rho_tilde=_pair(c.rho_tilde),
-        k_tilde=_pair(c.k_tilde),
-        window=Window(float(lo), float(hi)),
-    )
-
-
-def derive_norm_exponents(params: SystemParams, delta: float) -> NormExponents:
-    """Integrability orders r_i, s_i, decay rates xi_i and kernel exponents
-    delta_i for a Delta strictly inside the admissibility window.
-
-    Raises :class:`DeltaOutsideWindow` for Delta outside, and
-    :class:`InadmissibleParams` if a norm-order denominator is nonpositive.
-    """
-    c = _Calc(params)
-    lo, hi = c.window_bounds()
-    dlt = Fraction(float(delta))
-    if not lo < dlt < hi:
-        raise DeltaOutsideWindow(
-            f"delta={delta!r} outside the admissible window ({float(lo):.17g}, {float(hi):.17g})")
-    return NormExponents(
-        r=(float(c.r_value(0, dlt)), float(c.r_value(1, dlt))),
-        s=(float(c.s_value(0, dlt)), float(c.s_value(1, dlt))),
-        xi=(float(c.xi_value(0, dlt)), float(c.xi_value(1, dlt))),
-        delta_small=(float(c.delta_small_value(0, dlt)), float(c.delta_small_value(1, dlt))),
-    )
 
 
 def check_admissibility(params: SystemParams, r: tuple, s: tuple) -> list:
@@ -324,46 +272,6 @@ def check_admissibility(params: SystemParams, r: tuple, s: tuple) -> list:
     return out
 
 
-def compute_k_hat(params: SystemParams):
-    """Essential-boundedness caps k_hat and the tightened window whose
-    nonemptiness upgrades the regime to essentially bounded solutions."""
-    c = _Calc(params)
-    lo, hi = c.bounded_window_bounds()
-    return _pair(c.k_hat), Window(float(lo), float(hi))
-
-
-def theorem3_check(params: SystemParams):
-    """Gate and rates for the self-similar envelope bound: requires equal
-    stability indices, equal time exponents with rho <= 1, and the strict
-    rate inequality.  The theta pair is returned either way."""
-    c = _Calc(params)
-    return c.theorem3_applicable(), _pair(c.theta3)
-
-
-def eta_theta_residuals(params: SystemParams, delta: float,
-                        xi: tuple, delta_small: tuple) -> tuple:
-    """The two window-derivation combinations
-
-        eta_i   = xi_i + sigma_i - beta_i xi_j - delta_i rho_i + 1
-        theta_i = sigma_i + [sigma_j - beta_j xi_i - delta_j rho_j + 1] beta_i
-                  - delta_i rho_i + xi_i + 1
-
-    evaluated in plain floats from already-derived xi and delta_small; both
-    vanish identically when the norm orders are consistent.
-    """
-    eta = []
-    theta = []
-    for i in (0, 1):
-        j = 1 - i
-        si, sj = params.sigma[i], params.sigma[j]
-        bi, bj = params.beta[i], params.beta[j]
-        ri, rj = params.rho[i], params.rho[j]
-        eta.append(xi[i] + si - bi * xi[j] - delta_small[i] * ri + 1.0)
-        theta.append(si + (sj - bj * xi[i] - delta_small[j] * rj + 1.0) * bi
-                     - delta_small[i] * ri + xi[i] + 1.0)
-    return tuple(eta), tuple(theta)
-
-
 @dataclass(frozen=True)
 class ExponentReport:
     """Every derived exponent plus the regime verdict for one parameter set."""
@@ -388,16 +296,13 @@ class ExponentReport:
 
     def flat_items(self) -> list:
         """Key/value pairs for the text and CSV serializations."""
-        def p(v):
-            return "" if v is None else f"{v:.17g}"
-
         items = [
             ("regime", self.regime),
             ("a_index", str(self.a_index)),
-            ("window_lo", p(self.window.lo)), ("window_hi", p(self.window.hi)),
-            ("window_bounded_lo", p(self.window_bounded.lo)),
-            ("window_bounded_hi", p(self.window_bounded.hi)),
-            ("delta", p(self.delta)),
+            ("window_lo", _fmt(self.window.lo)), ("window_hi", _fmt(self.window.hi)),
+            ("window_bounded_lo", _fmt(self.window_bounded.lo)),
+            ("window_bounded_hi", _fmt(self.window_bounded.hi)),
+            ("delta", _fmt(self.delta)),
             ("theorem3_applicable", str(self.theorem3_applicable).lower()),
             ("role_i", "" if self.role_i is None else str(self.role_i)),
         ]
@@ -406,7 +311,7 @@ class ExponentReport:
                            ("r", self.r), ("s", self.s), ("xi", self.xi),
                            ("delta_small", self.delta_small), ("theta3", self.theta3)):
             for idx in (0, 1):
-                items.append((f"{name}_{idx + 1}", p(None if pair is None else pair[idx])))
+                items.append((f"{name}_{idx + 1}", _fmt(None if pair is None else pair[idx])))
         return items
 
 
@@ -449,8 +354,8 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
         dlt = None
 
     if delta is not None:
-        given = Fraction(float(delta))
-        if not lo < given < hi:
+        given = Fraction(float(delta)) if math.isfinite(delta) else None
+        if given is None or not lo < given < hi:
             raise DeltaOutsideWindow(
                 f"delta={delta!r} outside the admissible window ({float(lo):.17g}, {float(hi):.17g})")
         dlt = given

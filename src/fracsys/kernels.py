@@ -4,8 +4,7 @@ Pointwise and grid evaluation of the density p_alpha(t, x) (fundamental
 solution of d/dt - Delta_alpha, where Delta_alpha has Fourier symbol
 -|xi|^alpha), together with the identity checks the rest of the package
 relies on: self-similar scaling, monotone domination in time, L^mu norm
-decay, the Chapman-Kolmogorov convolution identity, and the cross-alpha
-domination constant.
+decay and the Chapman-Kolmogorov convolution identity.
 
 Closed forms are used for alpha = 2 (Gaussian) and alpha = 1 (Cauchy);
 every other alpha goes through a graded-panel Gauss-Legendre quadrature of
@@ -42,14 +41,6 @@ _GAUSS_ORDER = 16
 _BLOCK_ELEMENTS = 2**18
 # negative FFT ringing above this magnitude is clamped to zero silently
 CLAMP_FLOOR = 1e-12
-
-
-class QuadratureError(ArithmeticError):
-    """Radial quadrature failed to converge; carries the achieved residual."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
 
 
 class TruncationError(ArithmeticError):
@@ -229,29 +220,6 @@ def density_profile(spec: KernelSpec, t: float, r, *, resolution: float = 1.0) -
     return _profile_quadrature(spec.alpha, spec.dim, t, r, resolution)
 
 
-def eval_density(spec: KernelSpec, t: float, x, *, resolution: float = 1.0,
-                 check: bool = True) -> float:
-    """Pointwise density p(t, x) at one point x in R^d.
-
-    For the quadrature method the integral is recomputed at doubled panel
-    resolution when ``check`` is set; disagreement beyond tolerance raises
-    :class:`QuadratureError` carrying the achieved residual.
-    """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    if spec.method != FOURIER:
-        return float(density_profile(spec, t, r)[0])
-    val = float(_profile_quadrature(spec.alpha, spec.dim, t, np.array([r]), resolution)[0])
-    if check:
-        ref = float(_profile_quadrature(spec.alpha, spec.dim, t, np.array([r]), 2.0 * resolution)[0])
-        residual = abs(val - ref)
-        scale = _peak_value(spec.alpha, spec.dim, t)
-        if residual > 1e-8 * abs(ref) + 1e-14 * scale:
-            raise QuadratureError("radial quadrature did not converge", residual)
-    return val if val > 0.0 else 0.0
-
-
 def eval_density_grid(spec: KernelSpec, t: float, grid: SpectralGrid, *,
                       clamp: bool = True, neg_tol: float = 1e-6) -> np.ndarray:
     """Sample the periodized density on a spectral grid via the inverse FFT
@@ -403,21 +371,3 @@ def semigroup_residual(spec: KernelSpec, t: float, s: float, grid: SpectralGrid)
     # both inputs are centered, so the circular convolution is centered too
     conv = np.fft.fftshift(conv)
     return float(np.max(np.abs(conv - w)))
-
-
-def cross_domination_constant(alpha_i: float, alpha_a: float, dim: int,
-                              ts, radii, *, resolution: float = 1.0) -> float:
-    """Empirical constant sup p_{alpha_i}(t, x) / p_{alpha_a}(t^(alpha_a/alpha_i), x)
-    over the sampled times and radii.  Finite and >= 1 when alpha_a <= alpha_i.
-    """
-    if not 0.0 < alpha_a <= alpha_i <= 2.0:
-        raise ValueError("need 0 < alpha_a <= alpha_i <= 2")
-    spec_i = KernelSpec(alpha_i, dim)
-    spec_a = KernelSpec(alpha_a, dim)
-    r = np.atleast_1d(np.asarray(radii, dtype=float))
-    best = 0.0
-    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
-        num = density_profile(spec_i, float(t), r, resolution=resolution)
-        den = density_profile(spec_a, float(t) ** (alpha_a / alpha_i), r, resolution=resolution)
-        best = max(best, float(np.max(num / den)))
-    return best

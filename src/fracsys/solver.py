@@ -21,14 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .exponents import SystemParams
-from .kernels import KernelSpec, SpectralGrid, eval_density_grid, tail_mass_bound
+from .exponents import SystemParams, _fmt
+from .kernels import KernelSpec, SpectralGrid, eval_density_grid, grid_mass, tail_mass_bound
 
 log = logging.getLogger(__name__)
 
 DIVERGENCE_LIMIT = 1e12
-# fields are clamped to zero above this magnitude of negative ringing
-FIELD_CLAMP_FLOOR = 1e-12
 
 INIT_KINDS = ("stable_kernel", "gaussian", "from_file")
 DEALIAS_MODES = ("two_thirds", "none")
@@ -118,6 +116,8 @@ class RunConfig:
             raise ValueError(f"unknown dealias mode {self.dealias!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if not (math.isfinite(self.coupling_scale) and self.coupling_scale >= 0.0):
+            raise ValueError(f"coupling_scale must be finite and nonnegative, got {self.coupling_scale}")
         if self.grid.dim != self.params.dim:
             raise ValueError("grid dimension does not match system dimension")
         if self.grid.dim == 3 and self.grid.n > 128:
@@ -194,30 +194,6 @@ class NormSeries:
                 row.append(str(int(self.picard_iters[k])))
                 fh.write(",".join(row) + "\n")
 
-    @staticmethod
-    def read_csv(path) -> "NormSeries":
-        rows = Path(path).read_text().strip().splitlines()
-        header = rows[0].split(",")
-        if tuple(header) != NORM_COLUMNS:
-            raise SnapshotFormatError(f"unexpected norm CSV header in {path}")
-        data = []
-        for line in rows[1:]:
-            parts = line.split(",")
-            data.append([float(p) if p else math.nan for p in parts])
-        arr = np.asarray(data, dtype=float)
-        return NormSeries(t=arr[:, 0], linf=arr[:, 1:3], ls=arr[:, 3:5],
-                          scaled=arr[:, 5:7], mass=arr[:, 7:9],
-                          picard_iters=arr[:, 9].astype(int))
-
-
-def _fmt(x) -> str:
-    """The artifact form of a value: floats as %.17g, None and NaN blank."""
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
 
 @dataclass
 class SolveResult:
@@ -257,20 +233,6 @@ def make_initial_data(init: InitialData, grid: SpectralGrid, params: SystemParam
     return pair
 
 
-def propagate_linear(values: np.ndarray, grid: SpectralGrid, alpha: float, rho: float,
-                     t_from: float, t_to: float) -> np.ndarray:
-    """Apply the two-time multiplier exp(-(t^rho - s^rho)|xi|^alpha).
-
-    Mode zero is untouched, so Riemann mass is preserved exactly; s = t is
-    the identity up to a transform round trip.
-    """
-    if t_from < 0.0 or t_to < t_from:
-        raise ValueError(f"need 0 <= t_from <= t_to, got {t_from}, {t_to}")
-    tau = t_to**rho - t_from**rho
-    mult = np.exp(-tau * grid.symbol_exponent(alpha))
-    return grid.inverse_rfft(mult * np.fft.rfftn(values))
-
-
 @functools.lru_cache(maxsize=8)
 def _dealias_mask(grid: SpectralGrid) -> np.ndarray:
     """Two-thirds rule on the rfftn layout; cached per grid, so read-only."""
@@ -303,28 +265,6 @@ def _power(x: np.ndarray, beta: float, scratch: Optional[np.ndarray] = None) -> 
     else:
         np.power(x, beta, out=x)
     return x
-
-
-def nonlinear_term(pair: FieldPair, params: SystemParams, s: float,
-                   grid: SpectralGrid, dealias: str = "two_thirds"):
-    """The coupling fields (s^sigma_1 u_2^beta_1, s^sigma_2 u_1^beta_2).
-
-    Powers are taken pointwise in real space (valid for non-integer beta on
-    nonnegative fields) with an optional two-thirds spectral guard applied to
-    the result.  Requires s > 0 whenever a sigma is negative.
-    """
-    if s <= 0.0 and min(params.sigma) < 0.0:
-        raise ValueError("s must be positive when a sigma exponent is negative")
-    out = []
-    for i in (0, 1):
-        u_other = pair.components()[1 - i]
-        if float(u_other.min()) < -FIELD_CLAMP_FLOOR:
-            raise RuntimeError("negative field values beyond the clamp floor; upstream invariant breach")
-        powed = _power(np.maximum(u_other, 0.0), params.beta[i])
-        if dealias == "two_thirds":
-            powed = grid.inverse_rfft(_dealias_mask(grid) * np.fft.rfftn(powed))
-        out.append(s ** params.sigma[i] * powed)
-    return tuple(out)
 
 
 class _Plan:
@@ -512,7 +452,7 @@ def _grid_norms(values: np.ndarray, grid: SpectralGrid, order: Optional[float],
     field-shaped scratch array that is overwritten."""
     np.abs(values, out=buf)
     linf = float(buf.max(initial=0.0))
-    mass = float(values.sum() * grid.cell_volume)
+    mass = grid_mass(values, grid)
     if order is None:
         return linf, math.nan, mass
     ls = float(np.power(buf, order, out=buf).sum() * grid.cell_volume) ** (1.0 / order)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import (ExponentReport, SystemParams, REGIME_NO_GUARANTEE,
-                        REGIME_SMALL_DATA_BOUNDED, theorem3_check)
+                        REGIME_SMALL_DATA_BOUNDED, classify)
 from .kernels import KernelSpec, SpectralGrid, eval_density_grid
 from .solver import NormSeries
 
@@ -161,8 +161,7 @@ def selfsimilar_envelope_check(snapshots, params: SystemParams, epsilon: float,
     for a decoupled run (raise the mask above the per-step FFT clamp noise,
     about 1e-15 per step relative to the peak, when asserting that).
     """
-    applicable, _ = theorem3_check(params)
-    if not applicable:
+    if not classify(params).theorem3_applicable:
         raise RegimeMismatch("self-similar envelope hypothesis does not hold for these parameters")
     alpha, rho, d = params.alpha[0], params.rho[0], params.dim
     spec = KernelSpec(alpha, d)

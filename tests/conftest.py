@@ -1,16 +1,37 @@
-"""Shared fixtures: the reference experiment is expensive enough to run once
-per session and share across the verification and acceptance tests."""
+"""Shared fixtures and reference helpers: the reference experiment is
+expensive enough to run once per session and share across the verification
+and acceptance tests."""
+
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracsys.config import ExperimentConfig
+from fracsys.config import ExperimentConfig, parse_config_text
 from fracsys.exponents import SystemParams, classify
-from fracsys.kernels import SpectralGrid
-from fracsys.solver import InitialData, RunConfig, TimeMesh
+from fracsys.solver import NORM_COLUMNS, NormSeries
 
 
 REF_EPSILON = 1e-2
+
+REFERENCE_TEXT = """
+alpha1 = 2
+alpha2 = 2
+beta1 = 4
+beta2 = 4
+rho1 = 1
+rho2 = 1
+sigma1 = 0
+sigma2 = 0
+dim = 1
+grid_n = 2048
+half_length = 60
+horizon = 50
+steps = 500
+delta = 0.3
+run_id = ref
+"""
 
 
 def reference_params() -> SystemParams:
@@ -19,21 +40,45 @@ def reference_params() -> SystemParams:
 
 
 def reference_config(epsilon=REF_EPSILON, coupling=1.0) -> ExperimentConfig:
-    params = reference_params()
-    return ExperimentConfig(
-        params=params,
-        grid=SpectralGrid(1, 2048, 60.0),
-        mesh=TimeMesh(50.0, 500),
-        init=InitialData("stable_kernel", epsilon=epsilon),
-        picard_tol=1e-10,
-        picard_max_iter=25,
-        dealias="two_thirds",
-        snapshot_stride=10,
-        coupling_scale=coupling,
-        delta=0.3,
-        run_id="ref",
-        output_dir="out",
-    )
+    return parse_config_text(REFERENCE_TEXT + f"epsilon = {epsilon!r}\n"
+                                              f"coupling_scale = {coupling!r}\n")
+
+
+def propagate_reference(values, grid, alpha, rho, t_from, t_to):
+    """The linear flow exp(-(t_to^rho - t_from^rho)|xi|^alpha) applied with
+    numpy's n-D transforms: the oracle for decoupled runs."""
+    tau = t_to**rho - t_from**rho
+    return grid.inverse_rfft(np.exp(-tau * grid.symbol_exponent(alpha)) * np.fft.rfftn(values))
+
+
+def read_norms_csv(path) -> NormSeries:
+    """A ``norms.csv`` artifact read back; blank cells become NaN."""
+    rows = Path(path).read_text().splitlines()
+    assert tuple(rows[0].split(",")) == NORM_COLUMNS
+    arr = np.array([[float(v) if v else math.nan for v in line.split(",")] for line in rows[1:]])
+    return NormSeries(t=arr[:, 0], linf=arr[:, 1:3], ls=arr[:, 3:5], scaled=arr[:, 5:7],
+                      mass=arr[:, 7:9], picard_iters=arr[:, 9].astype(int))
+
+
+def eta_theta_residuals(params, xi, delta_small):
+    """The two window-derivation combinations
+
+        eta_i   = xi_i + sigma_i - beta_i xi_j - delta_i rho_i + 1
+        theta_i = sigma_i + [sigma_j - beta_j xi_i - delta_j rho_j + 1] beta_i
+                  - delta_i rho_i + xi_i + 1
+
+    in plain floats from derived xi and delta_small; both vanish
+    identically when the norm orders are consistent."""
+    eta, theta = [], []
+    for i in (0, 1):
+        j = 1 - i
+        si, sj = params.sigma[i], params.sigma[j]
+        bi, bj = params.beta[i], params.beta[j]
+        ri, rj = params.rho[i], params.rho[j]
+        eta.append(xi[i] + si - bi * xi[j] - delta_small[i] * ri + 1.0)
+        theta.append(si + (sj - bj * xi[i] - delta_small[j] * rj + 1.0) * bi
+                     - delta_small[i] * ri + xi[i] + 1.0)
+    return tuple(eta), tuple(theta)
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +115,7 @@ def ref_linear_run(ref_report):
 
     start = time.perf_counter()
     cfg = reference_config(coupling=0.0)
-    result = solve(cfg.run_config(), ref_report)
+    result = solve(cfg.run, ref_report)
     assert result.status.completed
     result.diagnostics["elapsed"] = time.perf_counter() - start
     return result

@@ -13,14 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import REF_EPSILON, reference_config, reference_params
-from fracsys.exponents import (REGIME_NO_GUARANTEE, SystemParams, classify,
-                               compute_k_hat, compute_window, derive_norm_exponents,
-                               eta_theta_residuals)
+from conftest import (REF_EPSILON, eta_theta_residuals, propagate_reference,
+                      reference_config, reference_params)
+from fracsys.exponents import REGIME_NO_GUARANTEE, SystemParams, classify
 from fracsys.kernels import (KernelSpec, SpectralGrid, check_monotone_domination,
                              check_scaling, lp_norm_slope, semigroup_residual)
-from fracsys.solver import (InitialData, RunConfig, TimeMesh, make_initial_data,
-                            propagate_linear, solve)
+from fracsys.solver import InitialData, RunConfig, TimeMesh, make_initial_data, solve
 from fracsys.verify import (comparison_check, decay_report, linf_bound_check,
                             selfsimilar_envelope_check)
 
@@ -105,7 +103,7 @@ def test_criterion_02_exponent_identity_suite():
             closed = (1.0 - delta) * (1.0 + bi) / (bi * bj - 1.0)
             worst = max(worst, abs(rep.xi[i] - closed))
             worst = max(worst, abs(params.rho[i] * rep.delta_small[i] - params.sigma[i] - delta))
-        eta, theta = eta_theta_residuals(params, delta, rep.xi, rep.delta_small)
+        eta, theta = eta_theta_residuals(params, rep.xi, rep.delta_small)
         worst = max(worst, max(abs(v) for v in eta + theta))
     assert remark_checked > 100
 
@@ -118,13 +116,13 @@ def test_criterion_02_exponent_identity_suite():
         params = SystemParams(alpha, tuple(rng.uniform(1.05, 6.0, 2)),
                               (rho1, rho1 * alpha[1] / alpha[0]),
                               tuple(rng.uniform(-0.9, 2.0, 2)), int(rng.integers(1, 7)))
-        info = compute_window(params)
+        info = classify(params)
         if info.window.empty:
             continue
         lo, hi = info.window.lo, info.window.hi
         try:
-            r_a = derive_norm_exponents(params, lo + (hi - lo) / 3).r
-            r_b = derive_norm_exponents(params, lo + 2 * (hi - lo) / 3).r
+            r_a = classify(params, delta=lo + (hi - lo) / 3).r
+            r_b = classify(params, delta=lo + 2 * (hi - lo) / 3).r
         except ValueError:
             continue
         found += 1
@@ -164,7 +162,7 @@ def test_criterion_04_solver_linear_exactness():
         assert res.status.completed
         phi = make_initial_data(cfg.init, grid, params)
         for snap in res.snapshots[1:]:
-            ref = propagate_linear(phi.u1, grid, alpha, rho, 0.0, snap.time)
+            ref = propagate_reference(phi.u1, grid, alpha, rho, 0.0, snap.time)
             rel = float(np.linalg.norm(snap.u1 - ref) / np.linalg.norm(ref))
             worst = max(worst, rel)
     _report(4, worst <= 1e-10, f"linear runs match the multiplier solution: worst rel L2 = {worst:.1e}",
@@ -207,7 +205,7 @@ def test_criterion_07_selfsimilar_envelope(ref_run, ref_report):
     assert ref_report.theorem3_applicable     # 1/3 < 1/2
     cfg = ref_run["config"]
     reps = selfsimilar_envelope_check(ref_run["result"].snapshots, cfg.params,
-                                      REF_EPSILON, cfg.grid)
+                                      REF_EPSILON, cfg.run.grid)
     init_ok = all(abs(r.ratios[0] - REF_EPSILON) <= 1e-10 for r in reps)
     ok = init_ok and all(r.verdict and r.fitted_k > 0.0 for r in reps)
     _report(7, ok, f"envelope: R(0)=eps to 1e-10, fitted k={reps[0].fitted_k:.3f} > 0, "
@@ -220,7 +218,7 @@ def test_criterion_08_comparison_principle(ref_run):
     runs = [ref_run["result"]]
     for eps in (REF_EPSILON / 2, REF_EPSILON / 4):
         cfg = reference_config(epsilon=eps)
-        res = solve(cfg.run_config(), classify(cfg.params, delta=0.3))
+        res = solve(cfg.run, classify(cfg.params, delta=0.3))
         assert res.status.completed
         runs.append(res)
     pairs = [(0, 1), (1, 2), (0, 2)]
@@ -264,8 +262,8 @@ def test_criterion_10_determinism(ref_run, ref_outdir):
     cfg = reference_config()
     code, _, _ = run_experiment(cfg, ref_outdir / "b")
     assert code == 0
-    dir_a = ref_run["dir"] / cfg.run_id
-    dir_b = ref_outdir / "b" / cfg.run_id
+    dir_a = ref_run["dir"] / cfg.values.run_id
+    dir_b = ref_outdir / "b" / cfg.values.run_id
     names = sorted(p.name for p in dir_a.iterdir())
     ok = names == sorted(p.name for p in dir_b.iterdir())
     for name in names:

@@ -1,16 +1,19 @@
 """Command-line front end: config parsing, artifacts, exit codes, sweeps,
 and reproducibility."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import read_norms_csv
 from fracsys import cli, solver
 from fracsys.cli import main
 from fracsys.config import ConfigError, parse_config, parse_config_text
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid
-from fracsys.solver import NormSeries, read_snapshot
+from fracsys.solver import read_snapshot
 
 BASE = """
 alpha1 = 2.0
@@ -46,9 +49,9 @@ def _write(tmp_path, text, name="exp.cfg"):
 def test_parse_defaults_and_comments():
     cfg = parse_config_text(BASE + "# a comment\npicard_tol = 1e-9 # inline\n")
     assert cfg.params.beta == (4.0, 4.0)
-    assert cfg.picard_tol == 1e-9
-    assert cfg.picard_max_iter == 25       # default
-    assert cfg.dealias == "two_thirds"
+    assert cfg.run.picard_tol == 1e-9
+    assert cfg.run.picard_max_iter == 25       # default
+    assert cfg.run.dealias == "two_thirds"
     assert cfg.delta == 0.3
 
 
@@ -71,7 +74,7 @@ def test_parse_missing_required():
 
 
 def test_parse_bad_number_and_run_id():
-    with pytest.raises(ConfigError, match="needs a number"):
+    with pytest.raises(ConfigError, match="needs a finite number"):
         parse_config_text(BASE.replace("epsilon = 0.01", "epsilon = tiny"))
     with pytest.raises(ConfigError, match="filesystem-safe"):
         parse_config_text(BASE.replace("run_id = t", "run_id = a/b"))
@@ -80,6 +83,49 @@ def test_parse_bad_number_and_run_id():
 def test_parse_invalid_params_reported():
     with pytest.raises(ConfigError, match="beta"):
         parse_config_text(BASE.replace("beta1 = 4.0", "beta1 = 0.5"))
+
+
+# every optional key at a value other than its default
+ALL_KEYS = BASE.replace("init = stable_kernel\n", "").replace("epsilon = 0.01\n", "") \
+    .replace("run_id = t\n", "").replace("snapshot_stride = 8\n", "") + """
+grading = 2.0
+init = gaussian
+epsilon = 0.02
+width = 1.5
+init_path = data/phi.bin
+picard_tol = 1e-9
+picard_max_iter = 30
+dealias = none
+snapshot_stride = 4
+coupling_scale = 0.5
+run_id = golden
+output_dir = elsewhere
+sweep_param = beta
+sweep_values = 3,4.5
+"""
+
+ALL_KEYS_RESOLVED = (
+    "alpha1 = 2\nalpha2 = 2\nbeta1 = 4\nbeta2 = 4\nrho1 = 1\nrho2 = 1\nsigma1 = 0\n"
+    "sigma2 = 0\ndim = 1\ngrid_n = 512\nhalf_length = 30\nhorizon = 4\nsteps = 40\n"
+    "grading = 2\ninit = gaussian\nepsilon = 0.02\nwidth = 1.5\ninit_path = data/phi.bin\n"
+    "picard_tol = 1.0000000000000001e-09\npicard_max_iter = 30\ndealias = none\n"
+    "snapshot_stride = 4\ncoupling_scale = 0.5\ndelta = 0.29999999999999999\n"
+    "run_id = golden\noutput_dir = elsewhere\nsweep_param = beta\nsweep_values = 3,4.5\n")
+
+
+def test_resolved_text_and_hash_are_frozen():
+    # config_hash() keys resumable sweeps, so these bytes must not drift
+    cfg = parse_config_text(ALL_KEYS)
+    assert cfg.resolved_text() == ALL_KEYS_RESOLVED
+    assert cfg.config_hash() == "082539e5cdfe7839711e7276e3701d7ac278b553aa87d1c83ff262d9e381dfd6"
+    assert parse_config_text(BASE).config_hash() == \
+        "01631a2f138966c63bdfba8a8325c40313c5ebc3c1da6d686346a79c096a8c03"
+
+
+@pytest.mark.parametrize("text", [BASE, ALL_KEYS])
+def test_resolved_text_parses_back_to_itself(text):
+    resolved = parse_config_text(text).resolved_text()
+    assert parse_config_text(resolved).resolved_text() == resolved
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +189,7 @@ def test_solve_linear_norms_match_closed_form(tmp_path):
     cfg = _write(tmp_path, text)
     out = tmp_path / "lin"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    series = NormSeries.read_csv(out / "t" / "norms.csv")
+    series = read_norms_csv(out / "t" / "norms.csv")
     grid = SpectralGrid(1, 512, 30.0)
     spec = KernelSpec(2.0, 1)
     for k in (10, 25, 40):
@@ -177,6 +223,35 @@ def test_solve_rejects_bad_initial_data(tmp_path, capsys, swap):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
+
+
+def _set(text, line):
+    """``text`` with the key of ``line`` set by ``line``."""
+    key = line.partition("=")[0].strip()
+    return "".join(f"{kept}\n" for kept in text.splitlines()
+                   if kept.partition("=")[0].strip() != key) + line + "\n"
+
+
+# a number that is no number, is not finite or is out of range is a
+# configuration error, never a traceback, a "divergence" or a silent clamp
+BAD_NUMBERS = {"delta=abc": ("delta = abc", []), "delta=nan": ("delta = nan", []),
+               "--delta nan": ("", ["--delta", "nan"]), "grading=nan": ("grading = nan", []),
+               "horizon=inf": ("horizon = inf", []),
+               "coupling_scale=nan": ("coupling_scale = nan", []),
+               "coupling_scale=-1": ("coupling_scale = -1", []),
+               "half_length=inf": ("half_length = inf", [])}
+
+
+@pytest.mark.parametrize("command", ["regime", "solve"])
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_numbers_are_configuration_errors(tmp_path, capsys, command, case):
+    line, flags = BAD_NUMBERS[case]
+    cfg = _write(tmp_path, _set(BASE, line) if line else BASE)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "bad"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not (tmp_path / "bad").exists()
 
 
@@ -269,6 +344,31 @@ def test_verify_kernel_empty_vacuous(capsys):
 
 # ---------------------------------------------------------------------------
 # sweep command
+
+_BETA2_NO_DELTA = BASE.replace("beta1 = 4.0", "beta1 = 2.0").replace("beta2 = 4.0", "beta2 = 2.0") \
+    .replace("delta = 0.3", "delta =")
+
+# sha256 of sweep.csv for one parameter of each kind: a pair, a single
+# constant, the dimension (classified past the grids' cap of 3), the data
+# amplitude and Delta (one value outside the window)
+SWEEP_GOLDEN = {
+    "beta": (BASE, "2.0,3.5", "82fdd36102a892b8cb1dee2a2ccdba6704ab391d60e19a148ebe13b159fb3756"),
+    "rho2": (BASE, "1.0,0.7", "8d991d39e92c406857c743a5931b8ed6b8fcd174866afc8248a00972dce42f87"),
+    "dim": (_BETA2_NO_DELTA, "1,2,3,4,5,6",
+            "09557821e0790d56cd55d7bef015121b618ff58395889ea07c1c32810a3c35e4"),
+    "epsilon": (BASE, "0.005,0.02", "2456e56c7a9942663ff8a81697e7ca8851c5e3585e988247307ed18600798c22"),
+    "delta": (BASE, "0.3,0.35,0.9", "42b8163342b47ee80d4610728590e8cf2ba275561598e4cc6d9254c4012902ec"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+def test_sweep_csv_bytes_are_frozen(tmp_path, name):
+    text, values, digest = SWEEP_GOLDEN[name]
+    cfg = _write(tmp_path, text + f"sweep_param = {name}\nsweep_values = {values}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    data = (tmp_path / "o" / "sweep.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest, data.decode()
+
 
 def test_sweep_dim_flip(tmp_path):
     text = BASE.replace("beta1 = 4.0", "beta1 = 2.0").replace("beta2 = 4.0", "beta2 = 2.0")
@@ -406,3 +506,17 @@ def test_sweep_requires_spec(tmp_path):
 
 def test_missing_config_file():
     assert main(["regime", "--config", "/nonexistent/x.cfg"]) == 1
+
+
+def test_benchmark_tracer_finds_every_target(monkeypatch):
+    # a renamed or deleted target would only print "not measured" in the
+    # benchmark and blank its per-layer metrics
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

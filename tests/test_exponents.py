@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import eta_theta_residuals
 from fracsys.exponents import (DeltaOutsideWindow, REGIME_NO_GUARANTEE,
                                REGIME_SELF_SIMILAR, REGIME_SMALL_DATA,
                                REGIME_SMALL_DATA_BOUNDED, SystemParams,
-                               check_admissibility, classify, compute_k_hat,
-                               compute_window, derive_norm_exponents,
-                               eta_theta_residuals, theorem3_check)
+                               check_admissibility, classify)
 
 CLASSICAL_D3 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 3)
 CLASSICAL_D2 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 2)
@@ -32,6 +31,12 @@ def _random_params(rng) -> SystemParams:
     )
 
 
+def _swapped(params: SystemParams) -> SystemParams:
+    """The same system with the component labels exchanged."""
+    return SystemParams(params.alpha[::-1], params.beta[::-1], params.rho[::-1],
+                        params.sigma[::-1], params.dim)
+
+
 def _admissible_draws(count, seed=11):
     rng = np.random.default_rng(seed)
     out = []
@@ -47,7 +52,7 @@ def _admissible_draws(count, seed=11):
 # windows
 
 def test_window_classical_d3():
-    info = compute_window(CLASSICAL_D3)
+    info = classify(CLASSICAL_D3)
     assert info.x_tilde == (0.5, 0.5)
     assert info.rho_tilde == (1.0, 1.0)
     assert info.k_tilde == (0.75, 0.75)
@@ -55,13 +60,13 @@ def test_window_classical_d3():
 
 
 def test_window_classical_d2_empty():
-    info = compute_window(CLASSICAL_D2)
+    info = classify(CLASSICAL_D2)
     assert info.k_tilde == (0.5, 0.5)
     assert info.window.empty
 
 
 def test_window_asymmetric():
-    info = compute_window(ASYMMETRIC)
+    info = classify(ASYMMETRIC)
     assert info.x_tilde == (0.5, 0.5)
     assert info.rho_tilde == (1.0, 2.0)
     assert info.k_tilde[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -90,7 +95,7 @@ def test_a_index_tiebreak():
 # norm orders
 
 def test_norm_exponents_classical_d3():
-    ne = derive_norm_exponents(CLASSICAL_D3, 0.6)
+    ne = classify(CLASSICAL_D3, delta=0.6)
     assert ne.r == (1.5, 1.5)
     assert ne.s == (2.5, 2.5)
     assert ne.xi == (0.4, 0.4)
@@ -98,7 +103,7 @@ def test_norm_exponents_classical_d3():
 
 
 def test_norm_exponents_quartic_d1():
-    ne = derive_norm_exponents(QUARTIC_D1, 0.3)
+    ne = classify(QUARTIC_D1, delta=0.3)
     assert ne.r == (1.5, 1.5)
     assert ne.s == (5.0, 5.0)
     assert ne.xi[0] == pytest.approx(7.0 / 30.0, abs=1e-16)
@@ -106,23 +111,21 @@ def test_norm_exponents_quartic_d1():
 
 
 def test_norm_exponents_asymmetric():
-    ne = derive_norm_exponents(ASYMMETRIC, 0.75)
+    ne = classify(ASYMMETRIC, delta=0.75)
     assert ne.r[0] == pytest.approx(1.6, abs=1e-15)
     assert ne.s[0] == pytest.approx(8.0 / 3.0, abs=1e-15)
     assert ne.xi[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_delta_outside_window_rejected():
-    with pytest.raises(DeltaOutsideWindow):
-        derive_norm_exponents(CLASSICAL_D3, 0.75)
-    with pytest.raises(DeltaOutsideWindow):
-        derive_norm_exponents(CLASSICAL_D3, 0.5)
-    with pytest.raises(DeltaOutsideWindow):
-        derive_norm_exponents(CLASSICAL_D2, 0.5)
+    for params, delta in ((CLASSICAL_D3, 0.75), (CLASSICAL_D3, 0.5), (CLASSICAL_D2, 0.5),
+                          (CLASSICAL_D3, math.nan), (CLASSICAL_D3, math.inf)):
+        with pytest.raises(DeltaOutsideWindow):
+            classify(params, delta=delta)
 
 
 def test_admissibility_quartic():
-    ne = derive_norm_exponents(QUARTIC_D1, 0.3)
+    ne = classify(QUARTIC_D1, delta=0.3)
     checks = check_admissibility(QUARTIC_D1, ne.r, ne.s)
     role1 = [c for c in checks if c.role_i == 1]
     assert all(c.satisfied for c in role1)
@@ -133,7 +136,7 @@ def test_admissibility_quartic():
 
 
 def test_admissibility_classical_d3():
-    ne = derive_norm_exponents(CLASSICAL_D3, 0.6)
+    ne = classify(CLASSICAL_D3, delta=0.6)
     checks = check_admissibility(CLASSICAL_D3, ne.r, ne.s)
     assert all(c.satisfied for c in checks if c.role_i == 1)
 
@@ -143,45 +146,43 @@ def test_admissibility_classical_d3():
 
 def test_k_hat_equals_k_tilde_when_alpha_is_dim():
     params = SystemParams((2, 1.5), (3, 2), (1, 0.7), (0, 0), 2)
-    k_hat, _ = compute_k_hat(params)
-    info = compute_window(params)
-    assert k_hat[0] == pytest.approx(info.k_tilde[0], abs=1e-15)  # alpha_1 = d = 2
+    info = classify(params)
+    assert info.k_hat[0] == pytest.approx(info.k_tilde[0], abs=1e-15)  # alpha_1 = d = 2
 
 
 def test_k_hat_quartic():
-    k_hat, bounded = compute_k_hat(QUARTIC_D1)
-    info = compute_window(QUARTIC_D1)
+    info = classify(QUARTIC_D1)
     assert info.k_tilde == (0.375, 0.375)
-    assert k_hat == (0.75, 0.75)
-    assert (bounded.lo, bounded.hi) == (0.25, 0.375)
+    assert info.k_hat == (0.75, 0.75)
+    assert (info.window_bounded.lo, info.window_bounded.hi) == (0.25, 0.375)
 
 
 def test_k_hat_classical_d3_bounded_window_empty():
-    k_hat, bounded = compute_k_hat(CLASSICAL_D3)
-    assert k_hat == (0.5, 0.5)
-    assert bounded.empty
-    assert not compute_window(CLASSICAL_D3).window.empty
+    info = classify(CLASSICAL_D3)
+    assert info.k_hat == (0.5, 0.5)
+    assert info.window_bounded.empty
+    assert not info.window.empty
 
 
 # ---------------------------------------------------------------------------
 # self-similar envelope hypothesis
 
 def test_theorem3_quartic():
-    ok, theta = theorem3_check(QUARTIC_D1)
-    assert ok
-    assert theta[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    rep = classify(QUARTIC_D1)
+    assert rep.theorem3_applicable
+    assert rep.theta3[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_theorem3_classical_d1_fails():
-    ok, theta = theorem3_check(SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 1))
-    assert not ok
-    assert theta == (1.0, 1.0)
+    rep = classify(SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 1))
+    assert not rep.theorem3_applicable
+    assert rep.theta3 == (1.0, 1.0)
 
 
 def test_theorem3_gates():
-    assert not theorem3_check(ASYMMETRIC)[0]                     # alpha_1 != alpha_2
-    assert not theorem3_check(SystemParams((2, 2), (4, 4), (1, 2), (0, 0), 1))[0]
-    assert not theorem3_check(SystemParams((2, 2), (4, 4), (1.5, 1.5), (0, 0), 9))[0]  # rho > 1
+    assert not classify(ASYMMETRIC).theorem3_applicable          # alpha_1 != alpha_2
+    assert not classify(SystemParams((2, 2), (4, 4), (1, 2), (0, 0), 1)).theorem3_applicable
+    assert not classify(SystemParams((2, 2), (4, 4), (1.5, 1.5), (0, 0), 9)).theorem3_applicable  # rho > 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def test_identity_suite_random_draws():
             xi_rs = (params.dim * params.rho[i] / params.alpha[i]) \
                 * (1.0 / rep.r[i] - 1.0 / rep.s[i])
             assert abs(rep.xi[i] - xi_rs) <= 1e-12 * max(1.0, abs(rep.xi[i]))
-        eta, theta = eta_theta_residuals(params, delta, rep.xi, rep.delta_small)
+        eta, theta = eta_theta_residuals(params, rep.xi, rep.delta_small)
         assert max(abs(v) for v in eta + theta) <= 1e-12
 
 
@@ -267,14 +268,14 @@ def test_uda_delta_independence():
         rho2 = params.rho[0] * params.alpha[1] / params.alpha[0]
         params = SystemParams(params.alpha, params.beta, (params.rho[0], rho2),
                               params.sigma, params.dim)
-        info = compute_window(params)
+        info = classify(params)
         if info.window.empty:
             continue
         lo, hi = info.window.lo, info.window.hi
         d1, d2 = lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
         try:
-            r_a = derive_norm_exponents(params, d1).r
-            r_b = derive_norm_exponents(params, d2).r
+            r_a = classify(params, delta=d1).r
+            r_b = classify(params, delta=d2).r
         except ValueError:
             continue
         for i in (0, 1):
@@ -292,16 +293,15 @@ def test_remark_k_tilde_le_k_hat_when_alpha_ge_dim():
             sigma=tuple(rng.uniform(-0.9, 2.0, 2)),
             dim=1,
         )
-        info = compute_window(params)
-        k_hat, _ = compute_k_hat(params)
+        info = classify(params)
         for i in (0, 1):
             if params.alpha[i] >= params.dim:
-                assert info.k_tilde[i] <= k_hat[i]
+                assert info.k_tilde[i] <= info.k_hat[i]
 
 
 def test_role_symmetry():
     for params, rep in _admissible_draws(60, seed=21):
-        swapped = classify(params.swapped())
+        swapped = classify(_swapped(params))
         assert swapped.regime == rep.regime
         assert swapped.x_tilde == rep.x_tilde[::-1]
         assert swapped.k_tilde == rep.k_tilde[::-1]
@@ -318,12 +318,12 @@ def test_role_symmetry():
 @settings(max_examples=80, deadline=None)
 def test_xi_closed_form_property(beta1, beta2, delta_frac):
     params = SystemParams((2, 2), (beta1, beta2), (1, 1), (0, 0), 3)
-    info = compute_window(params)
+    info = classify(params)
     if info.window.empty:
         return
     delta = info.window.lo + delta_frac * (info.window.hi - info.window.lo)
     try:
-        ne = derive_norm_exponents(params, delta)
+        ne = classify(params, delta=delta)
     except DeltaOutsideWindow:
         return
     for i in (0, 1):

@@ -7,14 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import propagate_reference, read_norms_csv
 from fracsys import solver as solver_module
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, density_profile, eval_density_grid
 from fracsys.solver import (Divergence, FieldPair, InitialData, NormSeries, RunConfig,
                             SnapshotFormatError, StepDiagnostics, StepRejected, TimeMesh,
-                            _grid_norms, _Plan, _power, make_initial_data, nonlinear_term,
-                            propagate_linear, read_snapshot, recommended_half_length,
-                            solve, step, write_snapshot)
+                            _grid_norms, _Plan, _power, make_initial_data, read_snapshot,
+                            recommended_half_length, solve, step, write_snapshot)
 
 PARAMS_B4 = SystemParams((2, 2), (4, 4), (1, 1), (0, 0), 1)
 PARAMS_B2 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 1)
@@ -56,18 +56,29 @@ def test_recommended_half_length():
 
 
 # ---------------------------------------------------------------------------
-# linear propagation
+# linear propagation: steps with the coupling switched off
+
+def _decoupled_step(values, t_from, t_to, params=PARAMS_B4):
+    cfg = _config(params=params, coupling_scale=0.0)
+    out, diag = step(FieldPair(values, values.copy(), t_from), t_to, _Plan(cfg))
+    assert diag.iterations == 1
+    return out.u1
+
 
 def test_propagate_identity_when_times_equal():
+    # the multiplier at tau = 0 is exactly one, so what is left of a step's
+    # linear part is a transform round trip
     u = eval_density_grid(KernelSpec(2.0, 1), 1.0, GRID)
-    out = propagate_linear(u, GRID, 2.0, 1.0, 0.7, 0.7)
+    plan = _Plan(_config())
+    assert np.all(plan.multiplier(0, 0.0) == 1.0)
+    out = plan.inverse(plan.forward(u, plan.hat), plan.work)
     assert np.max(np.abs(out - u)) < 1e-14
 
 
 def test_propagate_gaussian_semigroup():
     t0, t = 0.5, 2.0
     u = eval_density_grid(KernelSpec(2.0, 1), t0, GRID)
-    out = propagate_linear(u, GRID, 2.0, 1.0, 0.0, t)
+    out = _decoupled_step(u, 0.0, t)
     ref = eval_density_grid(KernelSpec(2.0, 1), t0 + t, GRID, clamp=False)
     assert np.max(np.abs(out - ref)) < 1e-10
 
@@ -75,18 +86,18 @@ def test_propagate_gaussian_semigroup():
 def test_propagate_single_mode_multiplier():
     x = GRID.axis()
     k = 2.0 * math.pi * 8 / (2.0 * GRID.half_length)
-    u = np.cos(k * x)
-    out = propagate_linear(u, GRID, 1.5, 0.5, 0.0, 3.0)
+    u = 1.0 + 0.5 * np.cos(k * x)       # positive, so the step's clamp keeps it
+    out = _decoupled_step(u, 0.0, 3.0, params=SystemParams((1.5, 1.5), (4, 4), (0.5, 0.5), (0, 0), 1))
     factor = math.exp(-(3.0**0.5) * k**1.5)
-    assert np.max(np.abs(out - factor * u)) < 1e-13
+    assert np.max(np.abs(out - (1.0 + 0.5 * factor * np.cos(k * x)))) < 1e-13
 
 
 def test_propagate_preserves_mass_and_rejects_backwards():
     u = eval_density_grid(KernelSpec(2.0, 1), 1.0, GRID)
-    out = propagate_linear(u, GRID, 2.0, 1.0, 0.0, 5.0)
+    out = _decoupled_step(u, 0.0, 5.0)
     assert out.sum() * GRID.spacing == pytest.approx(u.sum() * GRID.spacing, rel=1e-14)
     with pytest.raises(ValueError):
-        propagate_linear(u, GRID, 2.0, 1.0, 1.0, 0.5)
+        step(FieldPair(u, u.copy(), 1.0), 0.5, _Plan(_config(coupling_scale=0.0)))
 
 
 def test_time_change_consistency():
@@ -100,45 +111,57 @@ def test_time_change_consistency():
 
 
 # ---------------------------------------------------------------------------
-# coupling term
+# coupling term: constant fields reduce the system to u1' = u2^beta1,
+# u2' = u1^beta2
+
+def _constant_step(c1, c2, t_to, params):
+    pair = FieldPair(np.full(GRID.shape(), c1), np.full(GRID.shape(), c2), 0.0)
+    out, _ = step(pair, t_to, _Plan(_config(params=params, picard_tol=1e-14)))
+    for u in out.components():
+        assert np.ptp(u) <= 1e-15 * u.max()      # still constant
+    return float(out.u1[0]), float(out.u2[0])
+
 
 def test_nonlinear_term_zero_component():
-    z = np.zeros(GRID.shape())
-    ones = np.full(GRID.shape(), 2.0)
-    pair = FieldPair(ones, z, 0.5)
-    out = nonlinear_term(pair, PARAMS_B4, 0.5, GRID)
-    assert np.all(out[0] == 0.0)                # u_2^beta_1 with u_2 = 0
-    assert out[1].max() == pytest.approx(16.0, rel=1e-12)   # u_1^beta_2 = 2^4
+    # u2 = 0 feeds u1 nothing to first order; u1 = 2 feeds u2 at rate
+    # 2^beta2 = 8, so each power lands in the right equation
+    u1, u2 = _constant_step(2.0, 0.0, 1e-3, SystemParams((2, 2), (4, 3), (1, 1), (0, 0), 1))
+    assert u1 == pytest.approx(2.0, rel=1e-10)
+    assert u2 == pytest.approx(8e-3, rel=1e-9)
 
 
 def test_nonlinear_term_constant_field():
-    c = np.full(GRID.shape(), 3.0)
-    pair = FieldPair(c, c.copy(), 1.0)
-    out = nonlinear_term(pair, PARAMS_B2, 1.0, GRID)
-    assert np.allclose(out[0], 9.0, atol=1e-10)
+    # u' = u^2 from u(0) = 3.  The step interpolates u linearly, u = 3 + theta D,
+    # and 2-point Gauss integrates the square exactly, so its fixed point solves
+    # D = dt (9 + 3 D + D^2 / 3), within O(dt^3) of the exact 3 / (1 - 3 dt) - 3
+    dt = 0.01
+    a, b, c = dt / 3.0, 3.0 * dt - 1.0, 9.0 * dt
+    fixed_point = 3.0 + 2.0 * c / (-b + math.sqrt(b * b - 4.0 * a * c))
+    u1, u2 = _constant_step(3.0, 3.0, dt, PARAMS_B2)
+    assert u1 == u2 == pytest.approx(fixed_point, rel=1e-13)
+    assert u1 == pytest.approx(3.0 / (1.0 - 3.0 * dt), rel=1e-4)
 
 
 def test_nonlinear_term_fractional_power_refinement_oracle():
     params = SystemParams((2, 2), (2.5, 2.5), (1, 1), (0, 0), 1)
-    coarse = SpectralGrid(1, 256, 30.0)
-    fine = SpectralGrid(1, 1024, 30.0)
-    pc = FieldPair(eval_density_grid(KernelSpec(2.0, 1), 1.0, coarse),
-                   eval_density_grid(KernelSpec(2.0, 1), 1.0, coarse), 1.0)
-    pf = FieldPair(eval_density_grid(KernelSpec(2.0, 1), 1.0, fine),
-                   eval_density_grid(KernelSpec(2.0, 1), 1.0, fine), 1.0)
-    out_c = nonlinear_term(pc, params, 1.0, coarse)[0]
-    out_f = nonlinear_term(pf, params, 1.0, fine)[0]
-    assert np.max(np.abs(out_c - out_f[::4])) < 1e-8
+    ends = []
+    for grid in (SpectralGrid(1, 256, 30.0), SpectralGrid(1, 1024, 30.0)):
+        u = eval_density_grid(KernelSpec(2.0, 1), 1.0, grid)
+        plan = _Plan(_config(params=params, grid=grid))
+        ends.append(step(FieldPair(u, u.copy(), 1.0), 1.5, plan)[0].u1)
+    assert np.max(np.abs(ends[0] - ends[1][::4])) < 1e-8
 
 
 def test_nonlinear_term_guards():
+    # negative values are clamped before the power is taken
     pair = FieldPair(np.full(GRID.shape(), -1.0), np.zeros(GRID.shape()), 0.0)
-    with pytest.raises(RuntimeError):
-        nonlinear_term(pair, PARAMS_B4, 1.0, GRID)
+    out, _ = step(pair, 0.1, _Plan(_config()))
+    assert not out.u1.any() and not out.u2.any()
+    # the singular weight s^sigma is never sampled at s = 0
     params = SystemParams((2, 2), (2, 2), (1, 1), (-0.5, -0.5), 1)
-    good = FieldPair(np.zeros(GRID.shape()), np.zeros(GRID.shape()), 0.0)
-    with pytest.raises(ValueError):
-        nonlinear_term(good, params, 0.0, GRID)
+    u = eval_density_grid(KernelSpec(2.0, 1), 1.0, GRID)
+    out, _ = step(FieldPair(u, u.copy(), 0.0), 0.01, _Plan(_config(params=params, grading=2.0)))
+    assert np.all(np.isfinite(out.u1)) and out.u1.sum() > _decoupled_step(u, 0.0, 0.01).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +495,7 @@ def test_step_decoupled_equals_propagator():
     plan = _Plan(cfg)
     pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
     out, diag = step(pair, 0.4, plan)
-    ref = propagate_linear(pair.u1, cfg.grid, 2.0, 1.0, 0.0, 0.4)
+    ref = propagate_reference(pair.u1, cfg.grid, 2.0, 1.0, 0.0, 0.4)
     assert np.max(np.abs(out.u1 - np.maximum(ref, 0.0))) < 1e-15
     assert diag.iterations == 1
 
@@ -516,7 +539,7 @@ def test_solve_linear_matches_multiplier_at_every_node():
     assert res.status.completed
     phi = make_initial_data(cfg.init, cfg.grid, cfg.params)
     for snap in res.snapshots:
-        ref = propagate_linear(phi.u1, cfg.grid, 2.0, 1.0, 0.0, snap.time)
+        ref = propagate_reference(phi.u1, cfg.grid, 2.0, 1.0, 0.0, snap.time)
         rel = np.linalg.norm(snap.u1 - ref) / np.linalg.norm(ref)
         assert rel < 1e-10
 
@@ -529,7 +552,7 @@ def test_solve_linear_matches_multiplier_2d_fractional():
     assert res.status.completed and len(res.snapshots) == 9
     phi = make_initial_data(cfg.init, cfg.grid, cfg.params)
     for snap in res.snapshots[1:]:
-        ref = propagate_linear(phi.u2, cfg.grid, 1.5, 1.0, 0.0, snap.time)
+        ref = propagate_reference(phi.u2, cfg.grid, 1.5, 1.0, 0.0, snap.time)
         rel = np.linalg.norm(snap.u2 - ref) / np.linalg.norm(ref)
         assert rel < 1e-10
 
@@ -687,7 +710,7 @@ def test_norm_series_csv_roundtrip(tmp_path):
     res.norms.write_csv(path)
     text = path.read_text().splitlines()
     assert text[0] == "t,linf_u1,linf_u2,ls_u1,ls_u2,scaled_u1,scaled_u2,mass_u1,mass_u2,picard_iters"
-    back = NormSeries.read_csv(path)
+    back = read_norms_csv(path)
     assert np.allclose(back.t, res.norms.t, rtol=0, atol=0)
     assert np.allclose(back.linf, res.norms.linf, rtol=1e-16)
     assert np.allclose(back.ls, res.norms.ls, rtol=1e-16, equal_nan=True)

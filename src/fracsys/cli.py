@@ -43,8 +43,9 @@ def _worker_count() -> int:
 
 def cmd_regime(args) -> int:
     cfg = parse_config(args.config)
-    delta = args.delta if args.delta is not None else cfg.delta
-    report = classify(cfg.params, delta=delta)
+    if args.delta is not None:
+        cfg = cfg.with_values(delta=args.delta)
+    report = classify(cfg.params, delta=cfg.delta)
     for key, value in report.flat_items():
         print(f"{key} = {value}")
     if args.out:
@@ -70,19 +71,16 @@ def _append_summary(path: Path, row: dict):
         fh.write(",".join(_fmt(row.get(col)) for col in SUMMARY_COLUMNS) + "\n")
 
 
-def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
-                   append_summary: bool = True):
+def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool = True):
     """Classify, solve, verify and write all artifacts for one experiment.
 
     Returns (exit_code, summary_row, solve_result).
     """
-    delta = delta if delta is not None else cfg.delta
-    report = classify(cfg.params, delta=delta)
+    report = classify(cfg.params, delta=cfg.delta)
     run_dir = out_base / cfg.values.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    exponents = report if report.s is not None else None
-    result = solve(cfg.run, exponents)
+    result = solve(cfg.run, report)
 
     artifacts = {}
     norms_path = run_dir / "norms.csv"
@@ -101,7 +99,7 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, delta=None,
 
     row = {"run_id": cfg.values.run_id, "regime": report.regime, "verdict": ""}
     verdicts = []
-    if result.status.completed and exponents is not None:
+    if result.status.completed and report.s is not None:
         try:
             decays = verify.decay_report(result.norms, report)
             for d in decays:
@@ -156,8 +154,10 @@ def cmd_solve(args) -> int:
     cfg = parse_config(args.config)
     if args.seed_id:
         cfg = cfg.with_values(run_id=args.seed_id)
+    if args.delta is not None:
+        cfg = cfg.with_values(delta=args.delta)
     out_base = Path(args.out or cfg.values.output_dir)
-    code, row, result = run_experiment(cfg, out_base, delta=args.delta)
+    code, row, result = run_experiment(cfg, out_base)
     print(f"run_id = {cfg.values.run_id}")
     print(f"regime = {row['regime']}")
     print(f"status = {result.status.kind}")
@@ -180,7 +180,7 @@ def _kernel_checks(alpha: float, dim: int):
     err = check_scaling(spec, 2.0, 0.7, radii)
     yield "scaling_rel_err", err, tol_ident, err <= tol_ident
 
-    _, margin = check_monotone_domination(spec, 1.5, 0.6, radii)
+    margin = check_monotone_domination(spec, 1.5, 0.6, radii)
     yield "domination_min_margin", margin, -1e-12, margin >= -1e-12
 
     n = {1: 512, 2: 128, 3: 64}[dim]
@@ -248,10 +248,14 @@ def sweep_point(task) -> dict:
         # classification works in any dimension; only grids are capped at 3
         params = system_params(values)
         row.update((key, getattr(values, key)) for key in PARAM_KEYS)
-        report = classify(params, delta=values.delta)
+        # the classification does not depend on Delta, so a point keeps it
+        # when the config's Delta lies outside this point's window
+        report = classify(params)
         row.update(window_lo=report.window.lo, window_hi=report.window.hi,
-                   delta=report.delta, regime=report.regime,
-                   theorem3=str(report.theorem3_applicable).lower())
+                   regime=report.regime, theorem3=str(report.theorem3_applicable).lower())
+        if values.delta is not None:
+            report = classify(params, delta=values.delta)
+        row["delta"] = report.delta
         if with_dynamics and report.regime != REGIME_NO_GUARANTEE:
             # workers never touch the shared summary; the sweep CSV is merged
             # by the coordinator
@@ -385,10 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DeltaOutsideWindow, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, DeltaOutsideWindow, ArithmeticError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

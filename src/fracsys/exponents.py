@@ -315,8 +315,7 @@ class ExponentReport:
         return items
 
 
-def _choose_role(params: SystemParams, r: tuple, s: tuple) -> Optional[int]:
-    checks = check_admissibility(params, r, s)
+def _choose_role(checks: tuple) -> Optional[int]:
     for role in (1, 2):
         if all(c.satisfied for c in checks if c.role_i == role):
             return role
@@ -369,7 +368,7 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
         xi = (float(c.xi_value(0, dlt)), float(c.xi_value(1, dlt)))
         dsm = (float(c.delta_small_value(0, dlt)), float(c.delta_small_value(1, dlt)))
         admissibility = tuple(check_admissibility(params, r, s))
-        role = _choose_role(params, r, s)
+        role = _choose_role(admissibility)
 
     return ExponentReport(
         a_index=params.a_index,

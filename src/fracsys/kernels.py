@@ -6,12 +6,13 @@ solution of d/dt - Delta_alpha, where Delta_alpha has Fourier symbol
 relies on: self-similar scaling, monotone domination in time, L^mu norm
 decay and the Chapman-Kolmogorov convolution identity.
 
-Closed forms are used for alpha = 2 (Gaussian) and alpha = 1 (Cauchy);
-every other alpha goes through a graded-panel Gauss-Legendre quadrature of
-the radial Fourier inversion integral.  Its (radii x nodes) kernel matrix
-is evaluated in place, one cache-sized block of ``_BLOCK_ELEMENTS`` at a
-time in a single reused buffer, and each block is reduced by ``einsum`` on
-the calling thread: no BLAS call, so no BLAS worker threads are started.
+:func:`density_profile` takes the closed form for alpha = 2 (Gaussian) and
+alpha = 1 (Cauchy); every other alpha goes through a graded-panel
+Gauss-Legendre quadrature of the radial Fourier inversion integral.  Its
+(radii x nodes) kernel matrix is evaluated in place, one cache-sized block
+of ``_BLOCK_ELEMENTS`` at a time in a single reused buffer, and each block
+is reduced by ``einsum`` on the calling thread: no BLAS call, so no BLAS
+worker threads are started.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ from scipy.special import j0
 
 log = logging.getLogger(__name__)
 
-# kernel evaluation methods
-GAUSSIAN = "closed_form_gaussian"
-CAUCHY = "closed_form_cauchy"
-FOURIER = "fourier_quadrature"
-_METHODS = (GAUSSIAN, CAUCHY, FOURIER)
-
 # e^(-t R^alpha) < 1e-18 fixes the frequency truncation radius
 _LOG_TRUNC = -math.log(1e-18)
 # dyadic grading levels toward rho = 0 (the symbol rho^alpha is not smooth there)
@@ -41,6 +36,8 @@ _GAUSS_ORDER = 16
 _BLOCK_ELEMENTS = 2**18
 # negative FFT ringing above this magnitude is clamped to zero silently
 CLAMP_FLOOR = 1e-12
+# grid ringing below -NEG_TOL * peak means the box cannot hold the tails
+NEG_TOL = 1e-6
 
 
 class TruncationError(ArithmeticError):
@@ -53,36 +50,16 @@ class TruncationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One symmetric alpha-stable density: stability index, dimension, method.
-
-    ``method`` defaults to the closed form when one exists (alpha = 2 or 1)
-    and to Fourier quadrature otherwise; it may be forced to
-    ``fourier_quadrature`` for any alpha, which is how the quadrature path
-    is validated against the closed forms.
-    """
+    """One symmetric alpha-stable density: stability index and dimension."""
 
     alpha: float
     dim: int
-    method: str = "auto"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.dim < 1 or self.dim != int(self.dim):
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if self.method == "auto":
-            if self.alpha == 2.0:
-                object.__setattr__(self, "method", GAUSSIAN)
-            elif self.alpha == 1.0:
-                object.__setattr__(self, "method", CAUCHY)
-            else:
-                object.__setattr__(self, "method", FOURIER)
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == GAUSSIAN and self.alpha != 2.0:
-            raise ValueError("closed_form_gaussian requires alpha = 2")
-        if self.method == CAUCHY and self.alpha != 1.0:
-            raise ValueError("closed_form_cauchy requires alpha = 1")
 
 
 @dataclass(frozen=True)
@@ -144,10 +121,27 @@ def _symbol_exponent(grid: SpectralGrid, alpha: float) -> np.ndarray:
     return out
 
 
+def _sphere_area(d: int) -> float:
+    """Surface area of the unit sphere in R^d."""
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def _tail_coeff(a: float, d: int) -> float:
+    """A(alpha, d) of the heavy tail p(t, x) ~ t A |x|^(-d-alpha), alpha < 2."""
+    return 2.0 ** (a - 1.0) * a * math.pi ** (-d / 2.0) * math.gamma((d + a) / 2.0) / math.gamma(1.0 - a / 2.0)
+
+
+def _gauss_panels(cuts: np.ndarray):
+    """Nodes and weights of the Gauss-Legendre rule on each panel [cuts[k], cuts[k+1]]."""
+    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    mid = 0.5 * (cuts[1:] + cuts[:-1])
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
+
+
 def _peak_value(alpha: float, dim: int, t: float) -> float:
     """p(t, 0) in closed form: the inversion integral is nonoscillatory at 0."""
-    surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-    return surf * math.gamma(dim / alpha) / ((2.0 * math.pi) ** dim * alpha) * t ** (-dim / alpha)
+    return _sphere_area(dim) * math.gamma(dim / alpha) / ((2.0 * math.pi) ** dim * alpha) * t ** (-dim / alpha)
 
 
 def _quad_panels(alpha: float, t: float, rmax: float, resolution: float):
@@ -159,16 +153,12 @@ def _quad_panels(alpha: float, t: float, rmax: float, resolution: float):
     trunc = (_LOG_TRUNC / t) ** (1.0 / alpha)
     width = math.pi / max(rmax, math.pi / trunc)
     edges = [0.0] + [trunc * 2.0 ** (-k) for k in range(_GRADING_LEVELS, -1, -1)]
-    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     subs = []
     for a, b in zip(edges[:-1], edges[1:]):
         m = max(1, math.ceil((b - a) / width * resolution))
         subs.append(np.linspace(a, b, m + 1))
-    cuts = np.unique(np.concatenate(subs))
-    mid = 0.5 * (cuts[1:] + cuts[:-1])
-    half = 0.5 * (cuts[1:] - cuts[:-1])
-    rho = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel() * np.exp(-t * rho**alpha)
+    rho, w = _gauss_panels(np.unique(np.concatenate(subs)))
+    w *= np.exp(-t * rho**alpha)
     return rho, w
 
 
@@ -186,7 +176,7 @@ def _profile_quadrature(alpha, dim, t, r, resolution):
         # rho^2 sinc(rho r) = rho sin(rho r) / r; the 1/r comes after the sum
         kernel, const = np.sin, 1.0 / (2.0 * math.pi**2)
     else:
-        raise ValueError("fourier_quadrature supports dim 1, 2 or 3 only")
+        raise ValueError("the radial quadrature supports dim 1, 2 or 3 only")
     rho, w = _quad_panels(alpha, t, float(np.max(r, initial=0.0)), resolution)
     if dim > 1:
         w *= rho
@@ -207,28 +197,28 @@ def _profile_quadrature(alpha, dim, t, r, resolution):
     return out
 
 
-def density_profile(spec: KernelSpec, t: float, r, *, resolution: float = 1.0) -> np.ndarray:
+def density_profile(spec: KernelSpec, t: float, r) -> np.ndarray:
     """Evaluate p(t, |x|) on an array of radii r >= 0."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if spec.method == GAUSSIAN:
+    if spec.alpha == 2.0:
         return (4.0 * math.pi * t) ** (-spec.dim / 2.0) * np.exp(-(r**2) / (4.0 * t))
-    if spec.method == CAUCHY:
+    if spec.alpha == 1.0:
         c = math.gamma((spec.dim + 1) / 2.0) / math.pi ** ((spec.dim + 1) / 2.0)
         return c * t / (t**2 + r**2) ** ((spec.dim + 1) / 2.0)
-    return _profile_quadrature(spec.alpha, spec.dim, t, r, resolution)
+    return _profile_quadrature(spec.alpha, spec.dim, t, r, 1.0)
 
 
 def eval_density_grid(spec: KernelSpec, t: float, grid: SpectralGrid, *,
-                      clamp: bool = True, neg_tol: float = 1e-6) -> np.ndarray:
+                      clamp: bool = True) -> np.ndarray:
     """Sample the periodized density on a spectral grid via the inverse FFT
     of the symbol e^(-t |xi|^alpha).
 
     The returned field is centered (index n//2 is x = 0) and its Riemann
     mass h^d * sum equals 1 exactly (mode zero of the symbol), so all error
     lives in periodic wrap-around of the tails; :func:`tail_mass_bound`
-    budgets that. Ringing below ``-neg_tol * peak`` means the box cannot
+    budgets that. Ringing below ``-NEG_TOL * peak`` means the box cannot
     hold the tails and raises :class:`TruncationError`; smaller negative
     lobes are clamped to zero with a debug-logged count.
     """
@@ -241,7 +231,7 @@ def eval_density_grid(spec: KernelSpec, t: float, grid: SpectralGrid, *,
     raw = np.fft.fftshift(raw)
     peak = raw.max()
     mn = raw.min()
-    if mn < -neg_tol * peak:
+    if mn < -NEG_TOL * peak:
         raise TruncationError(
             f"domain half_length {grid.half_length} too small for alpha={spec.alpha}, t={t}", mn)
     if clamp and mn < 0.0:
@@ -273,9 +263,7 @@ def tail_mass_bound(spec: KernelSpec, t: float, half_length: float) -> float:
     if spec.alpha == 1.0 and spec.dim == 1:
         return (2.0 / math.pi) * math.atan(t / L)
     a, d = spec.alpha, spec.dim
-    coeff = 2.0 ** (a - 1.0) * a * math.pi ** (-d / 2.0) * math.gamma((d + a) / 2.0) / math.gamma(1.0 - a / 2.0)
-    surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    return t * coeff * surf * L ** (-a) / a
+    return t * _tail_coeff(a, d) * _sphere_area(d) * L ** (-a) / a
 
 
 def check_scaling(spec: KernelSpec, t: float, s: float, radii) -> float:
@@ -290,18 +278,14 @@ def check_scaling(spec: KernelSpec, t: float, s: float, radii) -> float:
     return float(np.max(np.abs(lhs - rhs) / denom))
 
 
-def check_monotone_domination(spec: KernelSpec, t: float, s: float, radii,
-                              tol: float = 1e-12):
-    """Check p(t, x) >= (s/t)^(d/alpha) p(s, x) for t >= s at the sample radii.
-
-    Returns (holds, min_margin) where the margin is the pointwise difference.
-    """
+def check_monotone_domination(spec: KernelSpec, t: float, s: float, radii) -> float:
+    """Smallest margin p(t, x) - (s/t)^(d/alpha) p(s, x), t >= s, over the
+    sample radii; the domination holds where it is nonnegative."""
     if not (t >= s > 0.0):
         raise ValueError("need t >= s > 0")
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     margin = density_profile(spec, t, r) - (s / t) ** (spec.dim / spec.alpha) * density_profile(spec, s, r)
-    worst = float(margin.min())
-    return worst >= -tol, worst
+    return float(margin.min())
 
 
 def _lp_radial_cut(alpha: float, dim: int, t: float, mu: float) -> float:
@@ -310,10 +294,8 @@ def _lp_radial_cut(alpha: float, dim: int, t: float, mu: float) -> float:
     core = _peak_value(alpha, dim, t) ** mu * t ** (dim / alpha)
     if alpha == 2.0:
         return math.sqrt(max(240.0 * t / mu, 100.0 * t))
-    acoef = 2.0 ** (alpha - 1.0) * alpha * math.pi ** (-dim / 2.0) \
-        * math.gamma((dim + alpha) / 2.0) / math.gamma(1.0 - alpha / 2.0)
     p_tail = mu * (dim + alpha) - dim
-    cut = ((t * acoef) ** mu / (p_tail * 1e-6 * core)) ** (1.0 / p_tail)
+    cut = ((t * _tail_coeff(alpha, dim)) ** mu / (p_tail * 1e-6 * core)) ** (1.0 / p_tail)
     return max(cut, 8.0 * t ** (1.0 / alpha))
 
 
@@ -331,20 +313,13 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
         raise ValueError(f"mu must be >= 1, got {mu}")
     a, d = spec.alpha, spec.dim
     rcut = _lp_radial_cut(a, d, t, mu)
-    edges = np.concatenate([[0.0], np.geomspace(rcut * 2.0 ** (-24), rcut, 48)])
-    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    r = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
+    r, w = _gauss_panels(np.concatenate([[0.0], np.geomspace(rcut * 2.0 ** (-24), rcut, 48)]))
     vals = density_profile(spec, t, r)
-    surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    surf = _sphere_area(d)
     total = surf * float(np.dot(w, vals**mu * r ** (d - 1)))
     if a < 2.0:
-        acoef = 2.0 ** (a - 1.0) * a * math.pi ** (-d / 2.0) \
-            * math.gamma((d + a) / 2.0) / math.gamma(1.0 - a / 2.0)
         p_tail = mu * (d + a) - d
-        total += surf * (t * acoef) ** mu * rcut ** (-p_tail) / p_tail
+        total += surf * (t * _tail_coeff(a, d)) ** mu * rcut ** (-p_tail) / p_tail
     return total ** (1.0 / mu)
 
 

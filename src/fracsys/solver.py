@@ -27,6 +27,8 @@ from .kernels import KernelSpec, SpectralGrid, eval_density_grid, grid_mass, tai
 log = logging.getLogger(__name__)
 
 DIVERGENCE_LIMIT = 1e12
+# recommended half-length in units of the largest dispersive spread
+HALF_LENGTH_SAFETY = 6.0
 
 INIT_KINDS = ("stable_kernel", "gaussian", "from_file")
 DEALIAS_MODES = ("two_thirds", "none")
@@ -181,8 +183,6 @@ class NormSeries:
     scaled: np.ndarray     # shape (nodes, 2)
     mass: np.ndarray       # shape (nodes, 2)
     picard_iters: np.ndarray
-    s_orders: Optional[tuple] = None
-    xi: Optional[tuple] = None
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -203,10 +203,10 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def recommended_half_length(params: SystemParams, horizon: float, safety: float = 6.0) -> float:
+def recommended_half_length(params: SystemParams, horizon: float) -> float:
     """Dispersive-spread heuristic max_i (T^rho_i)^(1/alpha_i) times a safety factor."""
     spread = max((horizon ** params.rho[i]) ** (1.0 / params.alpha[i]) for i in (0, 1))
-    return safety * spread
+    return HALF_LENGTH_SAFETY * spread
 
 
 def make_initial_data(init: InitialData, grid: SpectralGrid, params: SystemParams) -> FieldPair:
@@ -248,12 +248,11 @@ def _dealias_mask(grid: SpectralGrid) -> np.ndarray:
     return out
 
 
-def _power(x: np.ndarray, beta: float, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def _power(x: np.ndarray, beta: float, scratch: np.ndarray) -> np.ndarray:
     """x**beta in place: overwrites ``x`` and returns it.
 
     beta in {2, 3, 4} goes by repeated multiplication, which differs from the
-    general ``pow`` by a few ulp; beta = 3 puts x*x in ``scratch`` (a fresh
-    array when none is given).
+    general ``pow`` by a few ulp; beta = 3 puts x*x in ``scratch``.
     """
     if beta == 2.0:
         x *= x
@@ -464,8 +463,8 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     snapshots every ``snapshot_stride`` nodes (first and last included).
 
     ``exponents`` is an ExponentReport; when given (and carrying norm
-    orders) the ls and scaled columns use its s_i and xi_i, otherwise those
-    columns stay blank.
+    orders, so ``exponents.s`` is not None) the ls and scaled columns use
+    its s_i and xi_i, otherwise those columns stay blank.
 
     A symmetric run, where both components share alpha, beta, rho, sigma
     and byte-equal initial fields, computes one component: every snapshot
@@ -473,10 +472,9 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     orders agree.  Snapshots are the step results themselves, made
     read-only; use :meth:`FieldPair.copy` for writable arrays.
     """
-    s_orders = xi = None
-    if exponents is not None and getattr(exponents, "s", None) is not None:
-        s_orders = exponents.s
-        xi = exponents.xi
+    orders, xi = (None, None), None
+    if exponents is not None and exponents.s is not None:
+        orders, xi = exponents.s, exponents.xi
 
     plan = _Plan(config)
     nodes = config.mesh.nodes()
@@ -495,7 +493,6 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
 
     snapshots = []
     total_clamped = 0
-    orders = (None, None) if s_orders is None else s_orders
     buf = np.empty(config.grid.shape())
 
     def record(k, fp, n_iter):
@@ -538,7 +535,7 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
 
     norms = NormSeries(t=t_arr[:recorded], linf=linf[:recorded], ls=ls[:recorded],
                        scaled=scaled[:recorded], mass=mass[:recorded],
-                       picard_iters=iters[:recorded], s_orders=s_orders, xi=xi)
+                       picard_iters=iters[:recorded])
     tail_budget = max(
         tail_mass_bound(KernelSpec(config.params.alpha[i], config.grid.dim),
                         max(config.mesh.horizon ** config.params.rho[i], 1e-300),

@@ -23,12 +23,16 @@ from .solver import NormSeries
 
 # scaled-norm growth allowed between t = 1 and the horizon
 DECAY_GROWTH_SLACK = 0.10
+# share of the t >= 1 nodes, at the end, that the decay slope is fitted on
+DECAY_TAIL_FRACTION = 0.25
 # pointwise slack for the fitted sup-norm bound
 LINF_EXCESS_SLACK = 0.05
 # pointwise slack for the fitted envelope
 ENVELOPE_EXCESS_SLACK = 0.10
 # envelope denominator mask threshold, relative to the kernel peak
 ENVELOPE_MASK = 1e-12
+# ordering tolerance of the comparison check, relative to the upper sup norm
+COMPARISON_TOL = 1e-9
 
 
 class InsufficientData(ValueError):
@@ -42,8 +46,6 @@ class RegimeMismatch(ValueError):
 @dataclass
 class DecayReport:
     component: int
-    s_order: float
-    xi: float
     sup_scaled: float
     fitted_slope: float
     slope_target: float
@@ -54,8 +56,6 @@ class DecayReport:
 class LinfBoundReport:
     component: int
     exponent: float
-    c_const: float        # multiplies ||phi||_inf
-    c_decay: float        # multiplies t^exponent
     max_excess: float
     verdict: bool
 
@@ -69,7 +69,6 @@ class EnvelopeReport:
     verdict: bool
     times: np.ndarray = None
     ratios: np.ndarray = None       # max_x u / [(1+t^rho)^(d/alpha) p(1+t^rho, x)]
-    shape_ratios: np.ndarray = None  # max_x u / p(1+t^rho, x); constant for linear runs
 
 
 @dataclass
@@ -80,13 +79,12 @@ class ComparisonReport:
     worst_index: tuple
 
 
-def _tail_window(t: np.ndarray, tail_fraction: float) -> np.ndarray:
-    start = int(math.floor(t.size * (1.0 - tail_fraction)))
+def _tail_window(t: np.ndarray) -> np.ndarray:
+    start = int(math.floor(t.size * (1.0 - DECAY_TAIL_FRACTION)))
     return np.arange(min(start, t.size - 2), t.size)
 
 
-def decay_report(series: NormSeries, exps: ExponentReport,
-                 tail_fraction: float = 0.25):
+def decay_report(series: NormSeries, exps: ExponentReport):
     """Scaled-norm boundedness and tail log-log slope per component.
 
     The window is t >= 1 (the scaled quantity is examined away from the
@@ -104,12 +102,11 @@ def decay_report(series: NormSeries, exps: ExponentReport,
         scaled = series.scaled[win, i]
         ls = series.ls[win, i]
         sup = float(np.max(scaled))
-        tail = _tail_window(tw, tail_fraction)
+        tail = _tail_window(tw)
         slope = float(np.polyfit(np.log(tw[tail]), np.log(ls[tail]), 1)[0])
         verdict = bool(np.isfinite(sup)
                        and scaled[-1] <= scaled[0] * (1.0 + DECAY_GROWTH_SLACK))
-        out.append(DecayReport(component=i + 1, s_order=exps.s[i], xi=exps.xi[i],
-                               sup_scaled=sup, fitted_slope=slope,
+        out.append(DecayReport(component=i + 1, sup_scaled=sup, fitted_slope=slope,
                                slope_target=-exps.xi[i], verdict=verdict))
     return tuple(out)
 
@@ -140,26 +137,21 @@ def linf_bound_check(series: NormSeries, params: SystemParams, exps: ExponentRep
         bound = coef[0] * phinf + coef[1] * series.t[pos] ** e_i
         with np.errstate(divide="ignore"):
             excess = float(np.max(series.linf[pos, i] / bound)) - 1.0
-        out.append(LinfBoundReport(component=i + 1, exponent=e_i,
-                                   c_const=float(coef[0]), c_decay=float(coef[1]),
-                                   max_excess=excess,
+        out.append(LinfBoundReport(component=i + 1, exponent=e_i, max_excess=excess,
                                    verdict=excess <= LINF_EXCESS_SLACK))
     return tuple(out)
 
 
 def selfsimilar_envelope_check(snapshots, params: SystemParams, epsilon: float,
-                               grid: SpectralGrid, mask_threshold: float = ENVELOPE_MASK):
+                               grid: SpectralGrid):
     """Envelope ratio analysis for kernel-shaped initial data.
 
     For each snapshot the ratio R_i(t) = max_x u_i(t, x) / D(t, x) is taken
     over grid points where the envelope denominator
     D(t, x) = (1 + t^rho)^(d/alpha) p(1 + t^rho, x) is at least
-    ``mask_threshold`` * p(1 + t^rho, 0), then R_i is fitted as
+    ``ENVELOPE_MASK`` * p(1 + t^rho, 0), then R_i is fitted as
     c*eps*(1+t)^(-k) over t >= 1.  Verdict: fitted k > 0 and no snapshot
-    exceeds the fit by more than 10%.  The prefactor-free shape ratio
-    max_x u_i / p(1+t^rho, x) is reported alongside; it is constant in t
-    for a decoupled run (raise the mask above the per-step FFT clamp noise,
-    about 1e-15 per step relative to the peak, when asserting that).
+    exceeds the fit by more than 10%.
     """
     if not classify(params).theorem3_applicable:
         raise RegimeMismatch("self-similar envelope hypothesis does not hold for these parameters")
@@ -167,17 +159,15 @@ def selfsimilar_envelope_check(snapshots, params: SystemParams, epsilon: float,
     spec = KernelSpec(alpha, d)
     times = np.array([s.time for s in snapshots], dtype=float)
     ratios = np.zeros((times.size, 2))
-    shapes = np.zeros((times.size, 2))
     for k, snap in enumerate(snapshots):
         t = snap.time
         kern = eval_density_grid(spec, 1.0 + t**rho, grid)
         peak = float(kern.max())
         prefac = (1.0 + t**rho) ** (d / alpha)
-        mask = prefac * kern >= mask_threshold * peak
+        mask = prefac * kern >= ENVELOPE_MASK * peak
         for i in (0, 1):
             vals = snap.components()[i][mask] / kern[mask]
-            shapes[k, i] = float(vals.max())
-            ratios[k, i] = shapes[k, i] / prefac
+            ratios[k, i] = float(vals.max()) / prefac
     out = []
     fit = times >= 1.0
     if int(fit.sum()) < 3:
@@ -191,14 +181,13 @@ def selfsimilar_envelope_check(snapshots, params: SystemParams, epsilon: float,
         out.append(EnvelopeReport(component=i + 1, fitted_c=c_fit, fitted_k=k_fit,
                                   max_ratio_violation=violation,
                                   verdict=bool(k_fit > 0.0 and violation <= ENVELOPE_EXCESS_SLACK),
-                                  times=times, ratios=ratios[:, i].copy(),
-                                  shape_ratios=shapes[:, i].copy()))
+                                  times=times, ratios=ratios[:, i].copy()))
     return tuple(out)
 
 
-def comparison_check(upper_snapshots, lower_snapshots, tol_scale: float = 1e-9) -> ComparisonReport:
+def comparison_check(upper_snapshots, lower_snapshots) -> ComparisonReport:
     """Pointwise ordering of two runs sharing grid and mesh: every shared
-    snapshot must satisfy u >= v - tol with tol = tol_scale * ||u||_inf."""
+    snapshot must satisfy u >= v - tol with tol = COMPARISON_TOL * ||u||_inf."""
     if len(upper_snapshots) != len(lower_snapshots):
         raise ValueError("runs have different snapshot counts")
     worst = math.inf
@@ -217,7 +206,7 @@ def comparison_check(upper_snapshots, lower_snapshots, tol_scale: float = 1e-9) 
                 worst = m
                 worst_t = up.time
                 worst_idx = (i + 1,) + np.unravel_index(int(diff.argmin()), diff.shape)
-            tol = tol_scale * float(np.abs(a).max(initial=0.0))
+            tol = COMPARISON_TOL * float(np.abs(a).max(initial=0.0))
             if m < -tol:
                 ordered = False
     return ComparisonReport(ordered=ordered, worst_margin=worst,

@@ -48,7 +48,7 @@ def test_criterion_01_kernel_identity_suite():
             radii = rng.uniform(0.0, 10.0, size=4)
             worst_scal = max(worst_scal, check_scaling(spec, t, s, radii))
             lo, hi = sorted((t, s))
-            _, margin = check_monotone_domination(spec, hi, lo, radii)
+            margin = check_monotone_domination(spec, hi, lo, radii)
             worst_dom = min(worst_dom, margin)
         ok &= worst_scal <= tol and worst_dom >= -1e-12
         notes.append(f"a={alpha:g} scal={worst_scal:.1e} dom={worst_dom:.1e}")
@@ -225,7 +225,7 @@ def test_criterion_08_comparison_principle(ref_run):
     worst_rel = 0.0
     ok = True
     for a, b in pairs:
-        rep = comparison_check(runs[a].snapshots, runs[b].snapshots, tol_scale=1e-9)
+        rep = comparison_check(runs[a].snapshots, runs[b].snapshots)
         ok &= rep.ordered
         scale = max(float(np.abs(s.u1).max()) for s in runs[a].snapshots)
         worst_rel = min(worst_rel, rep.worst_margin / scale)

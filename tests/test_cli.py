@@ -300,6 +300,68 @@ def test_solve_determinism_and_manifest_rerun(tmp_path):
     assert (out1 / "t" / "norms.csv").read_bytes() == (out3 / "t" / "norms.csv").read_bytes()
 
 
+def test_delta_flag_is_recorded_and_reruns(tmp_path, capsys):
+    cfg = _write(tmp_path, BASE)
+    assert main(["regime", "--config", cfg, "--delta", "0.32"]) == 0
+    assert "delta = 0.32000000000000001" in capsys.readouterr().out.splitlines()
+    first, again = tmp_path / "d1", tmp_path / "d2"
+    assert main(["solve", "--config", cfg, "--out", str(first), "--delta", "0.32"]) == 0
+    manifest = first / "t" / "manifest.txt"
+    assert "delta = 0.32000000000000001" in manifest.read_text().splitlines()
+    # the manifest reproduces the run, Delta included
+    assert main(["solve", "--config", str(manifest), "--out", str(again)]) == 0
+    for name in ("norms.csv", "verification.txt", "manifest.txt"):
+        assert (first / "t" / name).read_bytes() == (again / "t" / name).read_bytes(), name
+    assert "delta = 0.32000000000000001" in (first / "t" / "verification.txt").read_text()
+
+
+# a small asymmetric 2-D alpha = 1.5 solve: the two-component path, with the
+# decay and sup-norm checks
+ASYM_2D = """
+alpha1 = 1.5
+alpha2 = 1.5
+beta1 = 3.0
+beta2 = 3.0
+rho1 = 1.0
+rho2 = 0.7
+sigma1 = 0.0
+sigma2 = 0.0
+dim = 2
+grid_n = 64
+half_length = 20.0
+horizon = 2.0
+steps = 20
+snapshot_stride = 5
+init = stable_kernel
+epsilon = 0.01
+run_id = asym
+"""
+
+# sha256 of artifacts that a refactor must leave byte-identical; the manifest
+# holds the snapshots' sha256.  Taken with numpy 2.4.6 on x86-64 Linux: the
+# FFT and libm of another platform may move the last bits.
+ASYM_2D_GOLDEN = {
+    "norms.csv": "2f20c71ddc2b98a0cec2f3c2678a38967c69a783ee9b3c2944b14e4e908903bd",
+    "verification.txt": "b7c2d5c0151cc6350b2aba0c1551a8bd34558eed52db918c98c784212b408ea3",
+    "manifest.txt": "4e6887da56ad1f566353605efea1b6b213635449b371b7d10a5f71176cbd6bc1",
+}
+VERIFY_KERNEL_123_GOLDEN = "daeb531d4a82d0549f67b44a320fae9d695ef65d9855f1fd8d3fda01ab86dd84"
+
+
+def test_asymmetric_2d_artifact_bytes_are_frozen(tmp_path):
+    cfg = _write(tmp_path, ASYM_2D)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    for name, digest in ASYM_2D_GOLDEN.items():
+        data = (tmp_path / "o" / "asym" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_verify_kernel_output_bytes_are_frozen(capsys):
+    assert main(["verify-kernel", "--dims", "1,2,3"]) == 1     # alpha = 1, d = 3 fails
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_KERNEL_123_GOLDEN, out
+
+
 def test_symmetric_solve_writes_the_general_path_artifacts(tmp_path, monkeypatch):
     cfg = parse_config(_write(tmp_path, BASE))
     code, _, aliased = cli.run_experiment(cfg, tmp_path / "alias")
@@ -352,12 +414,12 @@ _BETA2_NO_DELTA = BASE.replace("beta1 = 4.0", "beta1 = 2.0").replace("beta2 = 4.
 # constant, the dimension (classified past the grids' cap of 3), the data
 # amplitude and Delta (one value outside the window)
 SWEEP_GOLDEN = {
-    "beta": (BASE, "2.0,3.5", "82fdd36102a892b8cb1dee2a2ccdba6704ab391d60e19a148ebe13b159fb3756"),
+    "beta": (BASE, "2.0,3.5", "926cee03191c7306f38e40caab1e0e4b4861fdd3d761137c71f9c2b5aac19fd9"),
     "rho2": (BASE, "1.0,0.7", "8d991d39e92c406857c743a5931b8ed6b8fcd174866afc8248a00972dce42f87"),
     "dim": (_BETA2_NO_DELTA, "1,2,3,4,5,6",
             "09557821e0790d56cd55d7bef015121b618ff58395889ea07c1c32810a3c35e4"),
     "epsilon": (BASE, "0.005,0.02", "2456e56c7a9942663ff8a81697e7ca8851c5e3585e988247307ed18600798c22"),
-    "delta": (BASE, "0.3,0.35,0.9", "42b8163342b47ee80d4610728590e8cf2ba275561598e4cc6d9254c4012902ec"),
+    "delta": (BASE, "0.3,0.35,0.9", "f9e8f1822d9e28ed1e0bd488f25fce7dff21f4f84c866f9ecef642014e1a5ef4"),
 }
 
 
@@ -368,6 +430,20 @@ def test_sweep_csv_bytes_are_frozen(tmp_path, name):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     data = (tmp_path / "o" / "sweep.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest, data.decode()
+
+
+def test_sweep_point_outside_delta_keeps_its_classification(tmp_path):
+    # beta = 2 has an empty window, so the config's Delta = 0.3 lies outside it
+    cfg = _write(tmp_path, BASE + "sweep_param = beta\nsweep_values = 2.0,3.5\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    # the error text, the last column, holds a comma
+    row = dict(zip(header, rows[1].split(",", len(header) - 1)))
+    assert (row["window_lo"], row["window_hi"]) == ("0.5", "0.25")
+    assert (row["regime"], row["theorem3"]) == ("NoGuarantee", "false")
+    assert row["delta"] == ""
+    assert row["error"] == "DeltaOutsideWindow: delta=0.3 outside the admissible window (0.5, 0.25)"
 
 
 def test_sweep_dim_flip(tmp_path):

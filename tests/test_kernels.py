@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import j0
 
 import fracsys.kernels as K
-from fracsys.kernels import (CAUCHY, FOURIER, GAUSSIAN, KernelSpec, SpectralGrid,
-                             TruncationError, check_monotone_domination, check_scaling,
-                             density_profile, eval_density_grid, grid_mass, lp_norm,
-                             lp_norm_slope, semigroup_residual, tail_mass_bound)
+from fracsys.kernels import (KernelSpec, SpectralGrid, TruncationError,
+                             check_monotone_domination, check_scaling, density_profile,
+                             eval_density_grid, grid_mass, lp_norm, lp_norm_slope,
+                             semigroup_residual, tail_mass_bound)
 
 GOLD_P15_AT_ZERO = 0.2873527514521644      # Gamma(5/3)/pi
 GOLD_CROSS_2_1 = 1.6744958308895501        # 2 sqrt(pi) e^{-3/4}
@@ -39,14 +39,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(1.5, 0)
     with pytest.raises(ValueError):
-        KernelSpec(1.5, 1, method=GAUSSIAN)
-    with pytest.raises(ValueError):
-        KernelSpec(2.0, 1, method=CAUCHY)
-    assert KernelSpec(2.0, 2).method == GAUSSIAN
-    assert KernelSpec(1.0, 2).method == CAUCHY
-    assert KernelSpec(0.7, 2).method == FOURIER
-    # quadrature may be forced for closed-form alphas
-    assert KernelSpec(2.0, 1, method=FOURIER).method == FOURIER
+        KernelSpec(1.5, 1.5)
 
 
 def test_grid_validation():
@@ -78,17 +71,15 @@ def test_alpha15_golden_at_origin():
     v = density_profile(KernelSpec(1.5, 1), 1.0, 0.0)[0]
     assert v == pytest.approx(GOLD_P15_AT_ZERO, abs=1e-12)
     # oracle at 10x panel resolution agrees
-    v10 = density_profile(KernelSpec(1.5, 1), 1.0, 0.0, resolution=10.0)[0]
+    v10 = K._profile_quadrature(1.5, 1, 1.0, np.array([0.0]), 10.0)[0]
     assert v10 == pytest.approx(GOLD_P15_AT_ZERO, abs=1e-13)
 
 
 @pytest.mark.parametrize("alpha,dim", [(2.0, 1), (2.0, 2), (2.0, 3), (1.0, 1), (1.0, 2), (1.0, 3)])
 def test_quadrature_matches_closed_form(alpha, dim):
-    closed = KernelSpec(alpha, dim)
-    quad = KernelSpec(alpha, dim, method=FOURIER)
     r = np.linspace(0.0, 9.0, 46)
-    ref = density_profile(closed, 0.8, r)
-    got = density_profile(quad, 0.8, r)
+    ref = density_profile(KernelSpec(alpha, dim), 0.8, r)
+    got = K._profile_quadrature(alpha, dim, 0.8, r, 1.0)
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
@@ -161,8 +152,8 @@ def test_grid_small_time_concentrates():
     wide = eval_density_grid(spec, 1.0, grid)
     narrow = eval_density_grid(spec, 0.01, grid)
     # mass is exact before clamping; clamped ringing can add at most
-    # neg_tol * peak * box volume
-    assert abs(grid_mass(narrow, grid) - 1.0) < 1e-6 * narrow.max() * 2 * grid.half_length
+    # NEG_TOL * peak * box volume
+    assert abs(grid_mass(narrow, grid) - 1.0) < K.NEG_TOL * narrow.max() * 2 * grid.half_length
     assert abs(grid_mass(wide, grid) - 1.0) < 1e-12
     assert narrow.max() > 5.0 * wide.max()
 
@@ -208,17 +199,17 @@ def test_scaling_identity_gaussian_property(t, s, r):
 
 
 def test_domination_equality_at_origin():
-    ok, margin = check_monotone_domination(KernelSpec(2.0, 1), 2.0, 1.0, [0.0])
-    assert ok and abs(margin) < 1e-15
+    margin = check_monotone_domination(KernelSpec(2.0, 1), 2.0, 1.0, [0.0])
+    assert abs(margin) < 1e-15
 
 
 def test_domination_cauchy_hand_value():
-    _, margin = check_monotone_domination(KernelSpec(1.0, 1), 2.0, 1.0, [1.0])
+    margin = check_monotone_domination(KernelSpec(1.0, 1), 2.0, 1.0, [1.0])
     assert margin == pytest.approx(3.0 / (20.0 * math.pi), rel=1e-14)
 
 
 def test_domination_identity_case():
-    _, margin = check_monotone_domination(KernelSpec(1.5, 1), 1.3, 1.3, np.linspace(0, 5, 11))
+    margin = check_monotone_domination(KernelSpec(1.5, 1), 1.3, 1.3, np.linspace(0, 5, 11))
     assert abs(margin) < 1e-12
 
 
@@ -229,8 +220,7 @@ def test_domination_random_draws():
         for _ in range(25):
             s = rng.uniform(0.2, 3.0)
             t = s + rng.uniform(0.0, 4.0)
-            ok, _ = check_monotone_domination(spec, t, s, rng.uniform(0, 10, size=8))
-            assert ok
+            assert check_monotone_domination(spec, t, s, rng.uniform(0, 10, size=8)) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +256,19 @@ def test_semigroup_residuals():
     assert semigroup_residual(KernelSpec(1.5, 1), 0.5, 0.5, SpectralGrid(1, 512, 30.0)) < 1e-6
 
 
+def _profile(alpha, dim, t, r, resolution):
+    """p(t, r), by the radial quadrature at ``resolution`` when alpha has no
+    closed form."""
+    if alpha in (1.0, 2.0):
+        return density_profile(KernelSpec(alpha, dim), t, r)
+    return K._profile_quadrature(alpha, dim, t, np.asarray(r, dtype=float), resolution)
+
+
 def _cross_domination(alpha_i, alpha_a, dim, ts, radii, resolution=1.0):
     """sup p_{alpha_i}(t, x) / p_{alpha_a}(t^(alpha_a/alpha_i), x) over the
     sampled times and radii; finite and >= 1 when alpha_a <= alpha_i."""
-    spec_i, spec_a = KernelSpec(alpha_i, dim), KernelSpec(alpha_a, dim)
-    return max(float(np.max(density_profile(spec_i, t, radii, resolution=resolution)
-                            / density_profile(spec_a, t ** (alpha_a / alpha_i), radii,
-                                              resolution=resolution)))
+    return max(float(np.max(_profile(alpha_i, dim, t, radii, resolution)
+                            / _profile(alpha_a, dim, t ** (alpha_a / alpha_i), radii, resolution)))
                for t in ts)
 
 

@@ -22,10 +22,13 @@ from .exponents import DeltaOutsideWindow, REGIME_NO_GUARANTEE, _fmt, classify
 from .kernels import (KernelSpec, SpectralGrid, check_monotone_domination, check_scaling,
                       eval_density_grid, grid_mass, lp_norm_slope, semigroup_residual,
                       tail_mass_bound)
-from .solver import solve, write_snapshot
+from .solver import SnapshotFormatError, solve, write_snapshot
 
-SUMMARY_COLUMNS = ("run_id", "regime", "sup_scaled_u1", "sup_scaled_u2",
-                   "slope_u1", "slope_u2", "env_k", "env_c", "verdict")
+# summary column -> the verification.txt key it copies
+SUMMARY_SOURCES = {"sup_scaled_u1": "decay_sup_scaled_u1", "sup_scaled_u2": "decay_sup_scaled_u2",
+                   "slope_u1": "decay_slope_u1", "slope_u2": "decay_slope_u2",
+                   "env_k": "env_k_u1", "env_c": "env_c_u1"}
+SUMMARY_COLUMNS = ("run_id", "regime", *SUMMARY_SOURCES, "verdict")
 
 
 def _worker_count() -> int:
@@ -77,10 +80,9 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
     Returns (exit_code, summary_row, solve_result).
     """
     report = classify(cfg.params, delta=cfg.delta)
+    result = solve(cfg.run, report)
     run_dir = out_base / cfg.values.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-
-    result = solve(cfg.run, report)
 
     artifacts = {}
     norms_path = run_dir / "norms.csv"
@@ -91,61 +93,44 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
         write_snapshot(run_dir / name, snap, cfg.run.grid, cfg.params)
         artifacts[name] = sha256_file(run_dir / name)
 
-    lines = [f"{k} = {v}" for k, v in report.flat_items()]
-    lines.append(f"status = {result.status.kind}")
-    lines.append(f"status_time = {_fmt(result.status.time)}")
-    for key, value in sorted(result.diagnostics.items()):
-        lines.append(f"{key} = {_fmt(value)}")
-
-    row = {"run_id": cfg.values.run_id, "regime": report.regime, "verdict": ""}
+    status = result.status
+    entries = dict(report.flat_items())
+    entries.update(status=status.kind, status_time=status.time)
+    entries.update(sorted(result.diagnostics.items()))
+    # (line prefix, skip name, check): each check decides itself whether it
+    # applies and raises with the reason when it does not
+    checks = (("decay", "decay", lambda: verify.decay_report(result.norms, report)),
+              ("linf", "linf", lambda: verify.linf_bound_check(result.norms, cfg.params, report)),
+              ("env", "envelope", lambda: verify.selfsimilar_envelope_check(
+                  result.snapshots, cfg.params, report, cfg.run.init, cfg.run.grid)))
     verdicts = []
-    if result.status.completed and report.s is not None:
+    for prefix, name, check in checks:
+        if not status.completed:
+            entries[f"{name}_skipped"] = f"run {status.kind} at t={_fmt(status.time)}"
+            continue
         try:
-            decays = verify.decay_report(result.norms, report)
-            for d in decays:
-                lines.append(f"decay_sup_scaled_u{d.component} = {_fmt(d.sup_scaled)}")
-                lines.append(f"decay_slope_u{d.component} = {_fmt(d.fitted_slope)}")
-                lines.append(f"decay_slope_target_u{d.component} = {_fmt(d.slope_target)}")
-                lines.append(f"decay_verdict_u{d.component} = {str(d.verdict).lower()}")
-                verdicts.append(d.verdict)
-            row.update(sup_scaled_u1=decays[0].sup_scaled, sup_scaled_u2=decays[1].sup_scaled,
-                       slope_u1=decays[0].fitted_slope, slope_u2=decays[1].fitted_slope)
-        except verify.InsufficientData as exc:
-            lines.append(f"decay_skipped = {exc}")
-        try:
-            for b in verify.linf_bound_check(result.norms, cfg.params, report):
-                lines.append(f"linf_exponent_u{b.component} = {_fmt(b.exponent)}")
-                lines.append(f"linf_max_excess_u{b.component} = {_fmt(b.max_excess)}")
-                lines.append(f"linf_verdict_u{b.component} = {str(b.verdict).lower()}")
-                verdicts.append(b.verdict)
-        except verify.RegimeMismatch as exc:
-            lines.append(f"linf_skipped = {exc}")
-        if report.theorem3_applicable and cfg.run.init.kind == "stable_kernel":
-            try:
-                envs = verify.selfsimilar_envelope_check(result.snapshots, cfg.params,
-                                                         cfg.run.init.epsilon, cfg.run.grid)
-                for e in envs:
-                    lines.append(f"env_k_u{e.component} = {_fmt(e.fitted_k)}")
-                    lines.append(f"env_c_u{e.component} = {_fmt(e.fitted_c)}")
-                    lines.append(f"env_violation_u{e.component} = {_fmt(e.max_ratio_violation)}")
-                    lines.append(f"env_verdict_u{e.component} = {str(e.verdict).lower()}")
-                    verdicts.append(e.verdict)
-                row.update(env_k=envs[0].fitted_k, env_c=envs[0].fitted_c)
-            except verify.InsufficientData as exc:
-                lines.append(f"envelope_skipped = {exc}")
-    if verdicts:
-        row["verdict"] = str(all(verdicts)).lower()
+            reports = check()
+        except (verify.InsufficientData, verify.RegimeMismatch) as exc:
+            entries[f"{name}_skipped"] = str(exc)
+            continue
+        for rep in reports:
+            entries.update((f"{prefix}_{key}_u{rep.component}", value)
+                         for key, value in vars(rep).items() if key != "component")
+            verdicts.append(rep.verdict)
+    row = {"run_id": cfg.values.run_id, "regime": report.regime,
+           "verdict": all(verdicts) if verdicts else None}
+    row.update((col, entries.get(key)) for col, key in SUMMARY_SOURCES.items())
 
     report_path = run_dir / "verification.txt"
-    report_path.write_text("\n".join(lines) + "\n")
+    report_path.write_text("".join(f"{key} = {_fmt(value)}\n" for key, value in entries.items()))
     artifacts["verification.txt"] = sha256_file(report_path)
     write_manifest(run_dir / "manifest.txt", cfg, artifacts)
     if append_summary:
         _append_summary(out_base / "summary.csv", row)
 
-    if result.status.kind == "diverged":
+    if status.kind == "diverged":
         return 2, row, result
-    if result.status.kind == "step_rejected":
+    if status.kind == "step_rejected":
         return 3, row, result
     return 0, row, result
 
@@ -252,19 +237,17 @@ def sweep_point(task) -> dict:
         # when the config's Delta lies outside this point's window
         report = classify(params)
         row.update(window_lo=report.window.lo, window_hi=report.window.hi,
-                   regime=report.regime, theorem3=str(report.theorem3_applicable).lower())
+                   regime=report.regime, theorem3=report.theorem3_applicable)
         if values.delta is not None:
             report = classify(params, delta=values.delta)
         row["delta"] = report.delta
         if with_dynamics and report.regime != REGIME_NO_GUARANTEE:
             # workers never touch the shared summary; the sweep CSV is merged
             # by the coordinator
-            code, run_row, _ = run_experiment(build(values), Path(out_base),
-                                              append_summary=False)
-            row["status"] = {0: "completed", 2: "diverged", 3: "step_rejected"}[code]
-            for key in ("sup_scaled_u1", "sup_scaled_u2", "slope_u1", "slope_u2",
-                        "env_k", "env_c", "verdict"):
-                row[key] = run_row.get(key)
+            _, run_row, result = run_experiment(build(values), Path(out_base),
+                                                append_summary=False)
+            row["status"] = result.status.kind
+            row.update((key, run_row[key]) for key in SUMMARY_COLUMNS[2:])
     except Exception as exc:  # single-point failure must not kill the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -318,7 +301,7 @@ def cmd_sweep(args) -> int:
     points_dir = out_base / "points"
     points_dir.mkdir(parents=True, exist_ok=True)
     _claim_points(points_dir, f"config_sha256 = {cfg.config_hash()}\n"
-                              f"with_dynamics = {str(args.with_dynamics).lower()}\n")
+                              f"with_dynamics = {_fmt(args.with_dynamics)}\n")
 
     tasks = []
     for idx, value in enumerate(sweep_values):
@@ -389,7 +372,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DeltaOutsideWindow, ArithmeticError, FileNotFoundError) as exc:
+    except (ConfigError, DeltaOutsideWindow, SnapshotFormatError, ArithmeticError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

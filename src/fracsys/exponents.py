@@ -38,12 +38,13 @@ REGIME_NO_GUARANTEE = "NoGuarantee"
 
 
 def _fmt(x) -> str:
-    """The artifact form of a value: floats as %.17g, None and NaN blank."""
+    """The artifact form of a value: floats as %.17g, bools as true/false,
+    None and NaN blank."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
     if isinstance(x, float):
         return f"{x:.17g}"
-    return str(x)
+    return str(x).lower() if isinstance(x, bool) else str(x)
 
 
 class DeltaOutsideWindow(ValueError):
@@ -118,13 +119,14 @@ class _Calc:
     """
 
     def __init__(self, params: SystemParams):
-        self.p = params
         self.al = [Fraction(float(a)) for a in params.alpha]
         self.be = [Fraction(float(b)) for b in params.beta]
         self.ro = [Fraction(float(r)) for r in params.rho]
         self.si = [Fraction(float(s)) for s in params.sigma]
         self.d = Fraction(int(params.dim))
         self.bb1 = self.be[0] * self.be[1] - 1   # beta_i beta_j - 1 > 0
+        # the numerator d rho_i rho_j (beta_i beta_j - 1) of r_i and s_i
+        self.norm_numerator = self.d * self.ro[0] * self.ro[1] * self.bb1
 
     def x_tilde(self, i):
         j = 1 - i
@@ -134,33 +136,25 @@ class _Calc:
     def rho_tilde(self, i):
         return self.ro[i] - self.si[i]
 
-    def k_tilde(self, i):
+    def _k(self, i, lead):
+        # the window cap k_tilde has lead = d, the boundedness cap k_hat alpha_i
         j = 1 - i
-        num = self.d * self.ro[i] * self.ro[j] * self.bb1 \
+        num = lead * self.ro[i] * self.ro[j] * self.bb1 \
             - (self.al[j] * self.ro[i] * self.si[j]
                + self.al[i] * self.be[j] * self.ro[j] * self.si[i]) * self.be[i]
         den = self.be[i] * (self.al[j] * self.ro[i] + self.al[i] * self.be[j] * self.ro[j])
         return num / den
+
+    def k_tilde(self, i):
+        return self._k(i, self.d)
 
     def k_hat(self, i):
-        j = 1 - i
-        num = (self.al[i] / self.d) * (self.d * self.ro[i] * self.ro[j] * self.bb1) \
-            - (self.al[j] * self.ro[i] * self.si[j]
-               + self.al[i] * self.be[j] * self.ro[j] * self.si[i]) * self.be[i]
-        den = self.be[i] * (self.al[j] * self.ro[i] + self.al[i] * self.be[j] * self.ro[j])
-        return num / den
+        return self._k(i, self.al[i])
 
-    def window_bounds(self):
+    def window_bounds(self, cap):
+        """The window (lo, hi) whose upper end takes the k-cap ``cap(i)``."""
         lo = max(self.x_tilde(0), self.x_tilde(1))
-        hi = min(Fraction(1), self.rho_tilde(0), self.rho_tilde(1),
-                 max(self.k_tilde(0), self.k_tilde(1)))
-        return lo, hi
-
-    def bounded_window_bounds(self):
-        lo = max(self.x_tilde(0), self.x_tilde(1))
-        hi = min(Fraction(1), self.rho_tilde(0), self.rho_tilde(1),
-                 max(min(self.k_tilde(0), self.k_hat(0)),
-                     min(self.k_tilde(1), self.k_hat(1))))
+        hi = min(Fraction(1), self.rho_tilde(0), self.rho_tilde(1), max(cap(0), cap(1)))
         return lo, hi
 
     def r_denominator(self, i, delta):
@@ -176,30 +170,21 @@ class _Calc:
             + self.be[i] * self.al[j] * self.ro[i] * self.si[j] \
             + (self.al[i] * self.ro[j] + self.be[i] * self.al[j] * self.ro[i]) * delta
 
-    def norm_numerator(self, i):
-        j = 1 - i
-        return self.d * self.ro[i] * self.ro[j] * self.bb1
+    def _order(self, name, i, den, delta):
+        if den <= 0:
+            raise InadmissibleParams(
+                f"{name}_{i + 1} denominator {float(den):.6g} is nonpositive at delta={float(delta):.17g}")
+        return self.norm_numerator / den
 
     def r_value(self, i, delta):
-        den = self.r_denominator(i, delta)
-        if den <= 0:
-            raise InadmissibleParams(
-                f"r_{i + 1} denominator {float(den):.6g} is nonpositive at delta={float(delta):.17g}")
-        return self.norm_numerator(i) / den
+        return self._order("r", i, self.r_denominator(i, delta), delta)
 
     def s_value(self, i, delta):
-        den = self.s_denominator(i, delta)
-        if den <= 0:
-            raise InadmissibleParams(
-                f"s_{i + 1} denominator {float(den):.6g} is nonpositive at delta={float(delta):.17g}")
-        return self.norm_numerator(i) / den
+        return self._order("s", i, self.s_denominator(i, delta), delta)
 
     def xi_value(self, i, delta):
-        # printed form; reduces to (1 - delta)(1 + beta_i)/(beta_i beta_j - 1)
-        j = 1 - i
-        num = self.al[i] * self.ro[j] - delta * self.al[i] * self.ro[j] \
-            + self.al[i] * self.be[i] * self.ro[j] - delta * self.al[i] * self.be[i] * self.ro[j]
-        return num / (self.al[i] * self.ro[j] * self.bb1)
+        # the paper's printed form, reduced
+        return (1 - delta) * (1 + self.be[i]) / self.bb1
 
     def delta_small_value(self, i, delta):
         j = 1 - i
@@ -217,7 +202,7 @@ class _Calc:
             j = 1 - i
             # numerator - denominator >= 0, affine in delta
             coef = -self.be[i] * (self.al[j] * self.ro[i] - self.al[i] * self.ro[j])
-            const = self.norm_numerator(i) - self.r_denominator(i, Fraction(0))
+            const = self.norm_numerator - self.r_denominator(i, Fraction(0))
             if coef == 0:
                 if const < 0:
                     return lo, lo  # empty
@@ -298,13 +283,13 @@ class ExponentReport:
         """Key/value pairs for the text and CSV serializations."""
         items = [
             ("regime", self.regime),
-            ("a_index", str(self.a_index)),
+            ("a_index", _fmt(self.a_index)),
             ("window_lo", _fmt(self.window.lo)), ("window_hi", _fmt(self.window.hi)),
             ("window_bounded_lo", _fmt(self.window_bounded.lo)),
             ("window_bounded_hi", _fmt(self.window_bounded.hi)),
             ("delta", _fmt(self.delta)),
-            ("theorem3_applicable", str(self.theorem3_applicable).lower()),
-            ("role_i", "" if self.role_i is None else str(self.role_i)),
+            ("theorem3_applicable", _fmt(self.theorem3_applicable)),
+            ("role_i", _fmt(self.role_i)),
         ]
         for name, pair in (("x_tilde", self.x_tilde), ("rho_tilde", self.rho_tilde),
                            ("k_tilde", self.k_tilde), ("k_hat", self.k_hat),
@@ -333,8 +318,8 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
     must lie strictly inside the main window.
     """
     c = _Calc(params)
-    lo, hi = c.window_bounds()
-    blo, bhi = c.bounded_window_bounds()
+    lo, hi = c.window_bounds(c.k_tilde)
+    blo, bhi = c.window_bounds(lambda i: min(c.k_tilde(i), c.k_hat(i)))
     rlo, rhi = c.r_lower_bound_interval(lo, hi)
     rblo, rbhi = c.r_lower_bound_interval(blo, bhi)
     t3_ok = c.theorem3_applicable()

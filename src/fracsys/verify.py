@@ -3,6 +3,12 @@ scaled-norm decay law, the sup-norm bound in the essentially-bounded regime,
 the self-similar envelope for kernel-shaped initial data, and the discrete
 comparison principle between runs.
 
+Each of the first three checks decides itself whether it applies: when its
+hypotheses fail it raises :class:`RegimeMismatch`, when the run is too short
+:class:`InsufficientData`, and the message says why.  Otherwise it returns one
+report per component, whose fields after ``component`` are the keys of the
+``verification.txt`` lines (``decay_slope_u1``, ``env_k_u2``, ...).
+
 Fitted constants here are qualitative: the theory guarantees existence of
 constants, not values, so verdicts combine boundedness with loose (5-10%)
 shape tolerances, while exact algebraic identities are tested elsewhere at
@@ -17,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import (ExponentReport, SystemParams, REGIME_NO_GUARANTEE,
-                        REGIME_SMALL_DATA_BOUNDED, classify)
+                        REGIME_SMALL_DATA_BOUNDED)
 from .kernels import KernelSpec, SpectralGrid, eval_density_grid
-from .solver import NormSeries
+from .solver import InitialData, NormSeries
 
 # scaled-norm growth allowed between t = 1 and the horizon
 DECAY_GROWTH_SLACK = 0.10
@@ -47,7 +53,7 @@ class RegimeMismatch(ValueError):
 class DecayReport:
     component: int
     sup_scaled: float
-    fitted_slope: float
+    slope: float
     slope_target: float
     verdict: bool
 
@@ -63,12 +69,10 @@ class LinfBoundReport:
 @dataclass
 class EnvelopeReport:
     component: int
-    fitted_c: float
-    fitted_k: float
-    max_ratio_violation: float
+    k: float
+    c: float
+    violation: float
     verdict: bool
-    times: np.ndarray = None
-    ratios: np.ndarray = None       # max_x u / [(1+t^rho)^(d/alpha) p(1+t^rho, x)]
 
 
 @dataclass
@@ -106,7 +110,7 @@ def decay_report(series: NormSeries, exps: ExponentReport):
         slope = float(np.polyfit(np.log(tw[tail]), np.log(ls[tail]), 1)[0])
         verdict = bool(np.isfinite(sup)
                        and scaled[-1] <= scaled[0] * (1.0 + DECAY_GROWTH_SLACK))
-        out.append(DecayReport(component=i + 1, sup_scaled=sup, fitted_slope=slope,
+        out.append(DecayReport(component=i + 1, sup_scaled=sup, slope=slope,
                                slope_target=-exps.xi[i], verdict=verdict))
     return tuple(out)
 
@@ -142,19 +146,12 @@ def linf_bound_check(series: NormSeries, params: SystemParams, exps: ExponentRep
     return tuple(out)
 
 
-def selfsimilar_envelope_check(snapshots, params: SystemParams, epsilon: float,
-                               grid: SpectralGrid):
-    """Envelope ratio analysis for kernel-shaped initial data.
-
-    For each snapshot the ratio R_i(t) = max_x u_i(t, x) / D(t, x) is taken
-    over grid points where the envelope denominator
-    D(t, x) = (1 + t^rho)^(d/alpha) p(1 + t^rho, x) is at least
-    ``ENVELOPE_MASK`` * p(1 + t^rho, 0), then R_i is fitted as
-    c*eps*(1+t)^(-k) over t >= 1.  Verdict: fitted k > 0 and no snapshot
-    exceeds the fit by more than 10%.
+def envelope_ratios(snapshots, params: SystemParams, grid: SpectralGrid):
+    """Snapshot times and the envelope ratios R_i(t) = max_x u_i(t, x) / D(t, x),
+    one column per component, taken over the grid points where the envelope
+    denominator D(t, x) = (1 + t^rho)^(d/alpha) p(1 + t^rho, x) is at least
+    ``ENVELOPE_MASK`` * p(1 + t^rho, 0).  Kernel-shaped data give R_i(0) = eps.
     """
-    if not classify(params).theorem3_applicable:
-        raise RegimeMismatch("self-similar envelope hypothesis does not hold for these parameters")
     alpha, rho, d = params.alpha[0], params.rho[0], params.dim
     spec = KernelSpec(alpha, d)
     times = np.array([s.time for s in snapshots], dtype=float)
@@ -168,20 +165,34 @@ def selfsimilar_envelope_check(snapshots, params: SystemParams, epsilon: float,
         for i in (0, 1):
             vals = snap.components()[i][mask] / kern[mask]
             ratios[k, i] = float(vals.max()) / prefac
-    out = []
+    return times, ratios
+
+
+def selfsimilar_envelope_check(snapshots, params: SystemParams, exps: ExponentReport,
+                               init: InitialData, grid: SpectralGrid):
+    """Fit the envelope ratios of :func:`envelope_ratios` as c*eps*(1+t)^(-k)
+    over t >= 1.  Needs the Theorem 3 hypothesis and kernel-shaped initial
+    data.  Verdict: fitted k > 0 and no snapshot exceeds the fit by more
+    than 10%.
+    """
+    if not exps.theorem3_applicable:
+        raise RegimeMismatch("self-similar envelope hypothesis does not hold for these parameters")
+    if init.kind != "stable_kernel":
+        raise RegimeMismatch(f"self-similar envelope needs stable_kernel initial data, "
+                             f"got {init.kind}")
+    times, ratios = envelope_ratios(snapshots, params, grid)
     fit = times >= 1.0
     if int(fit.sum()) < 3:
         raise InsufficientData("need at least 3 snapshots with t >= 1 to fit the envelope")
+    out = []
     for i in (0, 1):
         slope, intercept = np.polyfit(np.log1p(times[fit]), np.log(ratios[fit, i]), 1)
         k_fit = -float(slope)
-        c_fit = float(math.exp(intercept) / epsilon)
-        bound = c_fit * epsilon * (1.0 + times) ** (-k_fit)
+        c_fit = float(math.exp(intercept) / init.epsilon)
+        bound = c_fit * init.epsilon * (1.0 + times) ** (-k_fit)
         violation = float(np.max(ratios[:, i] / bound)) - 1.0
-        out.append(EnvelopeReport(component=i + 1, fitted_c=c_fit, fitted_k=k_fit,
-                                  max_ratio_violation=violation,
-                                  verdict=bool(k_fit > 0.0 and violation <= ENVELOPE_EXCESS_SLACK),
-                                  times=times, ratios=ratios[:, i].copy()))
+        out.append(EnvelopeReport(component=i + 1, k=k_fit, c=c_fit, violation=violation,
+                                  verdict=bool(k_fit > 0.0 and violation <= ENVELOPE_EXCESS_SLACK)))
     return tuple(out)
 
 

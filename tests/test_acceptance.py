@@ -19,7 +19,7 @@ from fracsys.exponents import REGIME_NO_GUARANTEE, SystemParams, classify
 from fracsys.kernels import (KernelSpec, SpectralGrid, check_monotone_domination,
                              check_scaling, lp_norm_slope, semigroup_residual)
 from fracsys.solver import InitialData, RunConfig, TimeMesh, make_initial_data, solve
-from fracsys.verify import (comparison_check, decay_report, linf_bound_check,
+from fracsys.verify import (comparison_check, decay_report, envelope_ratios, linf_bound_check,
                             selfsimilar_envelope_check)
 
 
@@ -182,11 +182,11 @@ def test_criterion_05_decay_law_reference_run(ref_run, ref_report, ref_linear_ru
 
     lin = decay_report(ref_linear_run.norms, ref_report)
     target = -(1.0 / 2.0) * (1.0 - 1.0 / 5.0)
-    slope_ok = all(abs(d.fitted_slope - target) <= 0.05 * abs(target) for d in lin)
+    slope_ok = all(abs(d.slope - target) <= 0.05 * abs(target) for d in lin)
 
     _report(5, ok and slope_ok,
             f"scaled norm bounded on [1,50] (sup={decays[0].sup_scaled:.3e}), final/initial "
-            f"within 10%, linear baseline slope {lin[0].fitted_slope:.4f} vs {target:.4f}",
+            f"within 10%, linear baseline slope {lin[0].slope:.4f} vs {target:.4f}",
             time.perf_counter() - start, 300.0)
 
 
@@ -204,12 +204,13 @@ def test_criterion_07_selfsimilar_envelope(ref_run, ref_report):
     start = time.perf_counter()
     assert ref_report.theorem3_applicable     # 1/3 < 1/2
     cfg = ref_run["config"]
-    reps = selfsimilar_envelope_check(ref_run["result"].snapshots, cfg.params,
-                                      REF_EPSILON, cfg.run.grid)
-    init_ok = all(abs(r.ratios[0] - REF_EPSILON) <= 1e-10 for r in reps)
-    ok = init_ok and all(r.verdict and r.fitted_k > 0.0 for r in reps)
-    _report(7, ok, f"envelope: R(0)=eps to 1e-10, fitted k={reps[0].fitted_k:.3f} > 0, "
-            f"max violation {max(r.max_ratio_violation for r in reps):.2%} <= 10%",
+    snapshots = ref_run["result"].snapshots
+    reps = selfsimilar_envelope_check(snapshots, cfg.params, ref_report, cfg.run.init, cfg.run.grid)
+    _, ratios = envelope_ratios(snapshots, cfg.params, cfg.run.grid)
+    init_ok = all(abs(r - REF_EPSILON) <= 1e-10 for r in ratios[0])
+    ok = init_ok and all(r.verdict and r.k > 0.0 for r in reps)
+    _report(7, ok, f"envelope: R(0)=eps to 1e-10, fitted k={reps[0].k:.3f} > 0, "
+            f"max violation {max(r.violation for r in reps):.2%} <= 10%",
             time.perf_counter() - start, 300.0)
 
 

@@ -213,6 +213,11 @@ def test_solve_divergence_exit_code(tmp_path):
     # NoGuarantee regime: the s-norm columns stay blank
     rows = (tmp_path / "d" / "t" / "norms.csv").read_text().splitlines()
     assert rows[1].split(",")[3] == "" and rows[1].split(",")[5] == ""
+    # every check states that the run stopped, and the manifest is written
+    lines = (tmp_path / "d" / "t" / "verification.txt").read_text().splitlines()
+    assert [line for line in lines if "_skipped" in line] == \
+        [f"{name}_skipped = run diverged at t=0.125" for name in ("decay", "linf", "envelope")]
+    assert (tmp_path / "d" / "t" / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("swap", [("epsilon = 0.01", "epsilon = nan"),
@@ -220,6 +225,31 @@ def test_solve_divergence_exit_code(tmp_path):
                                   ("init = stable_kernel", "init = gaussian\nwidth = 0")])
 def test_solve_rejects_bad_initial_data(tmp_path, capsys, swap):
     cfg = _write(tmp_path, BASE.replace(*swap))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
+
+
+def _bad_data(tmp_path, kind):
+    """A config whose initial data cannot be made: a corrupt snapshot file, a
+    snapshot of another grid, or kernel data the box truncates."""
+    if kind == "truncated":
+        return BASE.replace("alpha1 = 2.0", "alpha1 = 1.5").replace("alpha2 = 2.0", "alpha2 = 1.5") \
+            .replace("grid_n = 512", "grid_n = 8").replace("half_length = 30.0", "half_length = 200")
+    path = tmp_path / "phi.bin"
+    if kind == "corrupt":
+        path.write_bytes(b"garbage")
+    else:
+        zeros = np.zeros(256)
+        solver.write_snapshot(path, solver.FieldPair(zeros, zeros, 0.0),
+                              SpectralGrid(1, 256, 30.0), parse_config_text(BASE).params)
+    return BASE.replace("init = stable_kernel", f"init = from_file\ninit_path = {path}")
+
+
+@pytest.mark.parametrize("kind", ["corrupt", "other_grid", "truncated"])
+def test_solve_bad_initial_data_fails_cleanly(tmp_path, capsys, kind):
+    cfg = _write(tmp_path, _bad_data(tmp_path, kind))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -267,7 +297,8 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, setting):
 
 def test_solve_records_skipped_linf_check(tmp_path):
     # alpha = 1/2, beta = 2 is GlobalSmallData: decay is checked, the sup-norm
-    # bound (bounded regime only) is skipped with its reason
+    # bound (bounded regime only) is skipped with its reason, and so is the
+    # envelope, whose Theorem 3 hypothesis holds but which needs kernel data
     text = BASE.replace("alpha1 = 2.0", "alpha1 = 0.5").replace("alpha2 = 2.0", "alpha2 = 0.5")
     text = text.replace("beta1 = 4.0", "beta1 = 2.0").replace("beta2 = 4.0", "beta2 = 2.0")
     text = text.replace("init = stable_kernel", "init = gaussian").replace("delta = 0.3", "delta =")
@@ -279,6 +310,31 @@ def test_solve_records_skipped_linf_check(tmp_path):
     assert "linf_skipped = sup-norm bound requires the bounded regime, got GlobalSmallData" in lines
     assert not any(line.startswith("linf_verdict") for line in lines)
     assert "decay_verdict_u1 = true" in lines
+    assert "theorem3_applicable = true" in lines
+    assert "envelope_skipped = self-similar envelope needs stable_kernel initial data, " \
+        "got gaussian" in lines
+    assert not any(line.startswith("env_") for line in lines)
+
+
+def test_solve_records_skipped_checks_of_a_no_guarantee_run(tmp_path):
+    # alpha = 1/2, beta = (3/2, 2), rho = (2, 1), sigma = (1, 1/2) is
+    # NoGuarantee, yet Delta = 0.45 lies inside its window: norm orders exist
+    # but no check applies
+    text = BASE.replace("alpha1 = 2.0", "alpha1 = 0.5").replace("alpha2 = 2.0", "alpha2 = 0.5")
+    text = text.replace("beta1 = 4.0", "beta1 = 1.5").replace("beta2 = 4.0", "beta2 = 2.0")
+    text = text.replace("rho1 = 1.0", "rho1 = 2.0").replace("sigma1 = 0.0", "sigma1 = 1.0")
+    text = text.replace("sigma2 = 0.0", "sigma2 = 0.5").replace("delta = 0.3", "delta = 0.45")
+    out = tmp_path / "ng"
+    assert main(["solve", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    lines = (out / "t" / "verification.txt").read_text().splitlines()
+    assert "regime = NoGuarantee" in lines and "delta = 0.45000000000000001" in lines
+    assert [line for line in lines if "_skipped" in line] == [
+        "decay_skipped = decay check needs a regime with norm orders attached",
+        "linf_skipped = sup-norm bound requires the bounded regime, got NoGuarantee",
+        "envelope_skipped = self-similar envelope hypothesis does not hold for these parameters"]
+    assert (out / "t" / "manifest.txt").exists()
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1] == "t,NoGuarantee,,,,,,,"     # blank values and verdict
 
 
 def test_solve_seed_id_overrides_run_id(tmp_path):
@@ -342,8 +398,8 @@ run_id = asym
 # FFT and libm of another platform may move the last bits.
 ASYM_2D_GOLDEN = {
     "norms.csv": "2f20c71ddc2b98a0cec2f3c2678a38967c69a783ee9b3c2944b14e4e908903bd",
-    "verification.txt": "b7c2d5c0151cc6350b2aba0c1551a8bd34558eed52db918c98c784212b408ea3",
-    "manifest.txt": "4e6887da56ad1f566353605efea1b6b213635449b371b7d10a5f71176cbd6bc1",
+    "verification.txt": "b6dfc9ffd2e700f1ef52e1c145367c4cd42a853431e7d97210057ed6b55e5f7d",
+    "manifest.txt": "1d7ebf9e63045097de029968f9190aba634f9aa2e030ca2994a6824de4b7be63",
 }
 VERIFY_KERNEL_123_GOLDEN = "daeb531d4a82d0549f67b44a320fae9d695ef65d9855f1fd8d3fda01ab86dd84"
 

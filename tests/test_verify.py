@@ -11,12 +11,13 @@ from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid, lp_norm
 from fracsys.solver import InitialData, NormSeries, RunConfig, TimeMesh, solve
 from fracsys.verify import (ComparisonReport, InsufficientData, RegimeMismatch,
-                            comparison_check, decay_report, linf_bound_check,
+                            comparison_check, decay_report, envelope_ratios, linf_bound_check,
                             selfsimilar_envelope_check)
 
 PARAMS_B4 = SystemParams((2, 2), (4, 4), (1, 1), (0, 0), 1)
 GRID = SpectralGrid(1, 512, 30.0)
 EPS = 1e-2
+KERNEL_DATA = InitialData("stable_kernel", epsilon=EPS)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ def test_decay_constant_series_degenerate(report):
     flat = replace(report, xi=(0.0, 0.0))
     for rep in decay_report(series, flat):
         assert rep.sup_scaled == 1.0
-        assert abs(rep.fitted_slope) < 1e-12
+        assert abs(rep.slope) < 1e-12
         assert rep.verdict
 
 
@@ -76,7 +77,7 @@ def test_decay_linear_run_reproduces_lp_slope(ref_linear_run, report):
     target = -(1.0 / 2.0) * (1.0 - 1.0 / 5.0)
     reps = decay_report(ref_linear_run.norms, report)
     for rep in reps:
-        assert abs(rep.fitted_slope - target) <= 0.05 * abs(target)
+        assert abs(rep.slope - target) <= 0.05 * abs(target)
 
 
 @pytest.mark.parametrize("alpha,n,half_length", [(1.0, 4096, 600.0), (1.5, 2048, 150.0)])
@@ -93,7 +94,7 @@ def test_decay_linear_slope_heavy_tails(alpha, n, half_length):
     assert res.status.completed
     target = -(1.0 / alpha) * (1.0 - 1.0 / rep.s[0])
     for d in decay_report(res.norms, rep):
-        assert abs(d.fitted_slope - target) <= 0.05 * abs(target)
+        assert abs(d.slope - target) <= 0.05 * abs(target)
 
 
 def test_decay_insufficient_data(report):
@@ -157,10 +158,9 @@ def test_linf_bound_alpha_equals_dim_boundary():
 # self-similar envelope
 
 def test_envelope_initial_ratio_is_epsilon(run_small):
-    reps = selfsimilar_envelope_check(run_small.snapshots, PARAMS_B4, EPS, GRID)
-    for rep in reps:
-        assert rep.times[0] == 0.0
-        assert rep.ratios[0] == pytest.approx(EPS, abs=1e-10)
+    times, ratios = envelope_ratios(run_small.snapshots, PARAMS_B4, GRID)
+    assert times[0] == 0.0
+    assert ratios[0] == pytest.approx([EPS, EPS], abs=1e-10)
 
 
 def _shape_ratios(snapshots, mask_threshold):
@@ -177,7 +177,7 @@ def _shape_ratios(snapshots, mask_threshold):
     return times, shapes
 
 
-def test_envelope_linear_run_flat_shape(run_linear):
+def test_envelope_linear_run_flat_shape(run_linear, report):
     # mask above the per-step clamp noise so the semigroup identity is clean
     times, shapes = _shape_ratios(run_linear.snapshots, 1e-6)
     fit = times >= 1.0
@@ -191,28 +191,38 @@ def test_envelope_linear_run_flat_shape(run_linear):
         bound = math.exp(intercept) * (1.0 + times) ** slope
         assert float(np.max(ratios / bound)) - 1.0 <= 1e-8
     # the check at its own mask fits the same decay
-    for rep in selfsimilar_envelope_check(run_linear.snapshots, PARAMS_B4, EPS, GRID):
-        assert rep.fitted_k == pytest.approx(0.5, rel=0.05)
+    for rep in selfsimilar_envelope_check(run_linear.snapshots, PARAMS_B4, report, KERNEL_DATA,
+                                          GRID):
+        assert rep.k == pytest.approx(0.5, rel=0.05)
 
 
-def test_envelope_default_mask_still_passes_verdict(run_linear):
+def test_envelope_default_mask_still_passes_verdict(run_linear, report):
     # at the default mask floor the far-tail clamp noise inflates ratios by well
     # under the 10% slack
-    for rep in selfsimilar_envelope_check(run_linear.snapshots, PARAMS_B4, EPS, GRID):
+    for rep in selfsimilar_envelope_check(run_linear.snapshots, PARAMS_B4, report, KERNEL_DATA,
+                                          GRID):
         assert rep.verdict
-        assert rep.max_ratio_violation <= 0.05
+        assert rep.violation <= 0.05
 
 
-def test_envelope_small_data_verdict(run_small):
-    for rep in selfsimilar_envelope_check(run_small.snapshots, PARAMS_B4, EPS, GRID):
-        assert rep.fitted_k > 0.0
+def test_envelope_small_data_verdict(run_small, report):
+    for rep in selfsimilar_envelope_check(run_small.snapshots, PARAMS_B4, report, KERNEL_DATA,
+                                          GRID):
+        assert rep.k > 0.0
         assert rep.verdict
 
 
 def test_envelope_requires_matching_generators(run_small):
     mixed = SystemParams((2, 1), (4, 4), (1, 1), (0, 0), 1)
-    with pytest.raises(RegimeMismatch):
-        selfsimilar_envelope_check(run_small.snapshots, mixed, EPS, GRID)
+    with pytest.raises(RegimeMismatch, match="hypothesis does not hold"):
+        selfsimilar_envelope_check(run_small.snapshots, mixed, classify(mixed), KERNEL_DATA, GRID)
+
+
+def test_envelope_requires_kernel_shaped_data(run_small, report):
+    assert report.theorem3_applicable
+    with pytest.raises(RegimeMismatch, match="stable_kernel initial data, got gaussian"):
+        selfsimilar_envelope_check(run_small.snapshots, PARAMS_B4, report,
+                                   InitialData("gaussian", epsilon=EPS), GRID)
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,14 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # verify-kernel
 
+# the grid of the semigroup and mass checks, per dimension
+KERNEL_GRIDS = {1: SpectralGrid(1, 512, 30.0), 2: SpectralGrid(2, 128, 20.0),
+                3: SpectralGrid(3, 64, 15.0)}
+
+
 def _kernel_checks(alpha: float, dim: int):
     """Property suite for one (alpha, dim): yields (name, value, bound, ok)."""
-    quad = alpha not in (1.0, 2.0)
-    tol_ident = 1e-6 if quad else 1e-12
+    tol_ident = 1e-12 if alpha in (1.0, 2.0) else 1e-6
     spec = KernelSpec(alpha, dim)
     radii = np.linspace(0.0, 8.0, 33)
 
@@ -168,18 +172,16 @@ def _kernel_checks(alpha: float, dim: int):
     margin = check_monotone_domination(spec, 1.5, 0.6, radii)
     yield "domination_min_margin", margin, -1e-12, margin >= -1e-12
 
-    n = {1: 512, 2: 128, 3: 64}[dim]
-    L = {1: 30.0, 2: 20.0, 3: 15.0}[dim]
-    grid = SpectralGrid(dim, n, L)
+    grid = KERNEL_GRIDS[dim]
     res = semigroup_residual(spec, 1.0, 0.5, grid)
     yield "semigroup_residual", res, 1e-6, res <= 1e-6
 
     fld = eval_density_grid(spec, 1.0, grid)
     mass_err = abs(grid_mass(fld, grid) - 1.0)
-    mass_tol = 2.0 * tail_mass_bound(spec, 1.0, L) + 1e-9
+    mass_tol = 2.0 * tail_mass_bound(spec, 1.0, grid.half_length) + 1e-9
     yield "mass_err", mass_err, mass_tol, mass_err <= mass_tol
 
-    peak_idx = (n // 2,) * dim
+    peak_idx = (grid.n // 2,) * dim
     unimodal = float(fld.max()) <= float(fld[peak_idx]) * (1.0 + 1e-12)
     yield "unimodal", 0.0 if unimodal else 1.0, 0.0, unimodal
     mirrored = np.roll(np.flip(fld), 1, axis=tuple(range(dim)))
@@ -193,19 +195,26 @@ def _kernel_checks(alpha: float, dim: int):
 
 
 def cmd_verify_kernel(args) -> int:
-    alphas = [float(v) for v in args.alpha.split(",") if v] if args.alpha else []
-    dims = [int(v) for v in args.dims.split(",") if v] if args.dims else []
-    failures = 0
-    total = 0
+    # every case is checked before the first one runs
+    try:
+        alphas = [float(v) for v in args.alpha.split(",") if v]
+        dims = [int(v) for v in args.dims.split(",") if v]
+    except ValueError as exc:
+        raise ConfigError("verify-kernel: --alpha and --dims take comma-separated "
+                          f"numbers; {exc}") from None
+    if not all(0.0 < a <= 2.0 for a in alphas):
+        raise ConfigError(f"verify-kernel: every --alpha must lie in (0, 2], got {args.alpha}")
+    if not all(d in KERNEL_GRIDS for d in dims):
+        raise ConfigError(f"verify-kernel: every --dims entry must be 1, 2 or 3, got {args.dims}")
+    failures = total = 0
     for alpha in alphas:
         for dim in dims:
             try:
                 for name, value, bound, ok in _kernel_checks(alpha, dim):
                     total += 1
-                    status = "PASS" if ok else "FAIL"
-                    if not ok:
-                        failures += 1
-                    print(f"[{status}] alpha={alpha:g} d={dim} {name} = {value:.6e} (bound {bound:.6e})")
+                    failures += not ok
+                    print(f"[{'PASS' if ok else 'FAIL'}] alpha={alpha:g} d={dim} {name} = "
+                          f"{value:.6e} (bound {bound:.6e})")
             except ArithmeticError as exc:
                 # the rest of this case is skipped; the other cases still run
                 total += 1

@@ -73,9 +73,7 @@ KEYS = (
     ("init_path", TEXT, "", False),
     ("picard_tol", NUMBER, "1e-10", False),
     ("picard_max_iter", INTEGER, "25", False),
-    ("dealias", TEXT, "two_thirds", False),
     ("snapshot_stride", INTEGER, "10", False),
-    ("coupling_scale", NUMBER, "1.0", False),
     ("delta", OPTIONAL_NUMBER, "", True),
     ("run_id", TEXT, "run", False),
     ("output_dir", TEXT, "out", False),
@@ -91,6 +89,9 @@ _SWEPT = {key: (key,) for key, _, _, sweep in KEYS if sweep}
 # a pair name sweeps both of its components: "beta" sets beta1 and beta2
 _SWEPT.update({key[:-1]: (key, key[:-1] + "2") for key in list(_SWEPT) if key.endswith("1")})
 _INTEGER_KEYS = {key for key, kind, _, _ in KEYS if kind is INTEGER}
+# retired keys and the one value each still accepts, so that the manifest of
+# a run made before their retirement still reproduces it
+RETIRED = {"dealias": "two_thirds", "coupling_scale": 1.0}
 
 
 def _show(value) -> str:
@@ -144,8 +145,7 @@ def build(v: Values, source: str = "") -> ExperimentConfig:
                         mesh=TimeMesh(v.horizon, v.steps, v.grading),
                         init=InitialData(v.init, v.epsilon, v.width, v.init_path or None),
                         picard_tol=v.picard_tol, picard_max_iter=v.picard_max_iter,
-                        dealias=v.dealias, snapshot_stride=v.snapshot_stride,
-                        coupling_scale=v.coupling_scale)
+                        snapshot_stride=v.snapshot_stride)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
     if not _RUN_ID_RE.match(v.run_id):
@@ -166,6 +166,14 @@ def swept(v: Values, name: str, value: float) -> Values:
                          for key in sweep_keys(name)})
 
 
+def _is_retired_value(key: str, text: str) -> bool:
+    accepted = RETIRED[key]
+    try:
+        return type(accepted)(text) == accepted
+    except ValueError:
+        return False
+
+
 def _parse_lines(text: str, source: str) -> dict:
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -177,10 +185,13 @@ def _parse_lines(text: str, source: str) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in Values._fields:
+        if key not in Values._fields and key not in RETIRED:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        if key in RETIRED and not _is_retired_value(key, value):
+            raise ConfigError(f"{source}:{lineno}: key {key!r} is retired and accepts only "
+                              f"{_fmt(RETIRED[key])}, got {value!r}")
         out[key] = (value, lineno)
     return out
 

@@ -277,7 +277,6 @@ class ExponentReport:
     theorem3_applicable: bool
     regime: str
     role_i: Optional[int]          # role assignment whose admissibility holds
-    admissibility: tuple
 
     def flat_items(self) -> list:
         """Key/value pairs for the text and CSV serializations."""
@@ -300,7 +299,7 @@ class ExponentReport:
         return items
 
 
-def _choose_role(checks: tuple) -> Optional[int]:
+def _choose_role(checks: list) -> Optional[int]:
     for role in (1, 2):
         if all(c.satisfied for c in checks if c.role_i == role):
             return role
@@ -346,14 +345,12 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
 
     r = s = xi = dsm = None
     role = None
-    admissibility = ()
     if dlt is not None:
         r = (float(c.r_value(0, dlt)), float(c.r_value(1, dlt)))
         s = (float(c.s_value(0, dlt)), float(c.s_value(1, dlt)))
         xi = (float(c.xi_value(0, dlt)), float(c.xi_value(1, dlt)))
         dsm = (float(c.delta_small_value(0, dlt)), float(c.delta_small_value(1, dlt)))
-        admissibility = tuple(check_admissibility(params, r, s))
-        role = _choose_role(admissibility)
+        role = _choose_role(check_admissibility(params, r, s))
 
     return ExponentReport(
         a_index=params.a_index,
@@ -369,5 +366,4 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
         theorem3_applicable=t3_ok,
         regime=regime,
         role_i=role,
-        admissibility=admissibility,
     )

@@ -21,6 +21,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.special import j0
@@ -93,12 +94,46 @@ class SpectralGrid:
     def shape(self) -> tuple:
         return (self.n,) * self.dim
 
-    def symbol_exponent(self, alpha: float) -> np.ndarray:
-        """|xi|^alpha sampled on the rfftn frequency layout."""
-        return _symbol_exponent(self, float(alpha))
+    def _on_layout(self, full: np.ndarray, half: np.ndarray) -> list:
+        """Per-axis arrays meshed on the rfftn layout: ``full`` on axes
+        0 .. d-2, ``half`` on the last axis."""
+        return np.meshgrid(*([full] * (self.dim - 1) + [half]), indexing="ij")
 
-    def inverse_rfft(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spectrum, s=self.shape(), axes=tuple(range(self.dim)))
+    @lru_cache(maxsize=32)
+    def symbol_exponent(self, alpha: float) -> np.ndarray:
+        """|xi|^alpha on the rfftn layout; cached per grid and alpha, so read-only."""
+        k = [2.0 * np.pi * f(self.n, d=self.spacing) for f in (np.fft.fftfreq, np.fft.rfftfreq)]
+        out = np.asarray(sum(m * m for m in self._on_layout(*k)), dtype=float) ** (alpha / 2.0)
+        out.flags.writeable = False
+        return out
+
+    @lru_cache(maxsize=8)
+    def dealias_mask(self) -> np.ndarray:
+        """Two-thirds rule on the rfftn layout; cached per grid, so read-only."""
+        keep = [np.abs(f(self.n) * self.n) <= self.n // 3 for f in (np.fft.fftfreq, np.fft.rfftfreq)]
+        out = np.logical_and.reduce(self._on_layout(*keep))
+        out.flags.writeable = False
+        return out
+
+    def forward(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """rfftn of ``values``, into ``out`` when given, one axis pass at a
+        time in numpy's own order, so the bits equal ``np.fft.rfftn``."""
+        out = np.fft.rfft(values, axis=-1, out=out)
+        for ax in range(self.dim - 2, -1, -1):
+            np.fft.fft(out, axis=ax, out=out)
+        return out
+
+    def inverse(self, spectrum: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """irfftn of the complex ``spectrum``, into ``out`` when given;
+        ``spectrum`` is overwritten.
+
+        The complex passes run over axes 0 .. d-2 as in ``np.fft.irfftn``;
+        ``ifftn`` takes them in the other order and differs in the last bits
+        for d = 3.
+        """
+        for ax in range(self.dim - 1):
+            np.fft.ifft(spectrum, axis=ax, out=spectrum)
+        return np.fft.irfft(spectrum, n=self.n, axis=-1, out=out)
 
     def radius(self) -> np.ndarray:
         """|x| on the centered grid."""
@@ -107,18 +142,6 @@ class SpectralGrid:
             return np.abs(ax)
         mesh = np.meshgrid(*([ax] * self.dim), indexing="ij")
         return np.sqrt(sum(m * m for m in mesh))
-
-
-@lru_cache(maxsize=32)
-def _symbol_exponent(grid: SpectralGrid, alpha: float) -> np.ndarray:
-    k_full = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-    k_half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
-    axes = [k_full] * (grid.dim - 1) + [k_half]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ksq = sum(m * m for m in mesh)
-    out = np.asarray(ksq, dtype=float) ** (alpha / 2.0)
-    out.flags.writeable = False
-    return out
 
 
 def _sphere_area(d: int) -> float:
@@ -226,8 +249,8 @@ def eval_density_grid(spec: KernelSpec, t: float, grid: SpectralGrid, *,
         raise ValueError(f"t must be positive, got {t}")
     if grid.dim != spec.dim:
         raise ValueError(f"grid dim {grid.dim} != kernel dim {spec.dim}")
-    symbol = np.exp(-t * grid.symbol_exponent(spec.alpha))
-    raw = grid.inverse_rfft(symbol) * (grid.n**grid.dim / (2.0 * grid.half_length) ** grid.dim)
+    symbol = np.exp(-t * grid.symbol_exponent(spec.alpha)).astype(complex)
+    raw = grid.inverse(symbol) * (grid.n**grid.dim / (2.0 * grid.half_length) ** grid.dim)
     raw = np.fft.fftshift(raw)
     peak = raw.max()
     mn = raw.min()
@@ -342,7 +365,7 @@ def semigroup_residual(spec: KernelSpec, t: float, s: float, grid: SpectralGrid)
     u = eval_density_grid(spec, t, grid, clamp=False)
     v = eval_density_grid(spec, s, grid, clamp=False)
     w = eval_density_grid(spec, t + s, grid, clamp=False)
-    conv = grid.inverse_rfft(np.fft.rfftn(u) * np.fft.rfftn(v)) * grid.cell_volume
+    conv = grid.inverse(grid.forward(u) * grid.forward(v)) * grid.cell_volume
     # both inputs are centered, so the circular convolution is centered too
     conv = np.fft.fftshift(conv)
     return float(np.max(np.abs(conv - w)))

@@ -11,7 +11,6 @@ weight s^sigma absorbed into the quadrature weights so s = 0 is never sampled.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import struct
@@ -31,7 +30,6 @@ DIVERGENCE_LIMIT = 1e12
 HALF_LENGTH_SAFETY = 6.0
 
 INIT_KINDS = ("stable_kernel", "gaussian", "from_file")
-DEALIAS_MODES = ("two_thirds", "none")
 
 SNAPSHOT_MAGIC = b"FWCS"
 SNAPSHOT_VERSION = 1
@@ -91,8 +89,8 @@ class InitialData:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         if self.kind == "from_file" and not self.path:
             raise ValueError("from_file initial data needs a path")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not (math.isfinite(self.width) and self.width > 0.0):
             raise ValueError(f"width must be finite and positive, got {self.width}")
 
@@ -105,21 +103,15 @@ class RunConfig:
     init: InitialData
     picard_tol: float = 1e-10
     picard_max_iter: int = 25
-    dealias: str = "two_thirds"
     snapshot_stride: int = 10
-    coupling_scale: float = 1.0    # debug switch: 0 turns the system linear
 
     def __post_init__(self):
         if not self.picard_tol > 0.0:
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be >= 1")
-        if self.dealias not in DEALIAS_MODES:
-            raise ValueError(f"unknown dealias mode {self.dealias!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if not (math.isfinite(self.coupling_scale) and self.coupling_scale >= 0.0):
-            raise ValueError(f"coupling_scale must be finite and nonnegative, got {self.coupling_scale}")
         if self.grid.dim != self.params.dim:
             raise ValueError("grid dimension does not match system dimension")
         if self.grid.dim == 3 and self.grid.n > 128:
@@ -233,21 +225,6 @@ def make_initial_data(init: InitialData, grid: SpectralGrid, params: SystemParam
     return pair
 
 
-@functools.lru_cache(maxsize=8)
-def _dealias_mask(grid: SpectralGrid) -> np.ndarray:
-    """Two-thirds rule on the rfftn layout; cached per grid, so read-only."""
-    keep = grid.n // 3
-    full = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= keep
-    half = np.abs(np.fft.rfftfreq(grid.n) * grid.n) <= keep
-    axes = [full] * (grid.dim - 1) + [half]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    out = mesh[0]
-    for m in mesh[1:]:
-        out = out & m
-    out.flags.writeable = False
-    return out
-
-
 def _power(x: np.ndarray, beta: float, scratch: np.ndarray) -> np.ndarray:
     """x**beta in place: overwrites ``x`` and returns it.
 
@@ -279,7 +256,7 @@ class _Plan:
         self.config = config
         self.grid = config.grid
         self.symb = [config.grid.symbol_exponent(config.params.alpha[i]) for i in (0, 1)]
-        self.mask = _dealias_mask(config.grid) if config.dealias == "two_thirds" else None
+        self.mask = config.grid.dealias_mask()
         # 2-point Gauss rule on the reference cell [-1, 1]
         self.gauss_x = np.array([-1.0, 1.0]) / math.sqrt(3.0)
         self.gauss_w = np.array([1.0, 1.0])
@@ -305,25 +282,6 @@ class _Plan:
         out = np.multiply(self.symb[i], -tau, out=out)
         return np.exp(out, out=out)
 
-    def forward(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """rfftn of ``values`` into ``out``, one axis pass at a time in
-        numpy's own order, so the bits equal ``np.fft.rfftn``."""
-        np.fft.rfft(values, axis=-1, out=out)
-        for ax in range(self.grid.dim - 2, -1, -1):
-            np.fft.fft(out, axis=ax, out=out)
-        return out
-
-    def inverse(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """irfftn of ``spectrum`` into ``out``; ``spectrum`` is overwritten.
-
-        The complex passes run over axes 0 .. d-2 as in ``np.fft.irfftn``;
-        ``ifftn`` takes them in the other order and differs in the last bits
-        for d = 3.
-        """
-        for ax in range(self.grid.dim - 1):
-            np.fft.ifft(spectrum, axis=ax, out=spectrum)
-        return np.fft.irfft(spectrum, n=self.grid.n, axis=-1, out=out)
-
 
 def _clamp(values: np.ndarray):
     mn = float(values.min())
@@ -342,9 +300,9 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     variable tau = s^(1/gamma); the integrand value of the other component
     at interior quadrature times is interpolated linearly in tau between the
     cell endpoints.  Propagation is a linear Fourier multiplier, so the node
-    terms are weighted, dealiased, propagated to t_next and summed in Fourier
-    space, and each component takes one inverse transform per iteration
-    (exponential quadrature).
+    terms are weighted, masked by the two-thirds rule, propagated to t_next
+    and summed in Fourier space, and each component takes one inverse
+    transform per iteration (exponential quadrature).
 
     Every pass writes into the plan's workspace (see :class:`_Plan`): the
     transforms fill given arrays axis by axis, interpolation and powers run
@@ -379,20 +337,19 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     cur = pair.components()
     shared = plan.symmetric and pair.u1 is pair.u2
     comps = (0,) if shared else (0, 1)
-    base, coef, hat, total = plan.base, plan.coef, plan.hat, plan.total
+    grid, base, coef, hat, total = plan.grid, plan.base, plan.coef, plan.hat, plan.total
     work, scratch = plan.work, plan.scratch
-    # coef[i][q] = weight x dealias mask x propagator from s_q to t_next
+    # coef[i][q] = propagator from s_q to t_next x weight x two-thirds mask
     for i in comps:
         rho_i = params.rho[i]
-        plan.forward(cur[i], hat)
+        grid.forward(cur[i], hat)
         hat *= plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=plan.full)
-        plan.inverse(hat, base[i])
+        grid.inverse(hat, base[i])
         weights = jac_q * s_q ** params.sigma[i]
         for q, s in enumerate(s_q):
             mult = plan.multiplier(i, t_next**rho_i - s**rho_i, out=coef[i][q])
-            mult *= cfg.coupling_scale * weights[q]
-            if plan.mask is not None:
-                mult *= plan.mask
+            mult *= weights[q]
+            mult *= plan.mask
 
     v = [np.copy(base[i]) for i in comps]
     new = [np.empty_like(u) for u in v]
@@ -411,20 +368,17 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
         iterations += 1
         for i in comps:
             j = 1 - i
-            if cfg.coupling_scale != 0.0:
-                for q in range(s_q.size):
-                    np.multiply(cur[j], 1.0 - theta_q[q], out=work)
-                    work += np.multiply(v[j], theta_q[q], out=scratch)
-                    np.maximum(work, 0.0, out=work)
-                    spectrum = plan.forward(_power(work, params.beta[i], scratch),
-                                            total if q == 0 else hat)
-                    spectrum *= coef[i][q]
-                    if q > 0:
-                        total += spectrum
-                plan.inverse(total, new[i])
-                new[i] += base[i]
-            else:
-                np.copyto(new[i], base[i])
+            for q in range(s_q.size):
+                np.multiply(cur[j], 1.0 - theta_q[q], out=work)
+                work += np.multiply(v[j], theta_q[q], out=scratch)
+                np.maximum(work, 0.0, out=work)
+                spectrum = grid.forward(_power(work, params.beta[i], scratch),
+                                        total if q == 0 else hat)
+                spectrum *= coef[i][q]
+                if q > 0:
+                    total += spectrum
+            grid.inverse(total, new[i])
+            new[i] += base[i]
             clamped += clamp_weight * _clamp(new[i])[1]
 
         peaks = [float(new[i].max(initial=0.0)) for i in comps]

@@ -95,7 +95,9 @@ def decay_report(series: NormSeries, exps: ExponentReport):
     initial transient); the verdict requires a finite supremum and a final
     scaled value at most (1 + 10%) of its value at the first node >= 1.
     """
-    if exps.regime == REGIME_NO_GUARANTEE or exps.s is None:
+    if exps.regime == REGIME_NO_GUARANTEE:
+        raise RegimeMismatch(f"decay law needs a global-existence regime, got {exps.regime}")
+    if exps.s is None:
         raise RegimeMismatch("decay check needs a regime with norm orders attached")
     win = series.t >= 1.0
     if int(win.sum()) < 10:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (REF_EPSILON, eta_theta_residuals, propagate_reference,
+from conftest import (REF_EPSILON, SMALL, eta_theta_residuals, propagate_reference,
                       reference_config, reference_params)
 from fracsys.exponents import REGIME_NO_GUARANTEE, SystemParams, classify
 from fracsys.kernels import (KernelSpec, SpectralGrid, check_monotone_domination,
@@ -156,8 +156,8 @@ def test_criterion_04_solver_linear_exactness():
     for alpha, rho in ((2.0, 1.0), (1.0, 1.0), (1.5, 0.5)):
         params = SystemParams((alpha, alpha), (2, 2), (rho, rho), (0, 0), 1)
         grid = SpectralGrid(1, 1024, 40.0)
-        cfg = RunConfig(params, grid, TimeMesh(4.0, 40), InitialData("gaussian", 1.0, 1.0),
-                        snapshot_stride=1, coupling_scale=0.0)
+        cfg = RunConfig(params, grid, TimeMesh(4.0, 40), InitialData("gaussian", SMALL, 1.0),
+                        snapshot_stride=1)
         res = solve(cfg)
         assert res.status.completed
         phi = make_initial_data(cfg.init, grid, params)

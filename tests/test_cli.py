@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import read_norms_csv
+from conftest import SMALL, read_norms_csv
 from fracsys import cli, solver
 from fracsys.cli import main
 from fracsys.config import ConfigError, parse_config, parse_config_text
@@ -51,7 +51,6 @@ def test_parse_defaults_and_comments():
     assert cfg.params.beta == (4.0, 4.0)
     assert cfg.run.picard_tol == 1e-9
     assert cfg.run.picard_max_iter == 25       # default
-    assert cfg.run.dealias == "two_thirds"
     assert cfg.delta == 0.3
 
 
@@ -95,9 +94,7 @@ width = 1.5
 init_path = data/phi.bin
 picard_tol = 1e-9
 picard_max_iter = 30
-dealias = none
 snapshot_stride = 4
-coupling_scale = 0.5
 run_id = golden
 output_dir = elsewhere
 sweep_param = beta
@@ -108,8 +105,8 @@ ALL_KEYS_RESOLVED = (
     "alpha1 = 2\nalpha2 = 2\nbeta1 = 4\nbeta2 = 4\nrho1 = 1\nrho2 = 1\nsigma1 = 0\n"
     "sigma2 = 0\ndim = 1\ngrid_n = 512\nhalf_length = 30\nhorizon = 4\nsteps = 40\n"
     "grading = 2\ninit = gaussian\nepsilon = 0.02\nwidth = 1.5\ninit_path = data/phi.bin\n"
-    "picard_tol = 1.0000000000000001e-09\npicard_max_iter = 30\ndealias = none\n"
-    "snapshot_stride = 4\ncoupling_scale = 0.5\ndelta = 0.29999999999999999\n"
+    "picard_tol = 1.0000000000000001e-09\npicard_max_iter = 30\n"
+    "snapshot_stride = 4\ndelta = 0.29999999999999999\n"
     "run_id = golden\noutput_dir = elsewhere\nsweep_param = beta\nsweep_values = 3,4.5\n")
 
 
@@ -117,9 +114,83 @@ def test_resolved_text_and_hash_are_frozen():
     # config_hash() keys resumable sweeps, so these bytes must not drift
     cfg = parse_config_text(ALL_KEYS)
     assert cfg.resolved_text() == ALL_KEYS_RESOLVED
-    assert cfg.config_hash() == "082539e5cdfe7839711e7276e3701d7ac278b553aa87d1c83ff262d9e381dfd6"
+    assert cfg.config_hash() == "0cbd1ed71bffc12f2bf35c0caef4d2347dd0a7411e7812cf05c202e4d1b8656f"
     assert parse_config_text(BASE).config_hash() == \
-        "01631a2f138966c63bdfba8a8325c40313c5ebc3c1da6d686346a79c096a8c03"
+        "e0b0aeb02c43612fd3903150831e478f793c5e9a61bbc3b7efae32e3ea3641aa"
+
+
+# the manifest of the BASE run as written before `dealias` and
+# `coupling_scale` were retired, with the sha256 of every artifact (taken
+# with numpy 2.4.6 on x86-64 Linux, as ASYM_2D_GOLDEN below)
+RETIRED_KEYS_MANIFEST = """# fracsys run manifest (feed back to --config to reproduce)
+# config_sha256 = e0b0aeb02c43612fd3903150831e478f793c5e9a61bbc3b7efae32e3ea3641aa
+alpha1 = 2
+alpha2 = 2
+beta1 = 4
+beta2 = 4
+rho1 = 1
+rho2 = 1
+sigma1 = 0
+sigma2 = 0
+dim = 1
+grid_n = 512
+half_length = 30
+horizon = 4
+steps = 40
+grading = 1
+init = stable_kernel
+epsilon = 0.01
+width = 1
+init_path =
+picard_tol = 1e-10
+picard_max_iter = 25
+dealias = two_thirds
+snapshot_stride = 8
+coupling_scale = 1
+delta = 0.29999999999999999
+run_id = t
+output_dir = out
+sweep_param =
+sweep_values =
+# sha256 norms.csv = 108a00d7fa18127efce42b96008a4ec174632e6e5d9dc3f90ee4eb40beb16220
+# sha256 snap_000000.bin = b97b8678084b7d5db14f1bf20edb4f6458356dee211fa8a0e1ec5fb6dd6bba02
+# sha256 snap_000001.bin = f1508714960abe7c414e3e537592580f4e0f40fb190f786ca293c0dd25331ce6
+# sha256 snap_000002.bin = 7bc07353072dad78d040cb5e0d76e6be4717796907edf99394119b114128152e
+# sha256 snap_000003.bin = 6e003b440ab0caaea034215557570572796cd5869ab92aad2f486cd674d6839f
+# sha256 snap_000004.bin = 565927dd1a3f22951e595c07337145f8866d3b200749d6f3f0a581616a15a4a3
+# sha256 snap_000005.bin = ba9c11ec56eab5ecdf847c61f4d0e8fd12cbc2bfb26add5ba5f8f3334af48e86
+# sha256 verification.txt = c4a1775a03c665f3d77e9888d9a849130206475244a24d87ff1af328db70be11
+"""
+
+
+def test_manifest_with_retired_keys_reproduces_its_run(tmp_path):
+    out = tmp_path / "old"
+    assert main(["solve", "--config", _write(tmp_path, RETIRED_KEYS_MANIFEST),
+                 "--out", str(out)]) == 0
+    recorded = dict(line.removeprefix("# sha256 ").split(" = ")
+                    for line in RETIRED_KEYS_MANIFEST.splitlines() if line.startswith("# sha256 "))
+    assert len(recorded) == 8
+    for name, digest in recorded.items():
+        assert hashlib.sha256((out / "t" / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("lines", ["dealias = two_thirds\ncoupling_scale = 1\n",
+                                   "coupling_scale = 1.0\n", "coupling_scale = 10e-1\n"])
+def test_retired_keys_at_their_value_are_dropped(lines):
+    assert parse_config_text(BASE + lines).resolved_text() == parse_config_text(BASE).resolved_text()
+
+
+@pytest.mark.parametrize("line, accepted", [("coupling_scale = 0", "1"),
+                                            ("dealias = none", "two_thirds")])
+def test_retired_key_at_another_value_fails_cleanly(tmp_path, capsys, line, accepted):
+    cfg = _write(tmp_path, BASE + line + "\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    captured = capsys.readouterr()
+    key, _, value = line.partition(" = ")
+    assert captured.err == (f"error: {cfg}:{BASE.count(chr(10)) + 1}: key {key!r} is retired "
+                            f"and accepts only {accepted}, got {value!r}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("text", [BASE, ALL_KEYS])
@@ -185,7 +256,8 @@ def test_solve_artifacts_and_exit(tmp_path):
 
 
 def test_solve_linear_norms_match_closed_form(tmp_path):
-    text = BASE + "coupling_scale = 0\n"
+    # data scaled by SMALL run the linear flow; the norms are scaled back
+    text = BASE.replace("epsilon = 0.01", f"epsilon = {0.01 * SMALL!r}")
     cfg = _write(tmp_path, text)
     out = tmp_path / "lin"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
@@ -197,8 +269,8 @@ def test_solve_linear_norms_match_closed_form(tmp_path):
         kern = eval_density_grid(spec, 1.0 + t, grid)
         ref_linf = 0.01 * kern.max()
         ref_ls = 0.01 * ((kern**5.0).sum() * grid.spacing) ** 0.2
-        assert series.linf[k, 0] == pytest.approx(ref_linf, rel=1e-10)
-        assert series.ls[k, 0] == pytest.approx(ref_ls, rel=1e-10)
+        assert series.linf[k, 0] / SMALL == pytest.approx(ref_linf, rel=1e-10)
+        assert series.ls[k, 0] / SMALL == pytest.approx(ref_ls, rel=1e-10)
 
 
 def test_solve_divergence_exit_code(tmp_path):
@@ -222,7 +294,8 @@ def test_solve_divergence_exit_code(tmp_path):
 
 @pytest.mark.parametrize("swap", [("epsilon = 0.01", "epsilon = nan"),
                                   ("epsilon = 0.01", "epsilon = -1"),
-                                  ("init = stable_kernel", "init = gaussian\nwidth = 0")])
+                                  ("init = stable_kernel", "init = gaussian\nwidth = 0"),
+                                  ("epsilon = 0.01", "epsilon = 0")])
 def test_solve_rejects_bad_initial_data(tmp_path, capsys, swap):
     cfg = _write(tmp_path, BASE.replace(*swap))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
@@ -268,6 +341,7 @@ def _set(text, line):
 BAD_NUMBERS = {"delta=abc": ("delta = abc", []), "delta=nan": ("delta = nan", []),
                "--delta nan": ("", ["--delta", "nan"]), "grading=nan": ("grading = nan", []),
                "horizon=inf": ("horizon = inf", []),
+               # a retired key accepts its one value only
                "coupling_scale=nan": ("coupling_scale = nan", []),
                "coupling_scale=-1": ("coupling_scale = -1", []),
                "half_length=inf": ("half_length = inf", [])}
@@ -329,7 +403,7 @@ def test_solve_records_skipped_checks_of_a_no_guarantee_run(tmp_path):
     lines = (out / "t" / "verification.txt").read_text().splitlines()
     assert "regime = NoGuarantee" in lines and "delta = 0.45000000000000001" in lines
     assert [line for line in lines if "_skipped" in line] == [
-        "decay_skipped = decay check needs a regime with norm orders attached",
+        "decay_skipped = decay law needs a global-existence regime, got NoGuarantee",
         "linf_skipped = sup-norm bound requires the bounded regime, got NoGuarantee",
         "envelope_skipped = self-similar envelope hypothesis does not hold for these parameters"]
     assert (out / "t" / "manifest.txt").exists()
@@ -399,9 +473,10 @@ run_id = asym
 ASYM_2D_GOLDEN = {
     "norms.csv": "2f20c71ddc2b98a0cec2f3c2678a38967c69a783ee9b3c2944b14e4e908903bd",
     "verification.txt": "b6dfc9ffd2e700f1ef52e1c145367c4cd42a853431e7d97210057ed6b55e5f7d",
-    "manifest.txt": "1d7ebf9e63045097de029968f9190aba634f9aa2e030ca2994a6824de4b7be63",
+    "manifest.txt": "d5f6865bf2ecbee186d20d74dd56ed6150233f51d4506383c9dce1793d39d215",
 }
 VERIFY_KERNEL_123_GOLDEN = "daeb531d4a82d0549f67b44a320fae9d695ef65d9855f1fd8d3fda01ab86dd84"
+VERIFY_KERNEL_DEFAULT_GOLDEN = "378cc97e20d210dc4944153287c8466c3f525394d0461509b1a36c73d653de09"
 
 
 def test_asymmetric_2d_artifact_bytes_are_frozen(tmp_path):
@@ -416,6 +491,9 @@ def test_verify_kernel_output_bytes_are_frozen(capsys):
     assert main(["verify-kernel", "--dims", "1,2,3"]) == 1     # alpha = 1, d = 3 fails
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_KERNEL_123_GOLDEN, out
+    assert main(["verify-kernel"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_KERNEL_DEFAULT_GOLDEN, out
 
 
 def test_symmetric_solve_writes_the_general_path_artifacts(tmp_path, monkeypatch):
@@ -453,6 +531,15 @@ def test_verify_kernel_reports_failed_case_and_continues(capsys):
     assert "[FAIL] alpha=1 d=3 TruncationError: " in out
     assert out.count("[PASS] alpha=2 d=3 ") == 7
     assert out.endswith("# 9/10 checks passed\n")
+
+
+@pytest.mark.parametrize("alpha, dims", [("2", "4"), ("1.5", "4"), ("3", "1"), ("x", "1"),
+                                         ("2", "0"), ("nan", "1"), ("2", "1.5")])
+def test_verify_kernel_rejects_bad_arguments_before_any_check(capsys, alpha, dims):
+    assert main(["verify-kernel", "--alpha", alpha, "--dims", dims]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: verify-kernel: ") and captured.err.count("\n") == 1
 
 
 def test_verify_kernel_empty_vacuous(capsys):

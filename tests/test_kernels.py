@@ -172,6 +172,19 @@ def test_grid_symmetry_and_unimodality():
     assert field.max() == field[32, 32]
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+def test_dealias_mask_keeps_the_lower_two_thirds(dim, n):
+    # |k| <= n // 3 on every axis of the rfftn layout: 2 keep + 1 modes on a
+    # full axis, keep + 1 on the half axis
+    keep = n // 3
+    mask = SpectralGrid(dim, n, 10.0).dealias_mask()
+    assert mask.dtype == bool and not mask.flags.writeable
+    assert mask.shape == (n,) * (dim - 1) + (n // 2 + 1,)
+    assert mask.sum() == (2 * keep + 1) ** (dim - 1) * (keep + 1)
+    assert mask[(keep,) * dim] and mask[(-keep,) * (dim - 1) + (keep,)]
+    assert not mask[(0,) * (dim - 1) + (keep + 1,)] and not mask[(keep + 1,) + (0,) * (dim - 1)]
+
+
 # ---------------------------------------------------------------------------
 # scaling and domination
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import propagate_reference, read_norms_csv
+from conftest import SMALL, propagate_reference, read_norms_csv
 from fracsys import solver as solver_module
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, density_profile, eval_density_grid
@@ -56,13 +56,13 @@ def test_recommended_half_length():
 
 
 # ---------------------------------------------------------------------------
-# linear propagation: steps with the coupling switched off
+# linear propagation: steps from data scaled by SMALL, scaled back
 
 def _decoupled_step(values, t_from, t_to, params=PARAMS_B4):
-    cfg = _config(params=params, coupling_scale=0.0)
-    out, diag = step(FieldPair(values, values.copy(), t_from), t_to, _Plan(cfg))
+    small = values * SMALL
+    out, diag = step(FieldPair(small, small.copy(), t_from), t_to, _Plan(_config(params=params)))
     assert diag.iterations == 1
-    return out.u1
+    return out.u1 / SMALL
 
 
 def test_propagate_identity_when_times_equal():
@@ -71,7 +71,7 @@ def test_propagate_identity_when_times_equal():
     u = eval_density_grid(KernelSpec(2.0, 1), 1.0, GRID)
     plan = _Plan(_config())
     assert np.all(plan.multiplier(0, 0.0) == 1.0)
-    out = plan.inverse(plan.forward(u, plan.hat), plan.work)
+    out = GRID.inverse(GRID.forward(u, plan.hat), plan.work)
     assert np.max(np.abs(out - u)) < 1e-14
 
 
@@ -97,7 +97,7 @@ def test_propagate_preserves_mass_and_rejects_backwards():
     out = _decoupled_step(u, 0.0, 5.0)
     assert out.sum() * GRID.spacing == pytest.approx(u.sum() * GRID.spacing, rel=1e-14)
     with pytest.raises(ValueError):
-        step(FieldPair(u, u.copy(), 1.0), 0.5, _Plan(_config(coupling_scale=0.0)))
+        step(FieldPair(u, u.copy(), 1.0), 0.5, _Plan(_config()))
 
 
 def test_time_change_consistency():
@@ -225,7 +225,7 @@ def test_initial_data_kind_validation():
 
 @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"epsilon": math.inf},
                                 {"epsilon": -1.0}, {"width": 0.0}, {"width": -1.0},
-                                {"width": math.nan}])
+                                {"width": math.nan}, {"epsilon": 0.0}])
 def test_initial_data_rejects_bad_amplitude_and_width(kw):
     with pytest.raises(ValueError):
         InitialData("gaussian", **kw)
@@ -248,12 +248,15 @@ def _step_reference(pair, t_next, plan):
     theta_q = (tau_q - tau_a) / (tau_b - tau_a)
     jac_q = plan.gauss_w * half * gamma * tau_q ** (gamma - 1.0)
 
+    def inverse(spectrum):
+        return np.fft.irfftn(spectrum, s=grid.shape(), axes=tuple(range(grid.dim)))
+
     hat_cur = [np.fft.rfftn(pair.u1), np.fft.rfftn(pair.u2)]
     base, weights, node_mult = [], [], []
     for i in (0, 1):
         rho_i = params.rho[i]
         g_full = plan.multiplier(i, t_next**rho_i - t_cur**rho_i)
-        base.append(grid.inverse_rfft(g_full * hat_cur[i]))
+        base.append(inverse(g_full * hat_cur[i]))
         weights.append(jac_q * s_q ** params.sigma[i])
         node_mult.append([plan.multiplier(i, t_next**rho_i - s**rho_i) for s in s_q])
 
@@ -265,15 +268,11 @@ def _step_reference(pair, t_next, plan):
         for i in (0, 1):
             j = 1 - i
             acc = base[i].copy()
-            if cfg.coupling_scale != 0.0:
-                for q in range(s_q.size):
-                    interp = (1.0 - theta_q[q]) * cur[j] + theta_q[q] * v[j]
-                    np.maximum(interp, 0.0, out=interp)
-                    hat = np.fft.rfftn(interp ** params.beta[i])
-                    if plan.mask is not None:
-                        hat *= plan.mask
-                    acc += (cfg.coupling_scale * weights[i][q]) \
-                        * grid.inverse_rfft(node_mult[i][q] * hat)
+            for q in range(s_q.size):
+                interp = (1.0 - theta_q[q]) * cur[j] + theta_q[q] * v[j]
+                np.maximum(interp, 0.0, out=interp)
+                hat = np.fft.rfftn(interp ** params.beta[i]) * plan.mask
+                acc += weights[i][q] * inverse(node_mult[i][q] * hat)
             new.append(np.maximum(acc, 0.0))
         diff = 0.0
         for i in (0, 1):
@@ -292,21 +291,17 @@ def _step_reference(pair, t_next, plan):
 GRID_2D = SpectralGrid(2, 32, 10.0)
 
 
-@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
 @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 3.5])
-@pytest.mark.parametrize("coupling", [0.0, 1.0])
-def test_step_matches_per_node_reference_2d(dealias, beta, coupling):
+def test_step_matches_per_node_reference_2d(beta):
     params = SystemParams((1.5, 1.5), (beta, beta), (1.0, 0.7), (0.0, 0.5), 2)
     cfg = _config(params=params, grid=GRID_2D, horizon=0.4, steps=2,
-                  init=InitialData("gaussian", epsilon=5.0, width=1.0),
-                  dealias=dealias, coupling_scale=coupling)
+                  init=InitialData("gaussian", epsilon=5.0, width=1.0))
     plan = _Plan(cfg)
     pair = ref = make_initial_data(cfg.init, cfg.grid, cfg.params)
     for t_next in cfg.mesh.nodes()[1:]:
         pair, diag = step(pair, float(t_next), plan)
         ref, ref_diag = _step_reference(ref, float(t_next), plan)
-        assert diag.iterations == ref_diag.iterations
-        assert (diag.iterations > 2) == (coupling != 0.0)
+        assert diag.iterations == ref_diag.iterations > 2
         for got, want in zip(pair.components(), ref.components()):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -324,17 +319,19 @@ def test_power_matches_pow(beta):
 # ---------------------------------------------------------------------------
 # the plan's workspace
 
-@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
-def test_plan_transforms_bitwise_equal_numpy(dim, n, dealias):
+def test_plan_transforms_bitwise_equal_numpy(dim, n):
     params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), dim)
-    plan = _Plan(_config(params=params, grid=SpectralGrid(dim, n, 10.0), dealias=dealias))
+    grid = SpectralGrid(dim, n, 10.0)
+    plan = _Plan(_config(params=params, grid=grid))
     values = np.random.default_rng(dim).standard_normal((n,) * dim)
-    spectrum = plan.forward(values, plan.hat)
+    spectrum = grid.forward(values, plan.hat)
     assert spectrum is plan.hat
     assert np.array_equal(spectrum, np.fft.rfftn(values))
+    assert np.array_equal(grid.forward(values), spectrum)
     want = np.fft.irfftn(spectrum, s=(n,) * dim, axes=tuple(range(dim)))
-    assert plan.inverse(spectrum, plan.work) is plan.work
+    assert np.array_equal(grid.inverse(spectrum.copy()), want)
+    assert grid.inverse(spectrum, plan.work) is plan.work
     assert np.array_equal(plan.work, want)
     fresh = plan.multiplier(1, 0.3)
     assert plan.multiplier(1, 0.3, out=plan.full) is plan.full
@@ -384,9 +381,8 @@ def test_interleaved_plans_match_separate_runs():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("coupling", [0.0, 1.0])
-def test_step_non_finite_pair_diverges(bad, coupling):
-    cfg = _config(coupling_scale=coupling)
+def test_step_non_finite_pair_diverges(bad):
+    cfg = _config()
     pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
     pair.u2[100] = bad
     with np.errstate(invalid="ignore"), pytest.raises(Divergence):
@@ -401,14 +397,13 @@ SYMMETRIC_CASES = {
     "2d_fractional": dict(params=SystemParams((1.5, 1.5), (3.0, 3.0), (0.7, 0.7), (0.5, 0.5), 2),
                           grid=GRID_2D, horizon=0.6,
                           init=InitialData("gaussian", epsilon=5.0, width=1.0)),
-    "decoupled": dict(coupling_scale=0.0),
+    "decoupled": dict(init=InitialData("gaussian", epsilon=0.5 * SMALL, width=1.0)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SYMMETRIC_CASES))
 def test_aliased_step_is_bitwise_the_unaliased_step(case):
     cfg = _config(steps=6, **SYMMETRIC_CASES[case])
-    assert cfg.dealias == "two_thirds"
     plan = _Plan(cfg)
     assert plan.symmetric
     u = make_initial_data(cfg.init, cfg.grid, cfg.params).u1
@@ -425,9 +420,8 @@ def test_aliased_step_is_bitwise_the_unaliased_step(case):
     assert clamped > 0 or case == "2d_fractional"
 
 
-@pytest.mark.parametrize("coupling", [0.0, 1.0])
-def test_aliased_step_nan_diverges(coupling):
-    cfg = _config(coupling_scale=coupling)
+def test_aliased_step_nan_diverges():
+    cfg = _config()
     u = make_initial_data(cfg.init, cfg.grid, cfg.params).u1
     u[100] = math.nan
     with np.errstate(invalid="ignore"), pytest.raises(Divergence):
@@ -491,12 +485,12 @@ def test_symmetric_solve_snapshots_are_read_only_and_copies_independent():
 
 
 def test_step_decoupled_equals_propagator():
-    cfg = _config(coupling_scale=0.0)
+    cfg = _config(init=InitialData("gaussian", epsilon=0.5 * SMALL, width=1.0))
     plan = _Plan(cfg)
     pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
     out, diag = step(pair, 0.4, plan)
-    ref = propagate_reference(pair.u1, cfg.grid, 2.0, 1.0, 0.0, 0.4)
-    assert np.max(np.abs(out.u1 - np.maximum(ref, 0.0))) < 1e-15
+    ref = propagate_reference(pair.u1 / SMALL, cfg.grid, 2.0, 1.0, 0.0, 0.4)
+    assert np.max(np.abs(out.u1 / SMALL - np.maximum(ref, 0.0))) < 1e-15
     assert diag.iterations == 1
 
 
@@ -534,7 +528,8 @@ def test_step_rejection_and_divergence():
 # full trajectories
 
 def test_solve_linear_matches_multiplier_at_every_node():
-    cfg = _config(coupling_scale=0.0, horizon=3.0, steps=24, snapshot_stride=1)
+    cfg = _config(init=InitialData("gaussian", epsilon=0.5 * SMALL, width=1.0), horizon=3.0,
+                  steps=24, snapshot_stride=1)
     res = solve(cfg)
     assert res.status.completed
     phi = make_initial_data(cfg.init, cfg.grid, cfg.params)
@@ -546,8 +541,8 @@ def test_solve_linear_matches_multiplier_at_every_node():
 
 def test_solve_linear_matches_multiplier_2d_fractional():
     params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 2)
-    cfg = _config(params=params, grid=GRID_2D, coupling_scale=0.0, horizon=1.0, steps=8,
-                  snapshot_stride=1, init=InitialData("gaussian", epsilon=1.0, width=1.0))
+    cfg = _config(params=params, grid=GRID_2D, horizon=1.0, steps=8, snapshot_stride=1,
+                  init=InitialData("gaussian", epsilon=SMALL, width=1.0))
     res = solve(cfg)
     assert res.status.completed and len(res.snapshots) == 9
     phi = make_initial_data(cfg.init, cfg.grid, cfg.params)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import SMALL, unscaled
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid, lp_norm
 from fracsys.solver import InitialData, NormSeries, RunConfig, TimeMesh, solve
@@ -25,10 +26,9 @@ def report():
     return classify(PARAMS_B4, delta=0.3)
 
 
-def _run(epsilon=EPS, coupling=1.0, horizon=6.0, steps=60, stride=5):
+def _run(epsilon=EPS, horizon=6.0, steps=60, stride=5):
     cfg = RunConfig(PARAMS_B4, GRID, TimeMesh(horizon, steps),
-                    InitialData("stable_kernel", epsilon=epsilon),
-                    snapshot_stride=stride, coupling_scale=coupling)
+                    InitialData("stable_kernel", epsilon=epsilon), snapshot_stride=stride)
     res = solve(cfg, classify(PARAMS_B4, delta=0.3))
     assert res.status.completed
     return res
@@ -46,7 +46,8 @@ def run_half():
 
 @pytest.fixture(scope="module")
 def run_linear():
-    return _run(coupling=0.0)
+    """The linear flow of run_small's data."""
+    return unscaled(_run(epsilon=EPS * SMALL))
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +85,13 @@ def test_decay_linear_run_reproduces_lp_slope(ref_linear_run, report):
 def test_decay_linear_slope_heavy_tails(alpha, n, half_length):
     # same norm-decay law for the heavy-tailed kernels; the s-norm amplifies
     # the periodic wrap-around floor by a factor ~s, so the box must grow as
-    # the tails get heavier (for alpha=1 the floor is ~t^2/(2 L^2) of peak)
+    # the tails get heavier (for alpha=1 the floor is ~t^2/(2 L^2) of peak).
+    # Data of size 1e-2 * 2**-40 leave the beta = 4 coupling (1e-14)^3 of the
+    # linear flow; at SMALL the s-norm (s = 10 at alpha = 1) would underflow.
     params = SystemParams((alpha, alpha), (4, 4), (1, 1), (0, 0), 1)
     rep = classify(params, delta=0.3)
     cfg = RunConfig(params, SpectralGrid(1, n, half_length), TimeMesh(40.0, 200),
-                    InitialData("stable_kernel", epsilon=1e-2),
-                    snapshot_stride=10**9, coupling_scale=0.0)
+                    InitialData("stable_kernel", epsilon=1e-2 * 2.0**-40), snapshot_stride=10**9)
     res = solve(cfg, rep)
     assert res.status.completed
     target = -(1.0 / alpha) * (1.0 - 1.0 / rep.s[0])
@@ -112,8 +114,11 @@ def test_decay_requires_norm_orders():
     ones = np.ones((t.size, 2))
     series = NormSeries(t=t, linf=ones, ls=ones, scaled=ones, mass=ones,
                         picard_iters=np.zeros(t.size, dtype=int))
-    with pytest.raises(RegimeMismatch):
+    with pytest.raises(RegimeMismatch, match="global-existence regime, got NoGuarantee"):
         decay_report(series, no_guarantee)
+    self_similar = classify(SystemParams((1, 1), (3, 3), (1, 1), (3, 3), 3))
+    with pytest.raises(RegimeMismatch, match="norm orders attached"):
+        decay_report(series, self_similar)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,7 @@ def test_comparison_ordered_in_data(run_small, run_half):
 
 
 def test_comparison_nonlinear_dominates_linear(run_small, run_linear):
-    # dropping the coupling only removes a nonnegative contribution
+    # the coupling only adds a nonnegative contribution to the linear flow
     rep = comparison_check(run_small.snapshots, run_linear.snapshots)
     assert rep.ordered
 

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import SMALL, propagate_reference, read_norms_csv
 from fracsys import solver as solver_module
+from fracsys.config import RETIRED
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, density_profile, eval_density_grid
 from fracsys.solver import (Divergence, FieldPair, InitialData, NormSeries, RunConfig,
@@ -289,19 +290,31 @@ def _step_reference(pair, t_next, plan):
 
 
 GRID_2D = SpectralGrid(2, 32, 10.0)
+# the one dealias rule: the two-thirds mask
+DEALIAS = [RETIRED["dealias"]]
 
 
+def _amplitude(epsilon, coupling):
+    """Data amplitude for a run with the coupling on (1.0) or, through data
+    scaled by SMALL, below roundoff (0.0)."""
+    return epsilon if coupling else epsilon * SMALL
+
+
+@pytest.mark.parametrize("dealias", DEALIAS)
 @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 3.5])
-def test_step_matches_per_node_reference_2d(beta):
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_step_matches_per_node_reference_2d(dealias, beta, coupling):
     params = SystemParams((1.5, 1.5), (beta, beta), (1.0, 0.7), (0.0, 0.5), 2)
     cfg = _config(params=params, grid=GRID_2D, horizon=0.4, steps=2,
-                  init=InitialData("gaussian", epsilon=5.0, width=1.0))
+                  init=InitialData("gaussian", epsilon=_amplitude(5.0, coupling), width=1.0))
     plan = _Plan(cfg)
+    assert plan.mask is cfg.grid.dealias_mask()
     pair = ref = make_initial_data(cfg.init, cfg.grid, cfg.params)
     for t_next in cfg.mesh.nodes()[1:]:
         pair, diag = step(pair, float(t_next), plan)
         ref, ref_diag = _step_reference(ref, float(t_next), plan)
-        assert diag.iterations == ref_diag.iterations > 2
+        assert diag.iterations == ref_diag.iterations
+        assert (diag.iterations > 2) == (coupling != 0.0)
         for got, want in zip(pair.components(), ref.components()):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -319,11 +332,13 @@ def test_power_matches_pow(beta):
 # ---------------------------------------------------------------------------
 # the plan's workspace
 
+@pytest.mark.parametrize("dealias", DEALIAS)
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
-def test_plan_transforms_bitwise_equal_numpy(dim, n):
+def test_plan_transforms_bitwise_equal_numpy(dim, n, dealias):
     params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), dim)
     grid = SpectralGrid(dim, n, 10.0)
     plan = _Plan(_config(params=params, grid=grid))
+    assert plan.mask is grid.dealias_mask()
     values = np.random.default_rng(dim).standard_normal((n,) * dim)
     spectrum = grid.forward(values, plan.hat)
     assert spectrum is plan.hat
@@ -381,8 +396,9 @@ def test_interleaved_plans_match_separate_runs():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_step_non_finite_pair_diverges(bad):
-    cfg = _config()
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_step_non_finite_pair_diverges(bad, coupling):
+    cfg = _config(init=InitialData("gaussian", epsilon=_amplitude(0.5, coupling), width=1.0))
     pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
     pair.u2[100] = bad
     with np.errstate(invalid="ignore"), pytest.raises(Divergence):
@@ -420,8 +436,9 @@ def test_aliased_step_is_bitwise_the_unaliased_step(case):
     assert clamped > 0 or case == "2d_fractional"
 
 
-def test_aliased_step_nan_diverges():
-    cfg = _config()
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_aliased_step_nan_diverges(coupling):
+    cfg = _config(init=InitialData("gaussian", epsilon=_amplitude(0.5, coupling), width=1.0))
     u = make_initial_data(cfg.init, cfg.grid, cfg.params).u1
     u[100] = math.nan
     with np.errstate(invalid="ignore"), pytest.raises(Divergence):

@@ -12,7 +12,8 @@ Gauss-Legendre quadrature of the radial Fourier inversion integral.  Its
 (radii x nodes) kernel matrix is evaluated in place, one cache-sized block
 of ``_BLOCK_ELEMENTS`` at a time in a single reused buffer, and each block
 is reduced by ``einsum`` on the calling thread: no BLAS call, so no BLAS
-worker threads are started.
+worker threads are started.  ``scipy`` (for the Bessel function J0) is
+imported only inside the d = 2 quadrature, the one place that calls it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import j0
 
 log = logging.getLogger(__name__)
 
@@ -194,6 +194,7 @@ def _profile_quadrature(alpha, dim, t, r, resolution):
     if dim == 1:
         kernel, const = np.cos, 1.0 / math.pi
     elif dim == 2:
+        from scipy.special import j0  # loads in about 0.3 s; only this branch needs it
         kernel, const = j0, 1.0 / (2.0 * math.pi)
     elif dim == 3:
         # rho^2 sinc(rho r) = rho sin(rho r) / r; the 1/r comes after the sum

@@ -408,8 +408,13 @@ def _grid_norms(values: np.ndarray, grid: SpectralGrid, order: Optional[float],
     mass = grid_mass(values, grid)
     if order is None:
         return linf, math.nan, mass
-    ls = float(np.power(buf, order, out=buf).sum() * grid.cell_volume) ** (1.0 / order)
-    return linf, ls, mass
+    total = float(np.power(buf, order, out=buf).sum() * grid.cell_volume)
+    if total < np.finfo(float).tiny and linf > 0.0:
+        # u^s underflowed: scale by the peak (only here, so other runs keep their bytes)
+        np.divide(np.abs(values, out=buf), linf, out=buf)
+        total = float(np.power(buf, order, out=buf).sum() * grid.cell_volume)
+        return linf, linf * total ** (1.0 / order), mass
+    return linf, total ** (1.0 / order), mass
 
 
 def solve(config: RunConfig, exponents=None) -> SolveResult:

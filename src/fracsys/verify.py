@@ -92,8 +92,9 @@ def decay_report(series: NormSeries, exps: ExponentReport):
     """Scaled-norm boundedness and tail log-log slope per component.
 
     The window is t >= 1 (the scaled quantity is examined away from the
-    initial transient); the verdict requires a finite supremum and a final
-    scaled value at most (1 + 10%) of its value at the first node >= 1.
+    initial transient); the verdict requires a finite supremum, a finite
+    slope and a final scaled value at most (1 + 10%) of its value at the
+    first node >= 1.
     """
     if exps.regime == REGIME_NO_GUARANTEE:
         raise RegimeMismatch(f"decay law needs a global-existence regime, got {exps.regime}")
@@ -110,7 +111,7 @@ def decay_report(series: NormSeries, exps: ExponentReport):
         sup = float(np.max(scaled))
         tail = _tail_window(tw)
         slope = float(np.polyfit(np.log(tw[tail]), np.log(ls[tail]), 1)[0])
-        verdict = bool(np.isfinite(sup)
+        verdict = bool(np.isfinite(sup) and math.isfinite(slope)
                        and scaled[-1] <= scaled[0] * (1.0 + DECAY_GROWTH_SLACK))
         out.append(DecayReport(component=i + 1, sup_scaled=sup, slope=slope,
                                slope_target=-exps.xi[i], verdict=verdict))

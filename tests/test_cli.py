@@ -2,13 +2,18 @@
 and reproducibility."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import SMALL, read_norms_csv
+import fracsys
 from fracsys import cli, solver
 from fracsys.cli import main
 from fracsys.config import ConfigError, parse_config, parse_config_text
@@ -233,6 +238,42 @@ def test_regime_csv(tmp_path):
     header = rows[0].split(",")
     values = rows[1].split(",")
     assert dict(zip(header, values))["regime"] == "GlobalSmallDataBounded"
+
+
+COLD_START = """
+import json, sys
+import numpy as np
+import fracsys.cli
+from fracsys.config import parse_config
+from fracsys.exponents import classify
+from fracsys.kernels import KernelSpec, density_profile
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cfg = parse_config(sys.argv[1])
+classify(cfg.params, delta=cfg.delta)
+code = fracsys.cli.main(["regime", "--config", sys.argv[1]])
+before = scipy_loaded()
+profile = density_profile(KernelSpec(1.5, 2), 1.0, np.linspace(0.0, 5.0, 11))
+print(json.dumps({"code": code, "before": before, "after": scipy_loaded(),
+                  "profile": profile.tolist()}))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_the_2d_quadrature(tmp_path):
+    # a fresh interpreter: scipy costs about 0.3 s of every CLI start-up
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = _write(tmp_path, example)
+    env = dict(os.environ, PYTHONPATH=str(Path(fracsys.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, cfg], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert found["code"] == 0
+    assert found["before"] == []
+    assert "scipy.special" in found["after"]
+    assert all(math.isfinite(p) and p > 0.0 for p in found["profile"])
 
 
 # ---------------------------------------------------------------------------

@@ -611,6 +611,21 @@ def test_solve_mesh_refinement_first_order_or_better():
     assert ratio >= 2.0
 
 
+def test_solve_mesh_refinement_second_order_2d_fractional():
+    params = SystemParams((1.5, 1.5), (2, 2), (1, 1), (0, 0), 2)
+
+    def terminal(steps):
+        cfg = _config(params=params, grid=SpectralGrid(2, 64, 10.0), horizon=1.0, steps=steps,
+                      snapshot_stride=10**9)
+        res = solve(cfg)
+        assert res.status.completed
+        return res.snapshots[-1].u1
+
+    u1, u2, u4 = terminal(8), terminal(16), terminal(32)
+    ratio = np.max(np.abs(u1 - u2)) / np.max(np.abs(u2 - u4))
+    assert ratio == pytest.approx(4.0, abs=0.5)
+
+
 def test_solve_monotone_in_initial_data():
     rep = classify(PARAMS_B4, delta=0.3)
     big = solve(_config(init=InitialData("stable_kernel", epsilon=1e-2),

@@ -81,22 +81,40 @@ def test_decay_linear_run_reproduces_lp_slope(ref_linear_run, report):
         assert abs(rep.slope - target) <= 0.05 * abs(target)
 
 
-@pytest.mark.parametrize("alpha,n,half_length", [(1.0, 4096, 600.0), (1.5, 2048, 150.0)])
-def test_decay_linear_slope_heavy_tails(alpha, n, half_length):
+@pytest.mark.parametrize("alpha,n,half_length,scale", [
+    pytest.param(1.0, 4096, 600.0, 2.0**-40, id="1.0-4096-600.0"),
+    pytest.param(1.5, 2048, 150.0, 2.0**-40, id="1.5-2048-150.0"),
+    # u^10 of data near 1e-32 underflows: the s-norm must be taken relative to the peak
+    pytest.param(1.0, 4096, 600.0, 2.0**-100, id="underflow-1.0-4096-600.0")])
+def test_decay_linear_slope_heavy_tails(alpha, n, half_length, scale):
     # same norm-decay law for the heavy-tailed kernels; the s-norm amplifies
     # the periodic wrap-around floor by a factor ~s, so the box must grow as
     # the tails get heavier (for alpha=1 the floor is ~t^2/(2 L^2) of peak).
     # Data of size 1e-2 * 2**-40 leave the beta = 4 coupling (1e-14)^3 of the
-    # linear flow; at SMALL the s-norm (s = 10 at alpha = 1) would underflow.
+    # linear flow.
     params = SystemParams((alpha, alpha), (4, 4), (1, 1), (0, 0), 1)
     rep = classify(params, delta=0.3)
     cfg = RunConfig(params, SpectralGrid(1, n, half_length), TimeMesh(40.0, 200),
-                    InitialData("stable_kernel", epsilon=1e-2 * 2.0**-40), snapshot_stride=10**9)
+                    InitialData("stable_kernel", epsilon=1e-2 * scale), snapshot_stride=10**9)
     res = solve(cfg, rep)
     assert res.status.completed
+    assert np.all(res.norms.ls > 0.0)
     target = -(1.0 / alpha) * (1.0 - 1.0 / rep.s[0])
     for d in decay_report(res.norms, rep):
         assert abs(d.slope - target) <= 0.05 * abs(target)
+
+
+def test_decay_zero_norms_fail(report):
+    # log(0) leaves no slope to fit; a NaN slope must not pass
+    t = np.linspace(0.0, 10.0, 41)
+    zeros = np.zeros((t.size, 2))
+    series = NormSeries(t=t, linf=zeros, ls=zeros, scaled=zeros, mass=zeros,
+                        picard_iters=np.zeros(t.size, dtype=int))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reps = decay_report(series, report)
+    for rep in reps:
+        assert not math.isfinite(rep.slope)
+        assert not rep.verdict
 
 
 def test_decay_insufficient_data(report):

@@ -2,12 +2,15 @@
 verification artifacts, the kernel property suite, and parameter sweeps.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 solver divergence,
-3 step rejection.  ``FRACSYS_THREADS`` caps sweep workers.
+3 step rejection.  ``FRACSYS_THREADS`` caps sweep workers.  ``--log-level``
+sets the level of the package's log lines on standard error (default
+WARNING); they never reach an artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -352,26 +355,30 @@ def main(argv=None) -> int:
                                      description="numerical laboratory for weakly coupled "
                                                  "fractional diffusion systems")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"))
 
-    p_regime = sub.add_parser("regime", help="classify a parameter set")
+    p_regime = sub.add_parser("regime", parents=[common], help="classify a parameter set")
     p_regime.add_argument("--config", required=True)
     p_regime.add_argument("--out", default="")
     p_regime.add_argument("--delta", type=float, default=None)
     p_regime.set_defaults(func=cmd_regime)
 
-    p_solve = sub.add_parser("solve", help="run the mild-solution solver")
+    p_solve = sub.add_parser("solve", parents=[common], help="run the mild-solution solver")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default="")
     p_solve.add_argument("--delta", type=float, default=None)
     p_solve.add_argument("--seed-id", default="", dest="seed_id")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_vk = sub.add_parser("verify-kernel", help="run the kernel property suite")
+    p_vk = sub.add_parser("verify-kernel", parents=[common], help="run the kernel property suite")
     p_vk.add_argument("--alpha", default="1,1.5,2")
     p_vk.add_argument("--dims", default="1,2")
     p_vk.set_defaults(func=cmd_verify_kernel)
 
-    p_sweep = sub.add_parser("sweep", help="classify (and optionally run) a parameter sweep")
+    p_sweep = sub.add_parser("sweep", parents=[common],
+                             help="classify (and optionally run) a parameter sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="")
     p_sweep.add_argument("--with-dynamics", action="store_true", dest="with_dynamics")
@@ -379,6 +386,9 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
+    # a handler on the root logger, unless one is there already
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("fracsys").setLevel(args.log_level)
     try:
         return args.func(args)
     except (ConfigError, DeltaOutsideWindow, SnapshotFormatError, ArithmeticError,

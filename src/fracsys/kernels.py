@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -70,6 +70,9 @@ class SpectralGrid:
     dim: int
     n: int
     half_length: float
+
+    # every sample stands for one grid point (see EvenGrid.weights)
+    weights = None
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -142,6 +145,78 @@ class SpectralGrid:
             return np.abs(ax)
         mesh = np.meshgrid(*([ax] * self.dim), indexing="ij")
         return np.sqrt(sum(m * m for m in mesh))
+
+
+class EvenGrid:
+    """The x >= 0 samples x = 0, h, ..., L on each axis of a
+    :class:`SpectralGrid`, (n/2 + 1)^d points, which fix a field that is
+    even in every axis.
+
+    The spectrum of such a field is real, so :meth:`forward` is a DCT-I:
+    each axis pass copies the even extension of length n into a
+    preallocated buffer, takes its ``rfft`` and keeps the real part.
+    :meth:`inverse` is the same passes scaled by 1/n per axis.  Both equal
+    the full grid's transforms of the field re-centred at x = 0, whose
+    spectrum differs from the full grid's by (-1)^k per axis, a sign every
+    radial multiplier and the mask commute with; the symbols and the mask
+    are the ``[:n/2+1]`` corners of the full grid's.  A sum over the full
+    grid weights each sample by its multiplicity ``weights``: per axis 1
+    at index 0 or n/2 and 2 elsewhere, multiplied over the axes.  The
+    buffers make a view serve one transform at a time.
+    """
+
+    def __init__(self, grid: SpectralGrid):
+        self.full = grid
+        self.dim, self.n, self.cell_volume = grid.dim, grid.n, grid.cell_volume
+        m = grid.n // 2 + 1
+        self._corner = (slice(0, m),) * grid.dim
+        per_axis = np.full(m, 2.0)
+        per_axis[[0, -1]] = 1.0
+        self.weights = reduce(np.multiply, np.ix_(*[per_axis] * grid.dim))
+        self._passes = []
+        for ax in range(grid.dim):
+            # the pass along ax: the field fills [:m] of the extension, its mirror [m:]
+            lead = (slice(None),) * ax
+            ext = np.empty(self.shape()[:ax] + (grid.n,) + self.shape()[ax + 1:])
+            self._passes.append((ext, lead + (slice(0, m),), lead + (slice(m, None),),
+                                 lead + (slice(m - 2, 0, -1),)))
+        self._spectrum = np.empty(self.shape(), dtype=complex)
+
+    def shape(self) -> tuple:
+        return (self.n // 2 + 1,) * self.dim
+
+    def symbol_exponent(self, alpha: float) -> np.ndarray:
+        return np.ascontiguousarray(self.full.symbol_exponent(alpha)[self._corner])
+
+    def dealias_mask(self) -> np.ndarray:
+        return np.ascontiguousarray(self.full.dealias_mask()[self._corner])
+
+    def corner(self, values: np.ndarray) -> np.ndarray:
+        """The x >= 0 samples of a full-grid field (x = L is x = -L)."""
+        index = (self.n // 2 + np.arange(self.n // 2 + 1)) % self.n
+        return values[np.ix_(*[index] * self.dim)]
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """The full-grid field, even in every axis, with these x >= 0 samples."""
+        index = np.abs(np.arange(self.n) - self.n // 2)
+        return values[np.ix_(*[index] * self.dim)]
+
+    def forward(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """DCT-I of ``values``, into ``out`` when given."""
+        return self._dct(values, out, 1.0)
+
+    def inverse(self, spectrum: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Inverse DCT-I of the real ``spectrum``, into ``out`` when given."""
+        return self._dct(spectrum, out, float(self.n) ** -self.dim)
+
+    def _dct(self, values, out, scale):
+        for ax in range(self.dim - 1, -1, -1):
+            ext, head, tail, mirror = self._passes[ax]
+            ext[head] = values
+            ext[tail] = ext[mirror]
+            values = np.fft.rfft(ext, axis=ax, out=self._spectrum).real
+        # 1/n^d is a power of two, so one scaling is bitwise the per-axis ones
+        return np.multiply(values, scale, out=out)
 
 
 def _sphere_area(d: int) -> float:
@@ -266,8 +341,11 @@ def eval_density_grid(spec: KernelSpec, t: float, grid: SpectralGrid, *,
     return raw
 
 
-def grid_mass(values: np.ndarray, grid: SpectralGrid) -> float:
-    """Riemann-sum mass h^d * sum(values)."""
+def grid_mass(values: np.ndarray, grid) -> float:
+    """Riemann-sum mass h^d * sum(values) over the whole grid; on an
+    :class:`EvenGrid` each sample counts with its multiplicity."""
+    if grid.weights is not None:
+        values = values * grid.weights
     return float(values.sum() * grid.cell_volume)
 
 

@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .exponents import SystemParams, _fmt
-from .kernels import KernelSpec, SpectralGrid, eval_density_grid, grid_mass, tail_mass_bound
+from .kernels import (EvenGrid, KernelSpec, SpectralGrid, eval_density_grid, grid_mass,
+                      tail_mass_bound)
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +31,8 @@ DIVERGENCE_LIMIT = 1e12
 HALF_LENGTH_SAFETY = 6.0
 
 INIT_KINDS = ("stable_kernel", "gaussian", "from_file")
+# kinds whose fields are radial by construction, so even in every axis
+RADIAL_KINDS = ("stable_kernel", "gaussian")
 
 SNAPSHOT_MAGIC = b"FWCS"
 SNAPSHOT_VERSION = 1
@@ -249,24 +252,26 @@ class _Plan:
     The workspace holds the per-step coefficients (``coef[i][q]``, ``full``),
     the spectra ``hat`` and ``total``, the real scratch fields ``work`` and
     ``scratch`` and the two ``base`` fields.  It is overwritten by every
-    :func:`step`, so a plan serves one trajectory at a time.
+    :func:`step`, so a plan serves one trajectory at a time.  ``grid`` is the
+    view the fields live on: the config's grid, or its :class:`EvenGrid`.
     """
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, grid=None):
         self.config = config
-        self.grid = config.grid
-        self.symb = [config.grid.symbol_exponent(config.params.alpha[i]) for i in (0, 1)]
-        self.mask = config.grid.dealias_mask()
+        self.grid = grid = config.grid if grid is None else grid
+        self.symb = [grid.symbol_exponent(config.params.alpha[i]) for i in (0, 1)]
+        self.mask = grid.dealias_mask()
         # 2-point Gauss rule on the reference cell [-1, 1]
         self.gauss_x = np.array([-1.0, 1.0]) / math.sqrt(3.0)
         self.gauss_w = np.array([1.0, 1.0])
 
         spec_shape = self.symb[0].shape
-        field_shape = config.grid.shape()
+        field_shape = grid.shape()
         self.coef = [[np.empty(spec_shape) for _ in self.gauss_x] for _ in (0, 1)]
         self.full = np.empty(spec_shape)
-        self.hat = np.empty(spec_shape, dtype=complex)
-        self.total = np.empty(spec_shape, dtype=complex)
+        # spectra are complex on the full grid and real on an even view
+        self.hat = grid.forward(np.zeros(field_shape))
+        self.total = np.empty_like(self.hat)
         self.work = np.empty(field_shape)
         self.scratch = np.empty(field_shape)
         self.base = [np.empty(field_shape) for _ in (0, 1)]
@@ -283,11 +288,14 @@ class _Plan:
         return np.exp(out, out=out)
 
 
-def _clamp(values: np.ndarray):
+def _clamp(values: np.ndarray, weights: Optional[np.ndarray] = None):
+    """Negative values set to zero in place; returns (values, how many grid
+    points were negative), each sample counting ``weights`` points if given."""
     mn = float(values.min())
     if mn >= 0.0:
         return values, 0
-    count = int(np.count_nonzero(values < 0.0))
+    negative = values < 0.0
+    count = int(np.count_nonzero(negative) if weights is None else weights[negative].sum())
     np.maximum(values, 0.0, out=values)
     return values, count
 
@@ -304,6 +312,8 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     and summed in Fourier space, and each component takes one inverse
     transform per iteration (exponential quadrature).
 
+    The fields live on the plan's grid view, the full grid or its
+    :class:`EvenGrid`, whose clamp counts take the multiplicity weights.
     Every pass writes into the plan's workspace (see :class:`_Plan`): the
     transforms fill given arrays axis by axis, interpolation and powers run
     in place, and each iterate is inverted straight into its output field.
@@ -360,7 +370,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     clamp_weight = 2 if shared else 1
     clamped = 0
     for i in comps:
-        clamped += clamp_weight * _clamp(v[i])[1]
+        clamped += clamp_weight * _clamp(v[i], grid.weights)[1]
 
     changes = []
     iterations = 0
@@ -379,7 +389,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
                     total += spectrum
             grid.inverse(total, new[i])
             new[i] += base[i]
-            clamped += clamp_weight * _clamp(new[i])[1]
+            clamped += clamp_weight * _clamp(new[i], grid.weights)[1]
 
         peaks = [float(new[i].max(initial=0.0)) for i in comps]
         if not all(peak <= DIVERGENCE_LIMIT for peak in peaks):
@@ -399,20 +409,19 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     return FieldPair(v[0], v[1], t_next), StepDiagnostics(iterations, changes, clamped)
 
 
-def _grid_norms(values: np.ndarray, grid: SpectralGrid, order: Optional[float],
-                buf: np.ndarray):
-    """(sup norm, L^order norm or NaN, mass) of ``values``; ``buf`` is a
-    field-shaped scratch array that is overwritten."""
+def _grid_norms(values: np.ndarray, grid, order: Optional[float], buf: np.ndarray):
+    """(sup norm, L^order norm or NaN, mass) of ``values`` on the grid view
+    ``grid``; ``buf`` is a field-shaped scratch array that is overwritten."""
     np.abs(values, out=buf)
     linf = float(buf.max(initial=0.0))
     mass = grid_mass(values, grid)
     if order is None:
         return linf, math.nan, mass
-    total = float(np.power(buf, order, out=buf).sum() * grid.cell_volume)
+    total = grid_mass(np.power(buf, order, out=buf), grid)
     if total < np.finfo(float).tiny and linf > 0.0:
         # u^s underflowed: scale by the peak (only here, so other runs keep their bytes)
         np.divide(np.abs(values, out=buf), linf, out=buf)
-        total = float(np.power(buf, order, out=buf).sum() * grid.cell_volume)
+        total = grid_mass(np.power(buf, order, out=buf), grid)
         return linf, linf * total ** (1.0 / order), mass
     return linf, total ** (1.0 / order), mass
 
@@ -425,20 +434,37 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     orders, so ``exponents.s`` is not None) the ls and scaled columns use
     its s_i and xi_i, otherwise those columns stay blank.
 
+    A run in d >= 2 from radial data (``stable_kernel`` or ``gaussian``)
+    marches on the :class:`EvenGrid` of its grid, from the x >= 0 corner of
+    the initial fields: every operator of the system commutes with
+    x_a -> -x_a, so the solution stays even.  Norms and clamp counts take
+    the view's multiplicity weights, and kept snapshots are expanded to the
+    full grid once.  ``from_file`` data need not be even, and in 1-D a
+    DCT-I on n/2 + 1 points costs what an rfft on n does, so those runs
+    take the full grid.
+
     A symmetric run, where both components share alpha, beta, rho, sigma
     and byte-equal initial fields, computes one component: every snapshot
     then has ``u1 is u2``, and its norms are taken once when the norm
-    orders agree.  Snapshots are the step results themselves, made
-    read-only; use :meth:`FieldPair.copy` for writable arrays.
+    orders agree.  Snapshots are read-only; use :meth:`FieldPair.copy` for
+    writable arrays.
     """
     orders, xi = (None, None), None
     if exponents is not None and exponents.s is not None:
         orders, xi = exponents.s, exponents.xi
 
-    plan = _Plan(config)
     nodes = config.mesh.nodes()
     n_nodes = nodes.size
     pair = make_initial_data(config.init, config.grid, config.params)
+    if config.grid.dim >= 2 and config.init.kind in RADIAL_KINDS:
+        view = EvenGrid(config.grid)
+        pair = FieldPair(view.corner(pair.u1), view.corner(pair.u2), pair.time)
+        log.info("even quarter grid %s: %s data are radial",
+                 "x".join(map(str, view.shape())), config.init.kind)
+    else:
+        view = config.grid
+        log.info("full grid: %s", "1-D run" if config.grid.dim == 1 else "from_file data")
+    plan = _Plan(config, view)
     # bytes, not values: -0.0 == 0.0 would alias fields that differ
     if plan.symmetric and pair.u1.tobytes() == pair.u2.tobytes():
         pair = FieldPair(pair.u1, pair.u1, pair.time)
@@ -452,20 +478,23 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
 
     snapshots = []
     total_clamped = 0
-    buf = np.empty(config.grid.shape())
+    buf = np.empty(view.shape())
 
     def record(k, fp, n_iter):
         t_arr[k] = fp.time
         iters[k] = n_iter
         for i in (0, 1):
             if i == 0 or fp.u2 is not fp.u1 or orders[1] != orders[0]:
-                li, lsi, mi = _grid_norms(fp.components()[i], config.grid, orders[i], buf)
+                li, lsi, mi = _grid_norms(fp.components()[i], view, orders[i], buf)
             linf[k, i] = li
             ls[k, i] = lsi
             mass[k, i] = mi
             scaled[k, i] = math.nan if xi is None else fp.time ** xi[i] * lsi
 
     def keep(fp):
+        if view is not config.grid:
+            u1 = view.expand(fp.u1)
+            fp = FieldPair(u1, u1 if fp.u2 is fp.u1 else view.expand(fp.u2), fp.time)
         for u in fp.components():
             u.flags.writeable = False
         snapshots.append(fp)

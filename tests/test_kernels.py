@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import j0
 
 import fracsys.kernels as K
-from fracsys.kernels import (KernelSpec, SpectralGrid, TruncationError,
+from fracsys.kernels import (EvenGrid, KernelSpec, SpectralGrid, TruncationError,
                              check_monotone_domination, check_scaling, density_profile,
                              eval_density_grid, grid_mass, lp_norm, lp_norm_slope,
                              semigroup_residual, tail_mass_bound)
@@ -183,6 +183,29 @@ def test_dealias_mask_keeps_the_lower_two_thirds(dim, n):
     assert mask.sum() == (2 * keep + 1) ** (dim - 1) * (keep + 1)
     assert mask[(keep,) * dim] and mask[(-keep,) * (dim - 1) + (keep,)]
     assert not mask[(0,) * (dim - 1) + (keep + 1,)] and not mask[(keep + 1,) + (0,) * (dim - 1)]
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+def test_even_grid_is_the_full_grid_on_even_fields(dim, n):
+    grid = SpectralGrid(dim, n, 10.0)
+    even = EvenGrid(grid)
+    m = n // 2 + 1
+    corner = (slice(0, m),) * dim
+    q = np.random.default_rng(dim).uniform(0.5, 1.5, even.shape())
+    full = even.expand(q)
+    assert full.shape == grid.shape() and even.corner(full).tobytes() == q.tobytes()
+    assert np.array_equal(full, np.flip(np.roll(full, -1, axis=tuple(range(dim)))))
+    assert even.weights.sum() == n**dim
+    assert grid_mass(q, even) == pytest.approx(grid_mass(full, grid), rel=1e-14)
+    # the DCT-I is the rfftn of the field re-centred at x = 0
+    want = np.fft.rfftn(np.fft.ifftshift(full)).real[corner]
+    spectrum = even.forward(q)
+    assert np.max(np.abs(spectrum - want)) <= 1e-14 * np.abs(want).max()
+    out = np.empty(even.shape())
+    assert even.inverse(spectrum, out) is out
+    assert np.max(np.abs(out - q)) <= 1e-15 * q.max()
+    assert np.array_equal(even.symbol_exponent(1.5), grid.symbol_exponent(1.5)[corner])
+    assert np.array_equal(even.dealias_mask(), grid.dealias_mask()[corner])
 
 
 # ---------------------------------------------------------------------------

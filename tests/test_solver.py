@@ -2,6 +2,7 @@
 trajectory invariants, and the snapshot/norm file formats."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -499,6 +500,65 @@ def test_symmetric_solve_snapshots_are_read_only_and_copies_independent():
         dup = snap.copy()
         dup.u1 += 1.0
         assert dup.u1 is not dup.u2 and np.array_equal(dup.u2, snap.u1)
+
+
+# ---------------------------------------------------------------------------
+# the even path: radial data in d >= 2 march on the x >= 0 corner of the grid
+
+ASYM_RHO_2D = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 0.7), (0.0, 0.0), 2)
+EVEN_CASES = {
+    "2d_symmetric_kernel": (SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 2),
+                            SpectralGrid(2, 64, 20.0), InitialData("stable_kernel", epsilon=5.0)),
+    "2d_asymmetric_kernel": (ASYM_RHO_2D, SpectralGrid(2, 64, 20.0),
+                             InitialData("stable_kernel", epsilon=5.0)),
+    "2d_two_alphas_kernel": (SystemParams((2.0, 1.5), (2.0, 3.0), (1.0, 1.0), (0.0, 0.5), 2),
+                             SpectralGrid(2, 32, 10.0), InitialData("stable_kernel", epsilon=2.0)),
+    "2d_clamping_gaussian": (ASYM_RHO_2D, GRID_2D,
+                             InitialData("gaussian", epsilon=5.0, width=1.0)),
+    "3d_symmetric_gaussian": (SystemParams((1.5, 1.5), (3.0, 3.0), (0.7, 0.7), (0.5, 0.5), 3),
+                              SpectralGrid(3, 16, 8.0),
+                              InitialData("gaussian", epsilon=5.0, width=1.0)),
+    "3d_asymmetric_kernel": (SystemParams((1.5, 1.5), (3.0, 2.0), (1.0, 0.7), (0.0, 0.0), 3),
+                             SpectralGrid(3, 16, 8.0), InitialData("stable_kernel", epsilon=2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVEN_CASES))
+def test_even_path_matches_its_full_grid_twin(tmp_path, caplog, case):
+    # the even run's first snapshot, written as from_file data, starts the
+    # same run on the full grid
+    params, grid, init = EVEN_CASES[case]
+    exponents = SimpleNamespace(s=(5.0, 3.0), xi=(0.2, 0.3))
+    cfg = _config(params=params, grid=grid, init=init, horizon=0.6, steps=6, snapshot_stride=2)
+    path = tmp_path / "phi.bin"
+    with caplog.at_level("INFO", logger="fracsys.solver"):
+        even = solve(cfg, exponents)
+        write_snapshot(path, even.snapshots[0], grid, params)
+        twin = solve(replace(cfg, init=InitialData("from_file", path=str(path))), exponents)
+    side = "x".join([str(grid.n // 2 + 1)] * grid.dim)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"even quarter grid {side}: {init.kind} data are radial", "full grid: from_file data"]
+    assert even.status.completed and twin.status.completed
+    assert even.norms.picard_iters.max() > 2        # the coupling acts
+    # the data are even to roundoff, so the expanded corner is the data
+    phi = make_initial_data(init, grid, params)
+    for got, want in zip(even.snapshots[0].components(), phi.components()):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+    for col in ("t", "linf", "ls", "scaled", "mass", "picard_iters"):
+        got, want = getattr(even.norms, col), getattr(twin.norms, col)
+        assert np.nanmax(np.abs(got - want)) <= 1e-13 * np.nanmax(np.abs(want)), col
+    symmetric = _Plan(cfg).symmetric
+    assert len(even.snapshots) == len(twin.snapshots) == 4
+    for snap, ref in zip(even.snapshots, twin.snapshots):
+        assert (snap.u1 is snap.u2) == symmetric == (ref.u1 is ref.u2)
+        for got, want in zip(snap.components(), ref.components()):
+            assert got.shape == grid.shape() and not got.flags.writeable
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+    # values clamped well away from roundoff have one sign on both paths, so
+    # the weighted count equals the full grid's; one within roundoff of zero
+    # may take either sign
+    if case == "2d_clamping_gaussian":
+        assert even.diagnostics["clamped_values"] == twin.diagnostics["clamped_values"] > 0
 
 
 def test_step_decoupled_equals_propagator():

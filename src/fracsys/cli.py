@@ -2,7 +2,9 @@
 verification artifacts, the kernel property suite, and parameter sweeps.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 solver divergence,
-3 step rejection.  ``FRACSYS_THREADS`` caps sweep workers.  ``--log-level``
+3 step rejection: a step's Picard iteration did not settle to a relative
+change below 1e-10 within 25 iterations.  ``FRACSYS_THREADS`` caps sweep
+workers (default: the CPUs the process may run on).  ``--log-level``
 sets the level of the package's log lines on standard error (default
 WARNING); they never reach an artifact.
 """
@@ -35,13 +37,15 @@ SUMMARY_COLUMNS = ("run_id", "regime", *SUMMARY_SOURCES, "verdict")
 
 
 def _worker_count() -> int:
+    """``FRACSYS_THREADS`` when set, else the CPUs this process may run on."""
     env = os.environ.get("FRACSYS_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if not (env.isdigit() and int(env) >= 1):
+        raise ConfigError(f"FRACSYS_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +313,7 @@ def cmd_sweep(args) -> int:
     if not name or not sweep_values:
         raise ConfigError(f"{args.config}: sweep needs sweep_param and sweep_values")
     sweep_keys(name)    # an unsupported name fails before any point
+    workers = _worker_count() if args.with_dynamics else 1
     out_base = Path(args.out or cfg.values.output_dir)
     points_dir = out_base / "points"
     points_dir.mkdir(parents=True, exist_ok=True)
@@ -325,7 +330,7 @@ def cmd_sweep(args) -> int:
     # each point file is written as soon as its row is ready, so an
     # interrupted sweep keeps every finished point
     if args.with_dynamics and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(_worker_count(), len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             futures = {pool.submit(sweep_point, task): task[0] for task in tasks}
             failures = []
             for done in as_completed(futures):

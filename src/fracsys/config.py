@@ -71,8 +71,6 @@ KEYS = (
     ("epsilon", NUMBER, "0.01", True),
     ("width", NUMBER, "1.0", False),
     ("init_path", TEXT, "", False),
-    ("picard_tol", NUMBER, "1e-10", False),
-    ("picard_max_iter", INTEGER, "25", False),
     ("snapshot_stride", INTEGER, "10", False),
     ("delta", OPTIONAL_NUMBER, "", True),
     ("run_id", TEXT, "run", False),
@@ -91,7 +89,8 @@ _SWEPT.update({key[:-1]: (key, key[:-1] + "2") for key in list(_SWEPT) if key.en
 _INTEGER_KEYS = {key for key, kind, _, _ in KEYS if kind is INTEGER}
 # retired keys and the one value each still accepts, so that the manifest of
 # a run made before their retirement still reproduces it
-RETIRED = {"dealias": "two_thirds", "coupling_scale": 1.0}
+RETIRED = {"dealias": "two_thirds", "coupling_scale": 1.0,
+           "picard_tol": 1e-10, "picard_max_iter": 25}
 
 
 def _show(value) -> str:
@@ -144,7 +143,6 @@ def build(v: Values, source: str = "") -> ExperimentConfig:
         run = RunConfig(params=params, grid=SpectralGrid(v.dim, v.grid_n, v.half_length),
                         mesh=TimeMesh(v.horizon, v.steps, v.grading),
                         init=InitialData(v.init, v.epsilon, v.width, v.init_path or None),
-                        picard_tol=v.picard_tol, picard_max_iter=v.picard_max_iter,
                         snapshot_stride=v.snapshot_stride)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None

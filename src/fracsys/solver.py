@@ -27,6 +27,12 @@ from .kernels import (EvenGrid, KernelSpec, SpectralGrid, eval_density_grid, gri
 log = logging.getLogger(__name__)
 
 DIVERGENCE_LIMIT = 1e12
+# a step's Picard iteration stops once the largest change relative to the
+# peak is below PICARD_TOL, and is rejected after PICARD_MAX_ITER iterations
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 25
+# nodes of the 2-point Gauss rule on the reference cell [-1, 1]; its weights are 1
+GAUSS_X = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 # recommended half-length in units of the largest dispersive spread
 HALF_LENGTH_SAFETY = 6.0
 
@@ -39,7 +45,7 @@ SNAPSHOT_VERSION = 1
 
 
 class StepRejected(RuntimeError):
-    """Picard iteration failed to reach tolerance within the iteration cap."""
+    """Picard iteration did not reach PICARD_TOL within PICARD_MAX_ITER iterations."""
 
     def __init__(self, time, diff):
         super().__init__(f"step to t={time:.6g} stalled (last change {diff:.3e})")
@@ -104,15 +110,9 @@ class RunConfig:
     grid: SpectralGrid
     mesh: TimeMesh
     init: InitialData
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 25
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        if not self.picard_tol > 0.0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be >= 1")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if self.grid.dim != self.params.dim:
@@ -224,6 +224,13 @@ def make_initial_data(init: InitialData, grid: SpectralGrid, params: SystemParam
         raise SnapshotFormatError(
             f"snapshot grid (dim={file_grid.dim}, n={file_grid.n}, L={file_grid.half_length}) "
             f"does not match run grid (dim={grid.dim}, n={grid.n}, L={grid.half_length})")
+    for name, u in zip(("u1", "u2"), pair.components()):
+        # NaN fails both comparisons; -0.0 passes
+        bad = np.flatnonzero(~((u >= 0.0) & (u < math.inf)))
+        if bad.size:
+            raise SnapshotFormatError(
+                f"{init.path}: initial data must be nonnegative and finite; {name} has "
+                f"{bad.size} values that are not, the first {float(u.flat[bad[0]])} at index {bad[0]}")
     pair.time = 0.0
     return pair
 
@@ -261,13 +268,10 @@ class _Plan:
         self.grid = grid = config.grid if grid is None else grid
         self.symb = [grid.symbol_exponent(config.params.alpha[i]) for i in (0, 1)]
         self.mask = grid.dealias_mask()
-        # 2-point Gauss rule on the reference cell [-1, 1]
-        self.gauss_x = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-        self.gauss_w = np.array([1.0, 1.0])
 
         spec_shape = self.symb[0].shape
         field_shape = grid.shape()
-        self.coef = [[np.empty(spec_shape) for _ in self.gauss_x] for _ in (0, 1)]
+        self.coef = [[np.empty(spec_shape) for _ in GAUSS_X] for _ in (0, 1)]
         self.full = np.empty(spec_shape)
         # spectra are complex on the full grid and real on an even view
         self.hat = grid.forward(np.zeros(field_shape))
@@ -339,10 +343,10 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     gamma = cfg.mesh.grading
     tau_a, tau_b = t_cur ** (1.0 / gamma), t_next ** (1.0 / gamma)
     half = 0.5 * (tau_b - tau_a)
-    tau_q = 0.5 * (tau_a + tau_b) + half * plan.gauss_x
+    tau_q = 0.5 * (tau_a + tau_b) + half * GAUSS_X
     s_q = tau_q**gamma
     theta_q = (tau_q - tau_a) / (tau_b - tau_a)
-    jac_q = plan.gauss_w * half * gamma * tau_q ** (gamma - 1.0)
+    jac_q = half * gamma * tau_q ** (gamma - 1.0)
 
     cur = pair.components()
     shared = plan.symmetric and pair.u1 is pair.u2
@@ -374,7 +378,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
 
     changes = []
     iterations = 0
-    for _ in range(cfg.picard_max_iter):
+    for _ in range(PICARD_MAX_ITER):
         iterations += 1
         for i in comps:
             j = 1 - i
@@ -401,7 +405,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
             diff = max(diff, d / peaks[i] if peaks[i] > 0.0 else d)
         changes.append(diff)
         v, new = new, v
-        if diff < cfg.picard_tol:
+        if diff < PICARD_TOL:
             break
     else:
         raise StepRejected(t_next, changes[-1])

@@ -53,10 +53,10 @@ def _write(tmp_path, text, name="exp.cfg"):
 # config parsing
 
 def test_parse_defaults_and_comments():
-    cfg = parse_config_text(BASE + "# a comment\npicard_tol = 1e-9 # inline\n")
+    cfg = parse_config_text(BASE + "# a comment\nwidth = 2.5 # inline\n")
     assert cfg.params.beta == (4.0, 4.0)
-    assert cfg.run.picard_tol == 1e-9
-    assert cfg.run.picard_max_iter == 25       # default
+    assert cfg.run.init.width == 2.5
+    assert cfg.run.mesh.grading == 1.0      # default
     assert cfg.delta == 0.3
 
 
@@ -98,8 +98,6 @@ init = gaussian
 epsilon = 0.02
 width = 1.5
 init_path = data/phi.bin
-picard_tol = 1e-9
-picard_max_iter = 30
 snapshot_stride = 4
 run_id = golden
 output_dir = elsewhere
@@ -111,7 +109,6 @@ ALL_KEYS_RESOLVED = (
     "alpha1 = 2\nalpha2 = 2\nbeta1 = 4\nbeta2 = 4\nrho1 = 1\nrho2 = 1\nsigma1 = 0\n"
     "sigma2 = 0\ndim = 1\ngrid_n = 512\nhalf_length = 30\nhorizon = 4\nsteps = 40\n"
     "grading = 2\ninit = gaussian\nepsilon = 0.02\nwidth = 1.5\ninit_path = data/phi.bin\n"
-    "picard_tol = 1.0000000000000001e-09\npicard_max_iter = 30\n"
     "snapshot_stride = 4\ndelta = 0.29999999999999999\n"
     "run_id = golden\noutput_dir = elsewhere\nsweep_param = beta\nsweep_values = 3,4.5\n")
 
@@ -120,13 +117,13 @@ def test_resolved_text_and_hash_are_frozen():
     # config_hash() keys resumable sweeps, so these bytes must not drift
     cfg = parse_config_text(ALL_KEYS)
     assert cfg.resolved_text() == ALL_KEYS_RESOLVED
-    assert cfg.config_hash() == "0cbd1ed71bffc12f2bf35c0caef4d2347dd0a7411e7812cf05c202e4d1b8656f"
+    assert cfg.config_hash() == "9eaba9284a223d92a741ff7d2f87c956c5bf366fc4ad73f06c8fa1b1d8e34b58"
     assert parse_config_text(BASE).config_hash() == \
-        "e0b0aeb02c43612fd3903150831e478f793c5e9a61bbc3b7efae32e3ea3641aa"
+        "2f69dc81e2e7db70950114320ba375edd964c79914f5085b41c282a6121fbfa7"
 
 
-# the manifest of the BASE run as written before `dealias` and
-# `coupling_scale` were retired, with the sha256 of every artifact (taken
+# the manifest of the BASE run as written before `dealias`, `coupling_scale`,
+# `picard_tol` and `picard_max_iter` were retired, with the sha256 of every artifact (taken
 # with numpy 2.4.6 on x86-64 Linux, as ASYM_2D_GOLDEN below)
 RETIRED_KEYS_MANIFEST = """# fracsys run manifest (feed back to --config to reproduce)
 # config_sha256 = e0b0aeb02c43612fd3903150831e478f793c5e9a61bbc3b7efae32e3ea3641aa
@@ -181,13 +178,18 @@ def test_manifest_with_retired_keys_reproduces_its_run(tmp_path):
 
 
 @pytest.mark.parametrize("lines", ["dealias = two_thirds\ncoupling_scale = 1\n",
-                                   "coupling_scale = 1.0\n", "coupling_scale = 10e-1\n"])
+                                   "coupling_scale = 1.0\n", "coupling_scale = 10e-1\n",
+                                   "picard_tol = 1e-10\npicard_max_iter = 25\n",
+                                   "picard_tol = 1.0e-10\n"])
 def test_retired_keys_at_their_value_are_dropped(lines):
     assert parse_config_text(BASE + lines).resolved_text() == parse_config_text(BASE).resolved_text()
 
 
 @pytest.mark.parametrize("line, accepted", [("coupling_scale = 0", "1"),
-                                            ("dealias = none", "two_thirds")])
+                                            ("dealias = none", "two_thirds"),
+                                            ("picard_tol = 1e-9", "1e-10"),
+                                            ("picard_tol = nan", "1e-10"),
+                                            ("picard_max_iter = 30", "25")])
 def test_retired_key_at_another_value_fails_cleanly(tmp_path, capsys, line, accepted):
     cfg = _write(tmp_path, BASE + line + "\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
@@ -334,6 +336,20 @@ def test_solve_divergence_exit_code(tmp_path):
     assert (tmp_path / "d" / "t" / "manifest.txt").exists()
 
 
+def test_solve_step_rejection_exit_code(tmp_path, capsys):
+    # the README example at epsilon = 3: Picard stalls near the blow-up time
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = _write(tmp_path, _set(example, "epsilon = 3"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().out.splitlines()[2:] == ["status = step_rejected",
+                                                        "status_time = 1.3"]
+    lines = (tmp_path / "r" / "ref" / "verification.txt").read_text().splitlines()
+    assert [line for line in lines if "_skipped" in line] == \
+        [f"{name}_skipped = run step_rejected at t=1.3" for name in ("decay", "linf", "envelope")]
+    assert (tmp_path / "r" / "ref" / "manifest.txt").exists()
+
+
 @pytest.mark.parametrize("swap", [("epsilon = 0.01", "epsilon = nan"),
                                   ("epsilon = 0.01", "epsilon = -1"),
                                   ("init = stable_kernel", "init = gaussian\nwidth = 0"),
@@ -346,23 +362,33 @@ def test_solve_rejects_bad_initial_data(tmp_path, capsys, swap):
     assert not (tmp_path / "bad").exists()
 
 
+# one value of a snapshot that breaks the hypotheses on the data
+BAD_VALUES = {"nan": math.nan, "inf": math.inf, "negative": -0.5}
+
+
 def _bad_data(tmp_path, kind):
     """A config whose initial data cannot be made: a corrupt snapshot file, a
-    snapshot of another grid, or kernel data the box truncates."""
+    snapshot of another grid, a snapshot with one value that is not finite
+    or is negative, or kernel data the box truncates."""
     if kind == "truncated":
         return BASE.replace("alpha1 = 2.0", "alpha1 = 1.5").replace("alpha2 = 2.0", "alpha2 = 1.5") \
             .replace("grid_n = 512", "grid_n = 8").replace("half_length = 30.0", "half_length = 200")
     path = tmp_path / "phi.bin"
     if kind == "corrupt":
         path.write_bytes(b"garbage")
-    else:
+    elif kind == "other_grid":
         zeros = np.zeros(256)
         solver.write_snapshot(path, solver.FieldPair(zeros, zeros, 0.0),
                               SpectralGrid(1, 256, 30.0), parse_config_text(BASE).params)
+    else:
+        cfg = parse_config_text(BASE)
+        pair = solver.make_initial_data(cfg.run.init, cfg.run.grid, cfg.params)
+        pair.u2[100] = BAD_VALUES[kind]
+        solver.write_snapshot(path, pair, cfg.run.grid, cfg.params)
     return BASE.replace("init = stable_kernel", f"init = from_file\ninit_path = {path}")
 
 
-@pytest.mark.parametrize("kind", ["corrupt", "other_grid", "truncated"])
+@pytest.mark.parametrize("kind", ["corrupt", "other_grid", "truncated", *BAD_VALUES])
 def test_solve_bad_initial_data_fails_cleanly(tmp_path, capsys, kind):
     cfg = _write(tmp_path, _bad_data(tmp_path, kind))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
@@ -517,7 +543,7 @@ run_id = asym
 ASYM_2D_GOLDEN = {
     "norms.csv": "a786540126837629327835685c8e0fe481c01b9e8ad3957a8053d1fe52815133",
     "verification.txt": "34126be705c091cc4f9c29e649283efc8008c83dfc3a466529facc4787b037fc",
-    "manifest.txt": "c12d5a9a1252190f832a50be2548a55d1d88c20b715ccc8211c16572a38339c0",
+    "manifest.txt": "71c5ba88408d3a407564c66511d323223dd0f77f8938ab9fa5523c0bdf12adb1",
 }
 VERIFY_KERNEL_123_GOLDEN = "daeb531d4a82d0549f67b44a320fae9d695ef65d9855f1fd8d3fda01ab86dd84"
 VERIFY_KERNEL_DEFAULT_GOLDEN = "378cc97e20d210dc4944153287c8466c3f525394d0461509b1a36c73d653de09"
@@ -753,6 +779,24 @@ def test_sweep_with_dynamics_rejects_bad_solver_settings_first(tmp_path, capsys)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "picard_tol" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_sweep_rejects_bad_thread_count_first(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("FRACSYS_THREADS", threads)
+    cfg = _write(tmp_path, BASE + "sweep_param = epsilon\nsweep_values = 0.005,0.01\n")
+    out = tmp_path / "swt"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--with-dynamics"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: FRACSYS_THREADS must be a positive integer, got {threads!r}\n"
+    assert not out.exists()
+
+
+def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("FRACSYS_THREADS", raising=False)
+    assert cli._worker_count() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("FRACSYS_THREADS", " 2 ")
+    assert cli._worker_count() == 2
 
 
 def test_sweep_resume_under_another_config_fails_and_keeps_points(tmp_path, capsys):

@@ -116,15 +116,21 @@ def test_time_change_consistency():
 # coupling term: constant fields reduce the system to u1' = u2^beta1,
 # u2' = u1^beta2
 
+@pytest.fixture
+def tight_picard(monkeypatch):
+    """Picard steps that iterate to a change of 1e-14, not the solver's 1e-10."""
+    monkeypatch.setattr(solver_module, "PICARD_TOL", 1e-14)
+
+
 def _constant_step(c1, c2, t_to, params):
     pair = FieldPair(np.full(GRID.shape(), c1), np.full(GRID.shape(), c2), 0.0)
-    out, _ = step(pair, t_to, _Plan(_config(params=params, picard_tol=1e-14)))
+    out, _ = step(pair, t_to, _Plan(_config(params=params)))
     for u in out.components():
         assert np.ptp(u) <= 1e-15 * u.max()      # still constant
     return float(out.u1[0]), float(out.u2[0])
 
 
-def test_nonlinear_term_zero_component():
+def test_nonlinear_term_zero_component(tight_picard):
     # u2 = 0 feeds u1 nothing to first order; u1 = 2 feeds u2 at rate
     # 2^beta2 = 8, so each power lands in the right equation
     u1, u2 = _constant_step(2.0, 0.0, 1e-3, SystemParams((2, 2), (4, 3), (1, 1), (0, 0), 1))
@@ -132,7 +138,7 @@ def test_nonlinear_term_zero_component():
     assert u2 == pytest.approx(8e-3, rel=1e-9)
 
 
-def test_nonlinear_term_constant_field():
+def test_nonlinear_term_constant_field(tight_picard):
     # u' = u^2 from u(0) = 3.  The step interpolates u linearly, u = 3 + theta D,
     # and 2-point Gauss integrates the square exactly, so its fixed point solves
     # D = dt (9 + 3 D + D^2 / 3), within O(dt^3) of the exact 3 / (1 - 3 dt) - 3
@@ -245,10 +251,10 @@ def _step_reference(pair, t_next, plan):
     gamma = cfg.mesh.grading
     tau_a, tau_b = t_cur ** (1.0 / gamma), t_next ** (1.0 / gamma)
     half = 0.5 * (tau_b - tau_a)
-    tau_q = 0.5 * (tau_a + tau_b) + half * plan.gauss_x
+    tau_q = 0.5 * (tau_a + tau_b) + half * solver_module.GAUSS_X
     s_q = tau_q**gamma
     theta_q = (tau_q - tau_a) / (tau_b - tau_a)
-    jac_q = plan.gauss_w * half * gamma * tau_q ** (gamma - 1.0)
+    jac_q = half * gamma * tau_q ** (gamma - 1.0)
 
     def inverse(spectrum):
         return np.fft.irfftn(spectrum, s=grid.shape(), axes=tuple(range(grid.dim)))
@@ -265,7 +271,7 @@ def _step_reference(pair, t_next, plan):
     cur = [pair.u1, pair.u2]
     v = [np.maximum(b, 0.0) for b in base]
     changes = []
-    for _ in range(cfg.picard_max_iter):
+    for _ in range(solver_module.PICARD_MAX_ITER):
         new = []
         for i in (0, 1):
             j = 1 - i
@@ -283,7 +289,7 @@ def _step_reference(pair, t_next, plan):
             diff = max(diff, d / scale if scale > 0.0 else d)
         changes.append(diff)
         v = new
-        if diff < cfg.picard_tol:
+        if diff < solver_module.PICARD_TOL:
             break
     else:
         raise StepRejected(t_next, changes[-1])
@@ -446,8 +452,9 @@ def test_aliased_step_nan_diverges(coupling):
         step(FieldPair(u, u, 0.0), 0.1, _Plan(cfg))
 
 
-def test_aliased_step_stall_is_rejected():
-    cfg = _config(picard_max_iter=1)
+def test_aliased_step_stall_is_rejected(monkeypatch):
+    monkeypatch.setattr(solver_module, "PICARD_MAX_ITER", 1)
+    cfg = _config()
     pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
     with pytest.raises(StepRejected):
         step(FieldPair(pair.u1, pair.u1, 0.0), 0.1, _Plan(cfg))
@@ -580,9 +587,8 @@ def test_step_small_data_converges_fast():
     assert out.time == 0.1
 
 
-def test_step_picard_contraction_monotone():
-    cfg = _config(init=InitialData("gaussian", epsilon=0.8, width=1.0),
-                  picard_tol=1e-14, params=PARAMS_B2)
+def test_step_picard_contraction_monotone(tight_picard):
+    cfg = _config(init=InitialData("gaussian", epsilon=0.8, width=1.0), params=PARAMS_B2)
     plan = _Plan(cfg)
     pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
     _, diag = step(pair, 0.25, plan)

@@ -3,10 +3,10 @@ verification artifacts, the kernel property suite, and parameter sweeps.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 solver divergence,
 3 step rejection: a step's Picard iteration did not settle to a relative
-change below 1e-10 within 25 iterations.  ``FRACSYS_THREADS`` caps sweep
-workers (default: the CPUs the process may run on).  ``--log-level``
-sets the level of the package's log lines on standard error (default
-WARNING); they never reach an artifact.
+change below 1e-10 within 25 iterations.  A sweep runs one worker per CPU
+the process may run on (its affinity; limit it with e.g. ``taskset``).
+``--log-level`` sets the level of the package's log lines on standard
+error (default WARNING); they never reach an artifact.
 """
 
 from __future__ import annotations
@@ -37,15 +37,10 @@ SUMMARY_COLUMNS = ("run_id", "regime", *SUMMARY_SOURCES, "verdict")
 
 
 def _worker_count() -> int:
-    """``FRACSYS_THREADS`` when set, else the CPUs this process may run on."""
-    env = os.environ.get("FRACSYS_THREADS", "").strip()
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not (env.isdigit() and int(env) >= 1):
-        raise ConfigError(f"FRACSYS_THREADS must be a positive integer, got {env!r}")
-    return int(env)
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +231,7 @@ def cmd_verify_kernel(args) -> int:
 
 SWEEP_COLUMNS = ("index", "sweep_param", "sweep_value", *PARAM_KEYS,
                  "window_lo", "window_hi", "delta", "regime", "theorem3",
-                 "status", "sup_scaled_u1", "sup_scaled_u2",
-                 "slope_u1", "slope_u2", "env_k", "env_c", "verdict", "error")
+                 "status", *SUMMARY_COLUMNS[2:], "error")
 
 
 def sweep_point(task) -> dict:

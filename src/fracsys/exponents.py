@@ -98,10 +98,6 @@ class Window:
     lo: float
     hi: float
 
-    @property
-    def empty(self) -> bool:
-        return not self.lo < self.hi
-
 
 @dataclass(frozen=True)
 class AdmissibilityCheck:

@@ -117,9 +117,9 @@ def test_criterion_02_exponent_identity_suite():
                               (rho1, rho1 * alpha[1] / alpha[0]),
                               tuple(rng.uniform(-0.9, 2.0, 2)), int(rng.integers(1, 7)))
         info = classify(params)
-        if info.window.empty:
-            continue
         lo, hi = info.window.lo, info.window.hi
+        if not lo < hi:
+            continue
         try:
             r_a = classify(params, delta=lo + (hi - lo) / 3).r
             r_b = classify(params, delta=lo + 2 * (hi - lo) / 3).r
@@ -144,7 +144,7 @@ def test_criterion_03_regime_table():
             rep = classify(params)
             global_regime = rep.regime != REGIME_NO_GUARANTEE
             threshold = Fraction(beta) > 1 + Fraction(2, dim)
-            window_nonempty = not rep.window.empty
+            window_nonempty = rep.window.lo < rep.window.hi
             ok &= global_regime == threshold == window_nonempty
     _report(3, ok, "classical regime flips exactly at beta = 1 + 2/d for d in 1..6",
             time.perf_counter() - start, 1.0)

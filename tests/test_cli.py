@@ -427,13 +427,17 @@ def test_bad_numbers_are_configuration_errors(tmp_path, capsys, command, case):
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("setting", ["picard_tol = nan", "dealias = foo",
-                                     "picard_max_iter = 0"])
+# settings that parse but fail a RunConfig or TimeMesh check
+BAD_SOLVER_SETTINGS = ["snapshot_stride = 0", "steps = 0", "grading = 0.5"]
+
+
+@pytest.mark.parametrize("setting", BAD_SOLVER_SETTINGS)
 def test_solve_rejects_bad_solver_settings(tmp_path, capsys, setting):
-    cfg = _write(tmp_path, BASE + setting + "\n")
+    cfg = _write(tmp_path, _set(BASE, setting))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert setting.partition(" ")[0] in err
     assert not (tmp_path / "bad").exists()
 
 
@@ -772,31 +776,39 @@ def test_sweep_with_dynamics_row(tmp_path):
 
 
 def test_sweep_with_dynamics_rejects_bad_solver_settings_first(tmp_path, capsys):
-    text = BASE + "picard_tol = nan\nsweep_param = epsilon\nsweep_values = 0.005,0.01\n"
-    cfg = _write(tmp_path, text)
-    out = tmp_path / "swn"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--with-dynamics"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "picard_tol" in err[0]
-    assert not out.exists()
+    for setting in BAD_SOLVER_SETTINGS:
+        text = _set(BASE, setting) + "sweep_param = epsilon\nsweep_values = 0.005,0.01\n"
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "swn"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--with-dynamics"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert setting.partition(" ")[0] in err[0]
+        assert not out.exists()
 
 
+# the retired thread variable is ignored: workers follow the CPU affinity
 @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
-def test_sweep_rejects_bad_thread_count_first(tmp_path, capsys, monkeypatch, threads):
+def test_sweep_ignores_the_thread_variable(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("FRACSYS_THREADS", threads)
-    cfg = _write(tmp_path, BASE + "sweep_param = epsilon\nsweep_values = 0.005,0.01\n")
+    text = BASE.replace("horizon = 4.0", "horizon = 2.0").replace("steps = 40", "steps = 20")
+    cfg = _write(tmp_path, text + "sweep_param = epsilon\nsweep_values = 0.005,0.01\n")
     out = tmp_path / "swt"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--with-dynamics"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: FRACSYS_THREADS must be a positive integer, got {threads!r}\n"
-    assert not out.exists()
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--with-dynamics"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 3
+    status = cli.SWEEP_COLUMNS.index("status")
+    assert [row.split(",")[status] for row in rows[1:]] == ["completed", "completed"]
+    for idx in (0, 1):
+        assert (out / f"t-p{idx:04d}" / "manifest.txt").exists()
 
 
 def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
     monkeypatch.delenv("FRACSYS_THREADS", raising=False)
     assert cli._worker_count() == len(os.sched_getaffinity(0))
-    monkeypatch.setenv("FRACSYS_THREADS", " 2 ")
-    assert cli._worker_count() == 2
+    for threads in ("abc", "0", " 2 "):
+        monkeypatch.setenv("FRACSYS_THREADS", threads)
+        assert cli._worker_count() == len(os.sched_getaffinity(0))
 
 
 def test_sweep_resume_under_another_config_fails_and_keeps_points(tmp_path, capsys):

@@ -14,6 +14,8 @@ from fracsys.exponents import (DeltaOutsideWindow, REGIME_NO_GUARANTEE,
                                REGIME_SELF_SIMILAR, REGIME_SMALL_DATA,
                                REGIME_SMALL_DATA_BOUNDED, SystemParams,
                                check_admissibility, classify)
+from fracsys.solver import NormSeries
+from fracsys.verify import linf_bound_check
 
 CLASSICAL_D3 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 3)
 CLASSICAL_D2 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 2)
@@ -62,7 +64,7 @@ def test_window_classical_d3():
 def test_window_classical_d2_empty():
     info = classify(CLASSICAL_D2)
     assert info.k_tilde == (0.5, 0.5)
-    assert info.window.empty
+    assert not info.window.lo < info.window.hi
 
 
 def test_window_asymmetric():
@@ -160,8 +162,8 @@ def test_k_hat_quartic():
 def test_k_hat_classical_d3_bounded_window_empty():
     info = classify(CLASSICAL_D3)
     assert info.k_hat == (0.5, 0.5)
-    assert info.window_bounded.empty
-    assert not info.window.empty
+    assert not info.window_bounded.lo < info.window_bounded.hi
+    assert info.window.lo < info.window.hi
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +213,7 @@ def test_classify_no_guarantee():
 def test_classify_theorem3_only_corner():
     # empty window (sigma too large for rho_tilde) but envelope hypothesis holds
     rep = classify(SystemParams((1, 1), (3, 3), (1, 1), (3, 3), 3))
-    assert rep.window.empty
+    assert not rep.window.lo < rep.window.hi
     assert rep.theorem3_applicable
     assert rep.regime == REGIME_SELF_SIMILAR
 
@@ -252,6 +254,25 @@ def test_identity_suite_random_draws():
         assert max(abs(v) for v in eta + theta) <= 1e-12
 
 
+def test_linf_rate_is_the_decay_rate_of_the_norm_orders():
+    # with eta_i = 0 the sup-norm exponent sigma_i - beta_i xi_j
+    # - rho_i d beta_i / (alpha_i s_j) + 1 equals -xi_i - rho_i d / (alpha_i s_i)
+    t = np.linspace(0.0, 10.0, 21)
+    ones = np.ones((t.size, 2))
+    series = NormSeries(t=t, linf=ones, ls=ones, scaled=ones, mass=ones,
+                        picard_iters=np.zeros(t.size, dtype=int))
+    checked = 0
+    for params, rep in _admissible_draws(200, seed=7):
+        if rep.regime != REGIME_SMALL_DATA_BOUNDED:
+            continue
+        for b in linf_bound_check(series, params, rep):
+            i = b.component - 1
+            rate = -rep.xi[i] - params.rho[i] * params.dim / (params.alpha[i] * rep.s[i])
+            assert b.exponent == pytest.approx(rate, rel=1e-12)
+            checked += 1
+    assert checked >= 200
+
+
 def test_norm_orders_at_least_one_in_regime():
     for params, rep in _admissible_draws(300, seed=5):
         assert min(rep.r) >= 1.0
@@ -269,9 +290,9 @@ def test_uda_delta_independence():
         params = SystemParams(params.alpha, params.beta, (params.rho[0], rho2),
                               params.sigma, params.dim)
         info = classify(params)
-        if info.window.empty:
-            continue
         lo, hi = info.window.lo, info.window.hi
+        if not lo < hi:
+            continue
         d1, d2 = lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
         try:
             r_a = classify(params, delta=d1).r
@@ -319,7 +340,7 @@ def test_role_symmetry():
 def test_xi_closed_form_property(beta1, beta2, delta_frac):
     params = SystemParams((2, 2), (beta1, beta2), (1, 1), (0, 0), 3)
     info = classify(params)
-    if info.window.empty:
+    if not info.window.lo < info.window.hi:
         return
     delta = info.window.lo + delta_frac * (info.window.hi - info.window.lo)
     try:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import verify
 from .config import (PARAM_KEYS, ConfigError, ExperimentConfig, build, parse_config,
-                     sha256_file, sweep_keys, swept, system_params, write_manifest)
+                     sha256_file, swept, system_params, write_manifest)
 from .exponents import DeltaOutsideWindow, REGIME_NO_GUARANTEE, _fmt, classify
 from .kernels import (KernelSpec, SpectralGrid, check_monotone_domination, check_scaling,
                       eval_density_grid, grid_mass, lp_norm_slope, semigroup_residual,
@@ -102,7 +102,7 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
     # (line prefix, skip name, check): each check decides itself whether it
     # applies and raises with the reason when it does not
     checks = (("decay", "decay", lambda: verify.decay_report(result.norms, report)),
-              ("linf", "linf", lambda: verify.linf_bound_check(result.norms, cfg.params, report)),
+              ("linf", "linf", lambda: verify.linf_bound_check(result.norms, report)),
               ("env", "envelope", lambda: verify.selfsimilar_envelope_check(
                   result.snapshots, cfg.params, report, cfg.run.init, cfg.run.grid)))
     verdicts = []
@@ -306,7 +306,8 @@ def cmd_sweep(args) -> int:
     name, sweep_values = cfg.values.sweep_param, cfg.values.sweep_values
     if not name or not sweep_values:
         raise ConfigError(f"{args.config}: sweep needs sweep_param and sweep_values")
-    sweep_keys(name)    # an unsupported name fails before any point
+    for value in sweep_values:    # an unsupported name or value fails before any point
+        swept(cfg.values, name, value)
     workers = _worker_count() if args.with_dynamics else 1
     out_base = Path(args.out or cfg.values.output_dir)
     points_dir = out_base / "points"

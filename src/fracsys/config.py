@@ -159,9 +159,12 @@ def sweep_keys(name: str) -> tuple:
 
 
 def swept(v: Values, name: str, value: float) -> Values:
-    """``v`` with the sweep parameter ``name`` set to ``value``."""
-    return v._replace(**{key: int(value) if key in _INTEGER_KEYS else value
-                         for key in sweep_keys(name)})
+    """``v`` with the sweep parameter ``name`` set to ``value``; an integer
+    key refuses a non-integral value rather than truncate it."""
+    keys = sweep_keys(name)
+    if keys[0] in _INTEGER_KEYS and value != int(value):
+        raise ConfigError(f"sweep_param {name!r} needs integer sweep_values, got {_fmt(value)}")
+    return v._replace(**{key: int(value) if key in _INTEGER_KEYS else value for key in keys})
 
 
 def _is_retired_value(key: str, text: str) -> bool:

@@ -24,10 +24,9 @@ from fractions import Fraction
 from typing import Optional
 
 __all__ = [
-    "SystemParams", "Window", "AdmissibilityCheck", "ExponentReport",
+    "SystemParams", "Window", "ExponentReport",
     "REGIME_SMALL_DATA", "REGIME_SMALL_DATA_BOUNDED",
-    "REGIME_SELF_SIMILAR", "REGIME_NO_GUARANTEE",
-    "check_admissibility", "classify",
+    "REGIME_SELF_SIMILAR", "REGIME_NO_GUARANTEE", "classify",
     "DeltaOutsideWindow", "InadmissibleParams",
 ]
 
@@ -97,14 +96,6 @@ class Window:
 
     lo: float
     hi: float
-
-
-@dataclass(frozen=True)
-class AdmissibilityCheck:
-    name: str
-    role_i: int            # which component plays the first role (1 or 2)
-    satisfied: bool
-    margin: float
 
 
 class _Calc:
@@ -178,13 +169,30 @@ class _Calc:
     def s_value(self, i, delta):
         return self._order("s", i, self.s_denominator(i, delta), delta)
 
-    def xi_value(self, i, delta):
-        # the paper's printed form, reduced
-        return (1 - delta) * (1 + self.be[i]) / self.bb1
+    def at(self, delta):
+        """The pairs r, s, xi, delta_small and sup-norm exponent e at ``delta``,
+        and the first role whose admissibility holds, or None.
 
-    def delta_small_value(self, i, delta):
-        j = 1 - i
-        return (self.d / self.al[i]) * (self.be[i] / self.s_value(j, delta) - 1 / self.s_value(i, delta))
+        With eta_i = 0 the paper's e_i = sigma_i - beta_i xi_j
+        - rho_i d beta_i / (alpha_i s_j) + 1 is -xi_i - rho_i d / (alpha_i s_i),
+        and role i's strict beta_i/s_j - 1/s_i < alpha_i/d is delta_i < 1.
+        """
+        r = [self.r_value(i, delta) for i in (0, 1)]
+        s = [self.s_value(i, delta) for i in (0, 1)]
+        # the paper's printed xi_i, reduced
+        xi = [(1 - delta) * (1 + self.be[i]) / self.bb1 for i in (0, 1)]
+        dsm = [self.d / self.al[i] * (self.be[i] / s[1 - i] - 1 / s[i]) for i in (0, 1)]
+        e = [-xi[i] - self.ro[i] * self.d / (self.al[i] * s[i]) for i in (0, 1)]
+
+        def admissible(i):
+            # the fixed-point and local-existence inequalities of role i
+            j = 1 - i
+            return (s[i] >= r[i] and s[j] >= self.be[i] and s[i] * self.be[i] >= s[j]
+                    and dsm[i] < 1 and s[j] >= r[j] and s[j] * self.be[j] >= r[i]
+                    and r[i] >= 1 and r[j] >= 1)
+
+        role = next((i + 1 for i in (0, 1) if admissible(i)), None)
+        return r, s, xi, dsm, e, role
 
     def r_lower_bound_interval(self, lo, hi):
         """Intersect (lo, hi) with {delta : r_1 >= 1 and r_2 >= 1}.
@@ -226,33 +234,6 @@ def _pair(fn) -> tuple:
     return (float(fn(0)), float(fn(1)))
 
 
-def check_admissibility(params: SystemParams, r: tuple, s: tuple) -> list:
-    """Evaluate the fixed-point and local-existence inequalities with their
-    margins, under both role assignments (i, j) = (1, 2) and (2, 1)."""
-    out = []
-    d = float(params.dim)
-    for i in (0, 1):
-        j = 1 - i
-        bi, bj = params.beta[i], params.beta[j]
-        ai = params.alpha[i]
-        checks = [
-            (f"s_{i + 1} >= r_{i + 1}", s[i] - r[i], False),
-            (f"s_{j + 1} >= beta_{i + 1}", s[j] - bi, False),
-            (f"s_{i + 1}*beta_{i + 1} >= s_{j + 1}", s[i] * bi - s[j], False),
-            (f"beta_{i + 1}/s_{j + 1} - 1/s_{i + 1} < alpha_{i + 1}/d",
-             ai / d - (bi / s[j] - 1.0 / s[i]), True),
-            (f"s_{j + 1} >= r_{j + 1}", s[j] - r[j], False),
-            (f"s_{j + 1}*beta_{j + 1} >= r_{i + 1}", s[j] * bj - r[i], False),
-            (f"r_{i + 1} >= 1", r[i] - 1.0, False),
-            (f"r_{j + 1} >= 1", r[j] - 1.0, False),
-        ]
-        for name, margin, strict in checks:
-            satisfied = margin > 0.0 if strict else margin >= 0.0
-            out.append(AdmissibilityCheck(name=name, role_i=i + 1,
-                                          satisfied=satisfied, margin=margin))
-    return out
-
-
 @dataclass(frozen=True)
 class ExponentReport:
     """Every derived exponent plus the regime verdict for one parameter set."""
@@ -269,6 +250,7 @@ class ExponentReport:
     s: Optional[tuple]
     xi: Optional[tuple]
     delta_small: Optional[tuple]
+    linf_exponent: Optional[tuple]  # e_i of the sup-norm bound; not serialized
     theta3: tuple
     theorem3_applicable: bool
     regime: str
@@ -293,13 +275,6 @@ class ExponentReport:
             for idx in (0, 1):
                 items.append((f"{name}_{idx + 1}", _fmt(None if pair is None else pair[idx])))
         return items
-
-
-def _choose_role(checks: list) -> Optional[int]:
-    for role in (1, 2):
-        if all(c.satisfied for c in checks if c.role_i == role):
-            return role
-    return None
 
 
 def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentReport:
@@ -339,14 +314,10 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
                 f"delta={delta!r} outside the admissible window ({float(lo):.17g}, {float(hi):.17g})")
         dlt = given
 
-    r = s = xi = dsm = None
-    role = None
+    r = s = xi = dsm = e = role = None
     if dlt is not None:
-        r = (float(c.r_value(0, dlt)), float(c.r_value(1, dlt)))
-        s = (float(c.s_value(0, dlt)), float(c.s_value(1, dlt)))
-        xi = (float(c.xi_value(0, dlt)), float(c.xi_value(1, dlt)))
-        dsm = (float(c.delta_small_value(0, dlt)), float(c.delta_small_value(1, dlt)))
-        role = _choose_role(check_admissibility(params, r, s))
+        *pairs, role = c.at(dlt)
+        r, s, xi, dsm, e = (tuple(map(float, pair)) for pair in pairs)
 
     return ExponentReport(
         a_index=params.a_index,
@@ -357,7 +328,7 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
         window=Window(float(lo), float(hi)),
         window_bounded=Window(float(blo), float(bhi)),
         delta=None if dlt is None else float(dlt),
-        r=r, s=s, xi=xi, delta_small=dsm,
+        r=r, s=s, xi=xi, delta_small=dsm, linf_exponent=e,
         theta3=_pair(c.theta3),
         theorem3_applicable=t3_ok,
         regime=regime,

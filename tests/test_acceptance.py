@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (REF_EPSILON, SMALL, eta_theta_residuals, propagate_reference,
-                      reference_config, reference_params)
+                      reference_config)
 from fracsys.exponents import REGIME_NO_GUARANTEE, SystemParams, classify
 from fracsys.kernels import (KernelSpec, SpectralGrid, check_monotone_domination,
                              check_scaling, lp_norm_slope, semigroup_residual)
@@ -192,7 +192,7 @@ def test_criterion_05_decay_law_reference_run(ref_run, ref_report, ref_linear_ru
 
 def test_criterion_06_sup_norm_bound(ref_run, ref_report):
     start = time.perf_counter()
-    reps = linf_bound_check(ref_run["result"].norms, reference_params(), ref_report)
+    reps = linf_bound_check(ref_run["result"].norms, ref_report)
     exponent_ok = all(abs(r.exponent + 1.0 / 3.0) <= 1e-12 for r in reps)
     ok = exponent_ok and all(r.verdict for r in reps)
     _report(6, ok, f"sup-norm bound with exponent -1/3: max excess = "

@@ -124,7 +124,8 @@ def test_resolved_text_and_hash_are_frozen():
 
 # the manifest of the BASE run as written before `dealias`, `coupling_scale`,
 # `picard_tol` and `picard_max_iter` were retired, with the sha256 of every artifact (taken
-# with numpy 2.4.6 on x86-64 Linux, as ASYM_2D_GOLDEN below)
+# with numpy 2.4.6 on x86-64 Linux, as ASYM_2D_GOLDEN below); the verification.txt
+# digest was re-taken when the sup-norm exponent became exact (-1/3 to the last bit)
 RETIRED_KEYS_MANIFEST = """# fracsys run manifest (feed back to --config to reproduce)
 # config_sha256 = e0b0aeb02c43612fd3903150831e478f793c5e9a61bbc3b7efae32e3ea3641aa
 alpha1 = 2
@@ -162,7 +163,7 @@ sweep_values =
 # sha256 snap_000003.bin = 6e003b440ab0caaea034215557570572796cd5869ab92aad2f486cd674d6839f
 # sha256 snap_000004.bin = 565927dd1a3f22951e595c07337145f8866d3b200749d6f3f0a581616a15a4a3
 # sha256 snap_000005.bin = ba9c11ec56eab5ecdf847c61f4d0e8fd12cbc2bfb26add5ba5f8f3334af48e86
-# sha256 verification.txt = c4a1775a03c665f3d77e9888d9a849130206475244a24d87ff1af328db70be11
+# sha256 verification.txt = b917f58c0fc8b2ce6afc83e44b60bdf71262e6e5c5bf9145a8db620dacfb22ec
 """
 
 
@@ -546,8 +547,8 @@ run_id = asym
 # within 1.9e-15 of the peak of those of the full-grid path.
 ASYM_2D_GOLDEN = {
     "norms.csv": "a786540126837629327835685c8e0fe481c01b9e8ad3957a8053d1fe52815133",
-    "verification.txt": "34126be705c091cc4f9c29e649283efc8008c83dfc3a466529facc4787b037fc",
-    "manifest.txt": "71c5ba88408d3a407564c66511d323223dd0f77f8938ab9fa5523c0bdf12adb1",
+    "verification.txt": "142bef4299fa4208359249623d2865f0960aaec941dd08a054befb421b98202f",
+    "manifest.txt": "04905afe26541c92d86ed17051f76efa12006865ae75500bbb0e93282153a58d",
 }
 VERIFY_KERNEL_123_GOLDEN = "daeb531d4a82d0549f67b44a320fae9d695ef65d9855f1fd8d3fda01ab86dd84"
 VERIFY_KERNEL_DEFAULT_GOLDEN = "378cc97e20d210dc4944153287c8466c3f525394d0461509b1a36c73d653de09"
@@ -690,6 +691,19 @@ def test_sweep_dim_flip(tmp_path):
     header = rows[0].split(",")
     regimes = [dict(zip(header, r.split(",")))["regime"] for r in rows[1:]]
     assert regimes == ["NoGuarantee", "NoGuarantee"] + ["GlobalSmallData"] * 4
+
+
+@pytest.mark.parametrize("dynamics", [False, True])
+def test_sweep_rejects_a_fractional_dim_first(tmp_path, capsys, dynamics):
+    # a fractional dim was once truncated: 1.5 and 2.9 ran at dim 1 and 2
+    cfg = _write(tmp_path, _BETA2_NO_DELTA + "sweep_param = dim\nsweep_values = 2,1.5,2.9\n")
+    out = tmp_path / "swd"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]
+                + ["--with-dynamics"] * dynamics) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "'dim' needs integer sweep_values, got 1.5" in err[0]
+    assert not out.exists()
 
 
 def test_sweep_singleton_matches_regime(tmp_path, capsys):

@@ -143,7 +143,7 @@ def test_decay_requires_norm_orders():
 # sup-norm bound
 
 def test_linf_bound_exponent_and_verdict(run_small, report):
-    reps = linf_bound_check(run_small.norms, PARAMS_B4, report)
+    reps = linf_bound_check(run_small.norms, report)
     for rep in reps:
         assert rep.exponent == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert rep.verdict
@@ -151,14 +151,14 @@ def test_linf_bound_exponent_and_verdict(run_small, report):
 
 
 def test_linf_bound_linear_run_trivial(run_linear, report):
-    for rep in linf_bound_check(run_linear.norms, PARAMS_B4, report):
+    for rep in linf_bound_check(run_linear.norms, report):
         assert rep.verdict
 
 
 def test_linf_bound_regime_gate(run_small):
     small_data_only = classify(SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 3))
     with pytest.raises(RegimeMismatch):
-        linf_bound_check(run_small.norms, PARAMS_B4, small_data_only)
+        linf_bound_check(run_small.norms, small_data_only)
 
 
 def test_linf_bound_alpha_equals_dim_boundary():
@@ -172,7 +172,7 @@ def test_linf_bound_alpha_equals_dim_boundary():
                     InitialData("stable_kernel", epsilon=1e-2), snapshot_stride=10)
     res = solve(cfg, rep)
     assert res.status.completed
-    for b in linf_bound_check(res.norms, params, rep):
+    for b in linf_bound_check(res.norms, rep):
         assert math.isfinite(b.exponent)
         assert b.exponent == pytest.approx(-1.0 / 3.0, abs=1e-12)
 

@@ -185,7 +185,12 @@ class _Calc:
         e = [-xi[i] - self.ro[i] * self.d / (self.al[i] * s[i]) for i in (0, 1)]
 
         def admissible(i):
-            # the fixed-point and local-existence inequalities of role i
+            # role i's fixed-point and local-existence inequalities as the paper
+            # states them; inside the window only r >= 1 and s_j >= beta_i can
+            # fail: rho_i delta_i - sigma_i = Delta < rho_tilde_i gives delta_i < 1,
+            # xi_i = (d rho_i/alpha_i)(1/r_i - 1/s_i) > 0 gives s_i > r_i, and the
+            # s-denominators' beta_i S_j - S_i = alpha_i rho_j (beta_i beta_j - 1)
+            # (sigma_i + Delta) with Delta > x_tilde_i > -sigma_i give s_i beta_i > s_j
             j = 1 - i
             return (s[i] >= r[i] and s[j] >= self.be[i] and s[i] * self.be[i] >= s[j]
                     and dsm[i] < 1 and s[j] >= r[j] and s[j] * self.be[j] >= r[i]

@@ -8,7 +8,8 @@ decay and the Chapman-Kolmogorov convolution identity.
 
 :func:`density_profile` takes the closed form for alpha = 2 (Gaussian) and
 alpha = 1 (Cauchy); every other alpha goes through a graded-panel
-Gauss-Legendre quadrature of the radial Fourier inversion integral.  Its
+Gauss-Legendre quadrature of the radial Fourier inversion integral.  The
+rule is built once per process, on the first quadrature.  Its
 (radii x nodes) kernel matrix is evaluated in place, one cache-sized block
 of ``_BLOCK_ELEMENTS`` at a time in a single reused buffer, and each block
 is reduced by ``einsum`` on the calling thread: no BLAS call, so no BLAS
@@ -229,9 +230,18 @@ def _tail_coeff(a: float, d: int) -> float:
     return 2.0 ** (a - 1.0) * a * math.pi ** (-d / 2.0) * math.gamma((d + a) / 2.0) / math.gamma(1.0 - a / 2.0)
 
 
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    """Gauss-Legendre nodes and weights on [-1, 1], built on the first quadrature
+    (not at import: ``numpy.polynomial`` loads with it); shared, so read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def _gauss_panels(cuts: np.ndarray):
     """Nodes and weights of the Gauss-Legendre rule on each panel [cuts[k], cuts[k+1]]."""
-    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    xg, wg = _gauss_rule()
     mid = 0.5 * (cuts[1:] + cuts[:-1])
     half = 0.5 * (cuts[1:] - cuts[:-1])
     return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()

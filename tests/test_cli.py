@@ -252,21 +252,22 @@ from fracsys.config import parse_config
 from fracsys.exponents import classify
 from fracsys.kernels import KernelSpec, density_profile
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    return sorted(m for m in sys.modules if (m + ".").startswith(("scipy.", "numpy.polynomial.")))
 
 cfg = parse_config(sys.argv[1])
 classify(cfg.params, delta=cfg.delta)
 code = fracsys.cli.main(["regime", "--config", sys.argv[1]])
-before = scipy_loaded()
+before = loaded()
 profile = density_profile(KernelSpec(1.5, 2), 1.0, np.linspace(0.0, 5.0, 11))
-print(json.dumps({"code": code, "before": before, "after": scipy_loaded(),
+print(json.dumps({"code": code, "before": before, "after": loaded(),
                   "profile": profile.tolist()}))
 """
 
 
 def test_cold_start_loads_scipy_only_for_the_2d_quadrature(tmp_path):
-    # a fresh interpreter: scipy costs about 0.3 s of every CLI start-up
+    # a fresh interpreter: scipy costs about 0.3 s of every CLI start-up, and
+    # numpy.polynomial (for the Gauss-Legendre rule) about 6 ms
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = _write(tmp_path, example)
@@ -277,6 +278,7 @@ def test_cold_start_loads_scipy_only_for_the_2d_quadrature(tmp_path):
     assert found["code"] == 0
     assert found["before"] == []
     assert "scipy.special" in found["after"]
+    assert "numpy.polynomial.legendre" in found["after"]
     assert all(math.isfinite(p) and p > 0.0 for p in found["profile"])
 
 

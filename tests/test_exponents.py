@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import eta_theta_residuals
 from fracsys.exponents import (DeltaOutsideWindow, REGIME_NO_GUARANTEE,
@@ -184,6 +184,11 @@ def test_role_matches_the_float_inequalities_away_from_ties():
             continue
         for frac in (0.1, 0.5, 0.9):
             rep = classify(params, delta=window.lo + frac * (window.hi - window.lo))
+            # the inequalities that _Calc.at's comment shows cannot fail
+            # inside the window: delta_i < 1, s_i > r_i and s_i beta_i > s_j
+            assert all(dsm < 1.0 for dsm in rep.delta_small), (params, rep.delta)
+            assert all(s > r for r, s in zip(rep.r, rep.s)), (params, rep.delta)
+            assert all(rep.s[i] * params.beta[i] > rep.s[1 - i] for i in (0, 1)), (params, rep.delta)
             margins = _admissibility_margins(params, rep.r, rep.s)
             if any(abs(m) < 1e-9 for role in margins.values() for m, _ in role.values()):
                 continue
@@ -277,6 +282,34 @@ def test_classify_user_delta_kept():
     rep = classify(QUARTIC_D1, delta=0.3)
     assert rep.delta == 0.3
     assert rep.s == (5.0, 5.0)
+
+
+# the Fujita exponent 1 + alpha (1 + sigma) / (rho d) of the equal system
+# (Fujita 1966; Sugitani 1975 for alpha < 2; Qi 1998 for the t^sigma weight);
+# it is not the boundary at every rho and sigma (see ROADMAP item 5)
+@pytest.mark.parametrize("alpha,dim,rho,sigma", [
+    (2, 1, 1, 0), (2, 1, 0.5, 0), (2, 1, 2, 0), (1.5, 1, 1, 0.5),
+    (1.5, 1, 1, -0.5), (1, 2, 0.7, 0.3), (2, 1, 1.5, 1)])
+def test_no_guarantee_boundary_is_the_fujita_exponent(alpha, dim, rho, sigma):
+    fujita = 1.0 + alpha * (1.0 + sigma) / (rho * dim)
+
+    def regime(beta):
+        return classify(SystemParams((alpha, alpha), (beta, beta), (rho, rho),
+                                     (sigma, sigma), dim)).regime
+
+    assert regime(fujita - 1e-3) == REGIME_NO_GUARANTEE
+    assert regime(fujita + 1e-3) != REGIME_NO_GUARANTEE
+
+
+@given(alpha=st.floats(0.3, 2.0), dim=st.integers(1, 4),
+       beta1=st.floats(1.05, 8.0), beta2=st.floats(1.05, 8.0))
+@settings(max_examples=200, deadline=None)
+def test_global_set_is_the_escobedo_herrero_condition(alpha, dim, beta1, beta2):
+    # Escobedo & Herrero (1991): (max beta + 1)/(beta1 beta2 - 1) < d/alpha
+    margin = dim / alpha - (max(beta1, beta2) + 1.0) / (beta1 * beta2 - 1.0)
+    assume(abs(margin) > 1e-6)
+    rep = classify(SystemParams((alpha, alpha), (beta1, beta2), (1, 1), (0, 0), dim))
+    assert (rep.regime != REGIME_NO_GUARANTEE) == (margin > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,39 @@ def test_blocked_quadrature_row_longer_than_block(monkeypatch):
     assert np.max(np.abs(got - ref)) <= 1e-14 * K._peak_value(1.5, 3, 1.0)
 
 
+def test_gauss_rule_is_built_once_and_read_only(monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counted(order):
+        calls.append(order)
+        return leggauss(order)
+
+    K._gauss_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    r = np.linspace(0.0, 6.0, 13)
+    for dim in (1, 2):
+        for t in (0.5, 1.0, 2.0):
+            density_profile(KernelSpec(1.5, dim), t, r)
+    for mu in (2.0, 3.0, 4.0):
+        lp_norm(KernelSpec(1.5, 1), 1.0, mu)
+    assert calls == [K._GAUSS_ORDER]
+    for cached, ref in zip(K._gauss_rule(), leggauss(K._GAUSS_ORDER)):
+        assert cached.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
+def test_gauss_panels_returns_arrays_of_its_own():
+    cuts = np.array([0.0, 0.5, 2.0, 3.0])
+    rho, w = K._gauss_panels(cuts)
+    ref = rho.copy(), w.copy()
+    rho[:] = -1.0
+    w *= 3.0
+    again = K._gauss_panels(cuts)
+    assert again[0].tobytes() == ref[0].tobytes() and again[1].tobytes() == ref[1].tobytes()
+
+
 def test_domain_errors():
     spec = KernelSpec(2.0, 1)
     with pytest.raises(ValueError):

@@ -204,6 +204,9 @@ def cmd_verify_kernel(args) -> int:
     except ValueError as exc:
         raise ConfigError("verify-kernel: --alpha and --dims take comma-separated "
                           f"numbers; {exc}") from None
+    if not alphas or not dims:
+        raise ConfigError("verify-kernel: --alpha and --dims each need at least one value, "
+                          f"got --alpha {args.alpha!r} --dims {args.dims!r}")
     if not all(0.0 < a <= 2.0 for a in alphas):
         raise ConfigError(f"verify-kernel: every --alpha must lie in (0, 2], got {args.alpha}")
     if not all(d in KERNEL_GRIDS for d in dims):

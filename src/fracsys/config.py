@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .exponents import SystemParams, _fmt
 from .kernels import SpectralGrid
-from .solver import InitialData, RunConfig, TimeMesh
+from .solver import InitialData, RunConfig, TimeMesh, mesh_grading
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -66,7 +66,6 @@ KEYS = (
     ("half_length", NUMBER, None, False),
     ("horizon", NUMBER, None, False),
     ("steps", INTEGER, None, False),
-    ("grading", NUMBER, "1.0", False),
     ("init", TEXT, "stable_kernel", False),
     ("epsilon", NUMBER, "0.01", True),
     ("width", NUMBER, "1.0", False),
@@ -88,9 +87,12 @@ _SWEPT = {key: (key,) for key, _, _, sweep in KEYS if sweep}
 _SWEPT.update({key[:-1]: (key, key[:-1] + "2") for key in list(_SWEPT) if key.endswith("1")})
 _INTEGER_KEYS = {key for key, kind, _, _ in KEYS if kind is INTEGER}
 # retired keys and the one value each still accepts, so that the manifest of
-# a run made before their retirement still reproduces it
+# a run made before their retirement still reproduces it; the mesh grading
+# accepts the value derived from the system's sigma, so that a manifest whose
+# mesh would change is refused, never re-meshed
 RETIRED = {"dealias": "two_thirds", "coupling_scale": 1.0,
-           "picard_tol": 1e-10, "picard_max_iter": 25}
+           "picard_tol": 1e-10, "picard_max_iter": 25,
+           "grading": lambda params: mesh_grading(params.sigma)}
 
 
 def _show(value) -> str:
@@ -141,7 +143,7 @@ def build(v: Values, source: str = "") -> ExperimentConfig:
     try:
         params = system_params(v)
         run = RunConfig(params=params, grid=SpectralGrid(v.dim, v.grid_n, v.half_length),
-                        mesh=TimeMesh(v.horizon, v.steps, v.grading),
+                        mesh=TimeMesh(v.horizon, v.steps),
                         init=InitialData(v.init, v.epsilon, v.width, v.init_path or None),
                         snapshot_stride=v.snapshot_stride)
     except ValueError as exc:
@@ -167,12 +169,21 @@ def swept(v: Values, name: str, value: float) -> Values:
     return v._replace(**{key: int(value) if key in _INTEGER_KEYS else value for key in keys})
 
 
-def _is_retired_value(key: str, text: str) -> bool:
-    accepted = RETIRED[key]
-    try:
-        return type(accepted)(text) == accepted
-    except ValueError:
-        return False
+def _check_retired(raw: dict, params: SystemParams, source: str):
+    """Refuse a retired key of ``raw`` set to any value but the one it accepts."""
+    for key, (text, lineno) in raw.items():
+        if key not in RETIRED:
+            continue
+        accepted = RETIRED[key]
+        if callable(accepted):
+            accepted = accepted(params)
+        try:
+            ok = type(accepted)(text) == accepted
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} is retired and accepts only "
+                              f"{_fmt(accepted)}, got {text!r}")
 
 
 def _parse_lines(text: str, source: str) -> dict:
@@ -190,9 +201,6 @@ def _parse_lines(text: str, source: str) -> dict:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        if key in RETIRED and not _is_retired_value(key, value):
-            raise ConfigError(f"{source}:{lineno}: key {key!r} is retired and accepts only "
-                              f"{_fmt(RETIRED[key])}, got {value!r}")
         out[key] = (value, lineno)
     return out
 
@@ -215,7 +223,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{source}:{lineno}: key {key!r} needs {kind.needs}, "
                               f"got {value!r}") from None
-    return build(Values(**typed), source)
+    config = build(Values(**typed), source)
+    _check_retired(raw, config.params, source)
+    return config
 
 
 def sha256_file(path) -> str:

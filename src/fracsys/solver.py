@@ -7,6 +7,8 @@ where G_i(t, s) is the Fourier multiplier exp(-(t^rho_i - s^rho_i)|xi|^alpha_i)
 on a periodic truncation of R^d.  Time marching is a graded-mesh fixed-point
 (Picard) iteration of the local integral form on each cell, with the singular
 weight s^sigma absorbed into the quadrature weights so s = 0 is never sampled.
+The grading of the mesh is derived from sigma (:func:`mesh_grading`), so that
+the scheme keeps second order for every sigma > -1.
 """
 
 from __future__ import annotations
@@ -65,25 +67,48 @@ class SnapshotFormatError(ValueError):
     pass
 
 
+def mesh_grading(sigma) -> float:
+    """The grading gamma of the time mesh for the weights s^sigma_i.
+
+    In tau = s^(1/gamma) the weight s^sigma ds is
+    gamma tau^(gamma (1 + sigma) - 1) dtau, which the 2-point Gauss rule of
+    :func:`step` integrates at second order when it is constant or at least
+    linear in tau: gamma (1 + sigma) is 1 or >= 2.  gamma is the smallest
+    value >= 1 among 1, 1/(1 + sigma_i) and 2/(1 + sigma_i) at which that
+    holds for both components (Brunner, *Collocation Methods for Volterra
+    Integral and Related Functional Equations*, CUP 2004, ch. 2 and 6); it
+    is 1 for sigma = 0 and for sigma >= 1.
+
+    Known trade-off: sigma = (-0.5, -0.25) takes gamma = 4 at order 2, yet
+    on constant data (beta = (3, 2), horizon 0.5, K = 1600) it errs 7.5e-6,
+    where gamma = 2, at order 1.9, errs 2.7e-6.
+    """
+    def resolved(power):
+        return abs(power - 1.0) <= 1e-12 or power >= 2.0 - 1e-12
+
+    candidates = {1.0} | {k / (1.0 + s) for s in sigma for k in (1.0, 2.0)}
+    # the largest candidate, max_i 2/(1 + sigma_i), always qualifies
+    return next(gamma for gamma in sorted(g for g in candidates if g >= 1.0)
+                if all(resolved(gamma * (1.0 + s)) for s in sigma))
+
+
 @dataclass(frozen=True)
 class TimeMesh:
-    """Graded mesh t_k = T (k/K)^gamma on [0, T]."""
+    """Horizon T and step count K of the graded mesh t_k = T (k/K)^gamma on
+    [0, T]; the grading gamma comes from :func:`mesh_grading`."""
 
     horizon: float
     steps: int
-    grading: float = 1.0
 
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.grading < 1.0:
-            raise ValueError("grading must be >= 1")
 
-    def nodes(self) -> np.ndarray:
+    def nodes(self, grading: float) -> np.ndarray:
         k = np.arange(self.steps + 1, dtype=float)
-        return self.horizon * (k / self.steps) ** self.grading
+        return self.horizon * (k / self.steps) ** grading
 
 
 @dataclass(frozen=True)
@@ -119,11 +144,6 @@ class RunConfig:
             raise ValueError("grid dimension does not match system dimension")
         if self.grid.dim == 3 and self.grid.n > 128:
             raise ValueError("dim 3 runs are limited to n <= 128 per axis")
-        min_sigma = min(self.params.sigma)
-        gamma_floor = max(1.0, 1.0 / (1.0 + min_sigma))
-        if self.mesh.grading + 1e-12 < gamma_floor:
-            raise ValueError(
-                f"grading {self.mesh.grading} under-resolves the t^sigma weight; need >= {gamma_floor:.6g}")
 
 
 @dataclass
@@ -261,10 +281,12 @@ class _Plan:
     ``scratch`` and the two ``base`` fields.  It is overwritten by every
     :func:`step`, so a plan serves one trajectory at a time.  ``grid`` is the
     view the fields live on: the config's grid, or its :class:`EvenGrid`.
+    ``grading`` is the mesh grading of the config's sigma.
     """
 
     def __init__(self, config: RunConfig, grid=None):
         self.config = config
+        self.grading = mesh_grading(config.params.sigma)
         self.grid = grid = config.grid if grid is None else grid
         self.symb = [grid.symbol_exponent(config.params.alpha[i]) for i in (0, 1)]
         self.mask = grid.dealias_mask()
@@ -309,9 +331,9 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     of the local integral form.
 
     The coupling integral uses 2-point Gauss quadrature in the graded
-    variable tau = s^(1/gamma); the integrand value of the other component
-    at interior quadrature times is interpolated linearly in tau between the
-    cell endpoints.  Propagation is a linear Fourier multiplier, so the node
+    variable tau = s^(1/gamma), gamma the plan's grading; the integrand
+    value of the other component at interior quadrature times is
+    interpolated linearly in tau between the cell endpoints.  Propagation is a linear Fourier multiplier, so the node
     terms are weighted, masked by the two-thirds rule, propagated to t_next
     and summed in Fourier space, and each component takes one inverse
     transform per iteration (exponential quadrature).
@@ -335,12 +357,11 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     and diagnostics are bitwise those of the unaliased pair.  ``step``
     never writes into its input.
     """
-    cfg = plan.config
-    params = cfg.params
+    params = plan.config.params
     t_cur = pair.time
     if not t_next > t_cur:
         raise ValueError("t_next must exceed the current time")
-    gamma = cfg.mesh.grading
+    gamma = plan.grading
     tau_a, tau_b = t_cur ** (1.0 / gamma), t_next ** (1.0 / gamma)
     half = 0.5 * (tau_b - tau_a)
     tau_q = 0.5 * (tau_a + tau_b) + half * GAUSS_X
@@ -457,8 +478,6 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     if exponents is not None and exponents.s is not None:
         orders, xi = exponents.s, exponents.xi
 
-    nodes = config.mesh.nodes()
-    n_nodes = nodes.size
     pair = make_initial_data(config.init, config.grid, config.params)
     if config.grid.dim >= 2 and config.init.kind in RADIAL_KINDS:
         view = EvenGrid(config.grid)
@@ -469,6 +488,8 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
         view = config.grid
         log.info("full grid: %s", "1-D run" if config.grid.dim == 1 else "from_file data")
     plan = _Plan(config, view)
+    nodes = config.mesh.nodes(plan.grading)
+    n_nodes = nodes.size
     # bytes, not values: -0.0 == 0.0 would alias fields that differ
     if plan.symmetric and pair.u1.tobytes() == pair.u2.tobytes():
         pair = FieldPair(pair.u1, pair.u1, pair.time)

@@ -19,7 +19,7 @@ from fracsys import cli, solver
 from fracsys.cli import main
 from fracsys.config import ConfigError, parse_config, parse_config_text
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid
-from fracsys.solver import read_snapshot
+from fracsys.solver import TimeMesh, mesh_grading, read_snapshot
 
 BASE = """
 alpha1 = 2.0
@@ -56,7 +56,8 @@ def test_parse_defaults_and_comments():
     cfg = parse_config_text(BASE + "# a comment\nwidth = 2.5 # inline\n")
     assert cfg.params.beta == (4.0, 4.0)
     assert cfg.run.init.width == 2.5
-    assert cfg.run.mesh.grading == 1.0      # default
+    assert cfg.run.mesh == TimeMesh(4.0, 40)
+    assert mesh_grading(cfg.params.sigma) == 1.0    # derived, not a key
     assert cfg.delta == 0.3
 
 
@@ -93,7 +94,6 @@ def test_parse_invalid_params_reported():
 # every optional key at a value other than its default
 ALL_KEYS = BASE.replace("init = stable_kernel\n", "").replace("epsilon = 0.01\n", "") \
     .replace("run_id = t\n", "").replace("snapshot_stride = 8\n", "") + """
-grading = 2.0
 init = gaussian
 epsilon = 0.02
 width = 1.5
@@ -108,22 +108,24 @@ sweep_values = 3,4.5
 ALL_KEYS_RESOLVED = (
     "alpha1 = 2\nalpha2 = 2\nbeta1 = 4\nbeta2 = 4\nrho1 = 1\nrho2 = 1\nsigma1 = 0\n"
     "sigma2 = 0\ndim = 1\ngrid_n = 512\nhalf_length = 30\nhorizon = 4\nsteps = 40\n"
-    "grading = 2\ninit = gaussian\nepsilon = 0.02\nwidth = 1.5\ninit_path = data/phi.bin\n"
+    "init = gaussian\nepsilon = 0.02\nwidth = 1.5\ninit_path = data/phi.bin\n"
     "snapshot_stride = 4\ndelta = 0.29999999999999999\n"
     "run_id = golden\noutput_dir = elsewhere\nsweep_param = beta\nsweep_values = 3,4.5\n")
 
 
 def test_resolved_text_and_hash_are_frozen():
-    # config_hash() keys resumable sweeps, so these bytes must not drift
+    # config_hash() keys resumable sweeps, so these bytes must not drift; both
+    # hashes were re-taken when `grading` left the keys (the solver derives it
+    # from sigma), so sweeps started before that do not resume
     cfg = parse_config_text(ALL_KEYS)
     assert cfg.resolved_text() == ALL_KEYS_RESOLVED
-    assert cfg.config_hash() == "9eaba9284a223d92a741ff7d2f87c956c5bf366fc4ad73f06c8fa1b1d8e34b58"
+    assert cfg.config_hash() == "3ae1ed62b69d40ff5c3b09eb25c7e295008d795258e5456545a60860492eea24"
     assert parse_config_text(BASE).config_hash() == \
-        "2f69dc81e2e7db70950114320ba375edd964c79914f5085b41c282a6121fbfa7"
+        "0ff39ead3af6e67234c1fdc57c737bf6389cb2ee752b671255574ff657f4d505"
 
 
 # the manifest of the BASE run as written before `dealias`, `coupling_scale`,
-# `picard_tol` and `picard_max_iter` were retired, with the sha256 of every artifact (taken
+# `picard_tol`, `picard_max_iter` and `grading` were retired, with the sha256 of every artifact (taken
 # with numpy 2.4.6 on x86-64 Linux, as ASYM_2D_GOLDEN below); the verification.txt
 # digest was re-taken when the sup-norm exponent became exact (-1/3 to the last bit)
 RETIRED_KEYS_MANIFEST = """# fracsys run manifest (feed back to --config to reproduce)
@@ -181,7 +183,7 @@ def test_manifest_with_retired_keys_reproduces_its_run(tmp_path):
 @pytest.mark.parametrize("lines", ["dealias = two_thirds\ncoupling_scale = 1\n",
                                    "coupling_scale = 1.0\n", "coupling_scale = 10e-1\n",
                                    "picard_tol = 1e-10\npicard_max_iter = 25\n",
-                                   "picard_tol = 1.0e-10\n"])
+                                   "picard_tol = 1.0e-10\n", "grading = 1\n", "grading = 1.0\n"])
 def test_retired_keys_at_their_value_are_dropped(lines):
     assert parse_config_text(BASE + lines).resolved_text() == parse_config_text(BASE).resolved_text()
 
@@ -190,7 +192,8 @@ def test_retired_keys_at_their_value_are_dropped(lines):
                                             ("dealias = none", "two_thirds"),
                                             ("picard_tol = 1e-9", "1e-10"),
                                             ("picard_tol = nan", "1e-10"),
-                                            ("picard_max_iter = 30", "25")])
+                                            ("picard_max_iter = 30", "25"),
+                                            ("grading = 2", "1")])
 def test_retired_key_at_another_value_fails_cleanly(tmp_path, capsys, line, accepted):
     cfg = _write(tmp_path, BASE + line + "\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
@@ -199,6 +202,22 @@ def test_retired_key_at_another_value_fails_cleanly(tmp_path, capsys, line, acce
     assert captured.err == (f"error: {cfg}:{BASE.count(chr(10)) + 1}: key {key!r} is retired "
                             f"and accepts only {accepted}, got {value!r}\n")
     assert captured.out == ""
+    assert not (tmp_path / "bad").exists()
+
+
+# the retired grading accepts the value that the config's sigma derives, so an
+# old manifest keeps its mesh or is refused; it is never re-meshed
+@pytest.mark.parametrize("sigma, derived, other", [("0", "1", "2"), ("-0.5", "2", "1"),
+                                                   ("0.5", "1.3333333333333333", "1")])
+def test_retired_grading_accepts_the_value_its_sigma_derives(tmp_path, capsys, sigma, derived,
+                                                             other):
+    text = _set(_set(BASE, f"sigma1 = {sigma}"), f"sigma2 = {sigma}")
+    assert parse_config_text(text + f"grading = {derived}\n").resolved_text() \
+        == parse_config_text(text).resolved_text()
+    cfg = _write(tmp_path, text + f"grading = {other}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == (f"error: {cfg}:{text.count(chr(10)) + 1}: key 'grading' "
+                                       f"is retired and accepts only {derived}, got {other!r}\n")
     assert not (tmp_path / "bad").exists()
 
 
@@ -410,9 +429,9 @@ def _set(text, line):
 # a number that is no number, is not finite or is out of range is a
 # configuration error, never a traceback, a "divergence" or a silent clamp
 BAD_NUMBERS = {"delta=abc": ("delta = abc", []), "delta=nan": ("delta = nan", []),
-               "--delta nan": ("", ["--delta", "nan"]), "grading=nan": ("grading = nan", []),
-               "horizon=inf": ("horizon = inf", []),
+               "--delta nan": ("", ["--delta", "nan"]), "horizon=inf": ("horizon = inf", []),
                # a retired key accepts its one value only
+               "grading=nan": ("grading = nan", []),
                "coupling_scale=nan": ("coupling_scale = nan", []),
                "coupling_scale=-1": ("coupling_scale = -1", []),
                "half_length=inf": ("half_length = inf", [])}
@@ -430,7 +449,8 @@ def test_bad_numbers_are_configuration_errors(tmp_path, capsys, command, case):
     assert not (tmp_path / "bad").exists()
 
 
-# settings that parse but fail a RunConfig or TimeMesh check
+# settings that parse but fail a RunConfig or TimeMesh check, or set the
+# retired grading away from the value that sigma = 0 derives, 1
 BAD_SOLVER_SETTINGS = ["snapshot_stride = 0", "steps = 0", "grading = 0.5"]
 
 
@@ -546,11 +566,12 @@ run_id = asym
 # holds the snapshots' sha256.  Taken with numpy 2.4.6 on x86-64 Linux: the
 # FFT and libm of another platform may move the last bits.  Pinned on the
 # even path (the x >= 0 corner, DCT-I transforms); its norms and snapshots are
-# within 1.9e-15 of the peak of those of the full-grid path.
+# within 1.9e-15 of the peak of those of the full-grid path.  The manifest was
+# re-pinned when `grading` left the keys: it lost that line and its config hash.
 ASYM_2D_GOLDEN = {
     "norms.csv": "a786540126837629327835685c8e0fe481c01b9e8ad3957a8053d1fe52815133",
     "verification.txt": "142bef4299fa4208359249623d2865f0960aaec941dd08a054befb421b98202f",
-    "manifest.txt": "04905afe26541c92d86ed17051f76efa12006865ae75500bbb0e93282153a58d",
+    "manifest.txt": "729ee8557521fa9d29f9a5eb10d0f23a2ec9d7d5a989ed9d321ec108da7e3088",
 }
 VERIFY_KERNEL_123_GOLDEN = "daeb531d4a82d0549f67b44a320fae9d695ef65d9855f1fd8d3fda01ab86dd84"
 VERIFY_KERNEL_DEFAULT_GOLDEN = "378cc97e20d210dc4944153287c8466c3f525394d0461509b1a36c73d653de09"
@@ -627,17 +648,14 @@ def test_verify_kernel_reports_failed_case_and_continues(capsys):
 
 
 @pytest.mark.parametrize("alpha, dims", [("2", "4"), ("1.5", "4"), ("3", "1"), ("x", "1"),
-                                         ("2", "0"), ("nan", "1"), ("2", "1.5")])
+                                         ("2", "0"), ("nan", "1"), ("2", "1.5"),
+                                         # nothing to check is no pass
+                                         (",", "1"), ("2", "")])
 def test_verify_kernel_rejects_bad_arguments_before_any_check(capsys, alpha, dims):
     assert main(["verify-kernel", "--alpha", alpha, "--dims", dims]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: verify-kernel: ") and captured.err.count("\n") == 1
-
-
-def test_verify_kernel_empty_vacuous(capsys):
-    assert main(["verify-kernel", "--alpha", "", "--dims", ""]) == 0
-    assert "0/0" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import SMALL, propagate_reference, read_norms_csv
 from fracsys import solver as solver_module
@@ -15,37 +16,62 @@ from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, density_profile, eval_density_grid
 from fracsys.solver import (Divergence, FieldPair, InitialData, NormSeries, RunConfig,
                             SnapshotFormatError, StepDiagnostics, StepRejected, TimeMesh,
-                            _grid_norms, _Plan, _power, make_initial_data, read_snapshot,
-                            recommended_half_length, solve, step, write_snapshot)
+                            _grid_norms, _Plan, _power, make_initial_data, mesh_grading,
+                            read_snapshot, recommended_half_length, solve, step,
+                            write_snapshot)
 
 PARAMS_B4 = SystemParams((2, 2), (4, 4), (1, 1), (0, 0), 1)
 PARAMS_B2 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 1)
 GRID = SpectralGrid(1, 512, 30.0)
 
 
-def _config(params=PARAMS_B4, grid=GRID, horizon=2.0, steps=20, grading=1.0,
-            init=None, **kw):
+def _config(params=PARAMS_B4, grid=GRID, horizon=2.0, steps=20, init=None, **kw):
     init = init or InitialData("gaussian", epsilon=0.5, width=1.0)
-    return RunConfig(params, grid, TimeMesh(horizon, steps, grading), init, **kw)
+    return RunConfig(params, grid, TimeMesh(horizon, steps), init, **kw)
+
+
+def _times(cfg):
+    """The mesh nodes after t = 0 that :func:`solve` marches for ``cfg``."""
+    return [float(t) for t in cfg.mesh.nodes(mesh_grading(cfg.params.sigma))[1:]]
 
 
 # ---------------------------------------------------------------------------
 # mesh and config validation
 
 def test_mesh_nodes_grading():
-    mesh = TimeMesh(8.0, 4, grading=2.0)
-    assert np.allclose(mesh.nodes(), [0.0, 0.5, 2.0, 4.5, 8.0])
+    mesh = TimeMesh(8.0, 4)
+    assert np.allclose(mesh.nodes(2.0), [0.0, 0.5, 2.0, 4.5, 8.0])
+    assert np.array_equal(mesh.nodes(1.0), [0.0, 2.0, 4.0, 6.0, 8.0])
     with pytest.raises(ValueError):
         TimeMesh(0.0, 4)
-    with pytest.raises(ValueError):
-        TimeMesh(1.0, 4, grading=0.5)
+    # solve marches the nodes of the grading that its sigma derives
+    params = SystemParams((2, 2), (2, 2), (1, 1), (0.5, 0.5), 1)
+    res = solve(_config(params=params, horizon=8.0, steps=4,
+                        init=InitialData("gaussian", epsilon=SMALL, width=1.0)))
+    assert np.array_equal(res.norms.t, mesh.nodes(4.0 / 3.0))
 
 
 def test_config_requires_grading_for_singular_weight():
+    # the grading is derived, so no config under-resolves the weight: sigma
+    # = -1/2 takes 1/(1 + sigma) = 2, the least grading it was allowed
     params = SystemParams((2, 2), (2, 2), (1, 1), (-0.5, -0.5), 1)
-    with pytest.raises(ValueError):
-        _config(params=params, grading=1.0)
-    _config(params=params, grading=2.0)    # gamma >= 1/(1 + min sigma) = 2
+    assert _Plan(_config(params=params)).grading == 2.0
+
+
+# (sigma1, sigma2) and the grading they derive: gamma (1 + sigma_i) is 1 or
+# >= 2 for both components, at the least such gamma >= 1
+MESH_GRADINGS = [((0.0, 0.0), 1.0), ((1.0, 1.0), 1.0), ((1.5, 1.5), 1.0),
+                 ((-0.5, -0.5), 2.0), ((-0.3, -0.3), 1.0 / (1.0 + -0.3)),
+                 ((0.5, 0.5), 4.0 / 3.0), ((0.25, 0.25), 1.6), ((0.05, 0.05), 2.0 / 1.05),
+                 ((0.0, 0.5), 2.0), ((0.25, 0.5), 1.6), ((-0.25, 0.5), 4.0 / 3.0),
+                 ((-0.5, 0.5), 2.0), ((-0.5, 0.0), 2.0), ((0.0, 1.5), 1.0),
+                 ((-0.5, -0.25), 4.0)]
+
+
+@pytest.mark.parametrize("sigma, gamma", MESH_GRADINGS)
+def test_mesh_grading_table(sigma, gamma):
+    assert mesh_grading(sigma) == gamma
+    assert mesh_grading(sigma[::-1]) == gamma
 
 
 def test_config_dim_mismatch():
@@ -168,7 +194,7 @@ def test_nonlinear_term_guards():
     # the singular weight s^sigma is never sampled at s = 0
     params = SystemParams((2, 2), (2, 2), (1, 1), (-0.5, -0.5), 1)
     u = eval_density_grid(KernelSpec(2.0, 1), 1.0, GRID)
-    out, _ = step(FieldPair(u, u.copy(), 0.0), 0.01, _Plan(_config(params=params, grading=2.0)))
+    out, _ = step(FieldPair(u, u.copy(), 0.0), 0.01, _Plan(_config(params=params)))
     assert np.all(np.isfinite(out.u1)) and out.u1.sum() > _decoupled_step(u, 0.0, 0.01).sum()
 
 
@@ -246,9 +272,9 @@ def _step_reference(pair, t_next, plan):
     """The stepping loop as first written: every Gauss-node term is masked,
     propagated and inverted on its own and summed in real space (8 transforms
     per Picard iteration), with x**beta for every beta."""
-    cfg, params, grid = plan.config, plan.config.params, plan.grid
+    params, grid = plan.config.params, plan.grid
     t_cur = pair.time
-    gamma = cfg.mesh.grading
+    gamma = plan.grading
     tau_a, tau_b = t_cur ** (1.0 / gamma), t_next ** (1.0 / gamma)
     half = 0.5 * (tau_b - tau_a)
     tau_q = 0.5 * (tau_a + tau_b) + half * solver_module.GAUSS_X
@@ -317,9 +343,9 @@ def test_step_matches_per_node_reference_2d(dealias, beta, coupling):
     plan = _Plan(cfg)
     assert plan.mask is cfg.grid.dealias_mask()
     pair = ref = make_initial_data(cfg.init, cfg.grid, cfg.params)
-    for t_next in cfg.mesh.nodes()[1:]:
-        pair, diag = step(pair, float(t_next), plan)
-        ref, ref_diag = _step_reference(ref, float(t_next), plan)
+    for t_next in _times(cfg):
+        pair, diag = step(pair, t_next, plan)
+        ref, ref_diag = _step_reference(ref, t_next, plan)
         assert diag.iterations == ref_diag.iterations
         assert (diag.iterations > 2) == (coupling != 0.0)
         for got, want in zip(pair.components(), ref.components()):
@@ -365,7 +391,7 @@ def _stepper(beta=3.0, epsilon=5.0, steps=6):
     params = SystemParams((1.5, 1.5), (beta, beta), (1.0, 0.7), (0.0, 0.5), 2)
     cfg = _config(params=params, grid=GRID_2D, horizon=0.6, steps=steps,
                   init=InitialData("gaussian", epsilon=epsilon, width=1.0))
-    return cfg, [float(t) for t in cfg.mesh.nodes()[1:]]
+    return cfg, _times(cfg)
 
 
 def test_step_result_survives_later_steps():
@@ -432,7 +458,7 @@ def test_aliased_step_is_bitwise_the_unaliased_step(case):
     u = make_initial_data(cfg.init, cfg.grid, cfg.params).u1
     alias, full = FieldPair(u, u, 0.0), FieldPair(u, u.copy(), 0.0)
     clamped = 0
-    for t_next in cfg.mesh.nodes()[1:]:
+    for t_next in _times(cfg):
         alias, a_diag = step(alias, float(t_next), plan)
         full, f_diag = step(full, float(t_next), plan)
         assert alias.u1 is alias.u2 and full.u1 is not full.u2
@@ -723,6 +749,74 @@ def test_solve_iteration_counts_grow_toward_breakdown():
     assert res.status.kind in ("diverged", "step_rejected")
     iters = res.norms.picard_iters[1:]
     assert iters[-1] >= iters[0] + 5
+
+
+# ---------------------------------------------------------------------------
+# time axis: spatially constant data live on mode zero, where every multiplier
+# is 1, so a solve from them is the time scheme applied to the ODE system
+# u_i' = t^sigma_i u_j^beta_i
+
+ORACLE_GRID = SpectralGrid(1, 8, 1.0)
+
+
+def _constant_run(tmp_path, beta, sigma, c, horizon, steps):
+    params = SystemParams((2.0, 2.0), beta, (1.0, 1.0), sigma, 1)
+    path = tmp_path / "constant.bin"
+    write_snapshot(path, FieldPair(np.full(8, c[0]), np.full(8, c[1]), 0.0), ORACLE_GRID, params)
+    cfg = RunConfig(params, ORACLE_GRID, TimeMesh(horizon, steps),
+                    InitialData("from_file", path=str(path)), snapshot_stride=10**9)
+    return solve(cfg)
+
+
+def _blowup_time(beta, sigma, c):
+    """T* of the symmetric system from u_1 = u_2 = c."""
+    return ((1.0 + sigma) * c ** (1.0 - beta) / (beta - 1.0)) ** (1.0 / (1.0 + sigma))
+
+
+def _exact(beta, sigma, c, t):
+    """u^(1 - beta) = c^(1 - beta) - (beta - 1) t^(1 + sigma) / (1 + sigma)."""
+    return (c ** (1.0 - beta) - (beta - 1.0) * t ** (1.0 + sigma) / (1.0 + sigma)) \
+        ** (1.0 / (1.0 - beta))
+
+
+def _orders(errors):
+    return [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, -0.5])
+def test_second_order_against_the_closed_form(tmp_path, sigma):
+    horizon = _blowup_time(3.0, sigma, 0.7) / 2.0
+    want = _exact(3.0, sigma, 0.7, horizon)
+    errors = [float(np.max(np.abs(_constant_run(tmp_path, (3.0, 3.0), (sigma, sigma), (0.7, 0.7),
+                                                horizon, k).snapshots[-1].u1 - want)))
+              for k in (100, 200, 400)]
+    assert all(1.95 <= p <= 2.05 for p in _orders(errors)), errors
+
+
+def test_second_order_for_unequal_sigma_against_an_ode_reference(tmp_path):
+    beta, sigma, c, horizon = (3.0, 2.0), (0.0, 0.5), (0.7, 0.6), 0.5
+
+    # in tau = t^(1/2) both weights are smooth: du_i/dtau = 2 tau^(2 sigma_i + 1) u_j^beta_i
+    def rhs(tau, u):
+        return [2.0 * tau ** (2.0 * sigma[i] + 1.0) * u[1 - i] ** beta[i] for i in (0, 1)]
+
+    want = solve_ivp(rhs, (0.0, math.sqrt(horizon)), c, method="DOP853",
+                     rtol=1e-13, atol=1e-15).y[:, -1]
+    errors = []
+    for k in (100, 200, 400):
+        last = _constant_run(tmp_path, beta, sigma, c, horizon, k).snapshots[-1]
+        errors.append(max(float(np.max(np.abs(u - w))) for u, w in zip(last.components(), want)))
+    assert all(1.95 <= p <= 2.05 for p in _orders(errors)), errors
+
+
+@pytest.mark.parametrize("beta, sigma, c, horizon", [(2.0, 0.0, 1.0, 1.5), (3.0, 0.5, 0.7, 2.0)])
+@pytest.mark.parametrize("steps", [100, 1000])
+def test_stop_time_brackets_the_blowup_time(tmp_path, beta, sigma, c, horizon, steps):
+    res = _constant_run(tmp_path, (beta, beta), (sigma, sigma), (c, c), horizon, steps)
+    assert res.status.kind in ("step_rejected", "diverged")
+    t_stop = res.status.time
+    width = t_stop - res.norms.t[-1]
+    assert 0.0 < _blowup_time(beta, sigma, c) - t_stop < 2.0 * width
 
 
 def _grid_norms_reference(values, grid, order):

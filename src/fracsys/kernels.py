@@ -9,12 +9,16 @@ decay and the Chapman-Kolmogorov convolution identity.
 :func:`density_profile` takes the closed form for alpha = 2 (Gaussian) and
 alpha = 1 (Cauchy); every other alpha goes through a graded-panel
 Gauss-Legendre quadrature of the radial Fourier inversion integral.  The
-rule is built once per process, on the first quadrature.  Its
+rule is built once per process, on the first quadrature; the panel cuts of
+all dyadic levels are built at once, without a per-level loop.  The
 (radii x nodes) kernel matrix is evaluated in place, one cache-sized block
 of ``_BLOCK_ELEMENTS`` at a time in a single reused buffer, and each block
 is reduced by ``einsum`` on the calling thread: no BLAS call, so no BLAS
-worker threads are started.  ``scipy`` (for the Bessel function J0) is
-imported only inside the d = 2 quadrature, the one place that calls it.
+worker threads are started.  :func:`lp_norm` evaluates its radii, which
+span 24 octaves, one octave at a time, each on the node set its largest
+radius needs rather than all on the finest one.  ``scipy`` (for the Bessel
+function J0) is imported only inside the d = 2 quadrature, the one place
+that calls it.
 """
 
 from __future__ import annotations
@@ -252,20 +256,28 @@ def _peak_value(alpha: float, dim: int, t: float) -> float:
     return _sphere_area(dim) * math.gamma(dim / alpha) / ((2.0 * math.pi) ** dim * alpha) * t ** (-dim / alpha)
 
 
+def _trunc(alpha: float, t: float) -> float:
+    """Frequency truncation radius R: e^(-t R^alpha) = 1e-18."""
+    return (_LOG_TRUNC / t) ** (1.0 / alpha)
+
+
 def _quad_panels(alpha: float, t: float, rmax: float, resolution: float):
     """Gauss-Legendre nodes/weights for int_0^R e^(-t rho^alpha) K(rho r) drho.
 
     Panels are graded dyadically toward rho = 0 and kept below half an
-    oscillation period of the kernel at the largest requested radius.
+    oscillation period of the kernel at the largest requested radius.  The
+    m cuts of a level [lo, hi] are lo + k ((hi - lo)/m), k < m, built for
+    all levels at once; they are the bits ``np.linspace(lo, hi, m + 1)``
+    gives, whose last cut hi is the next level's first.
     """
-    trunc = (_LOG_TRUNC / t) ** (1.0 / alpha)
+    trunc = _trunc(alpha, t)
     width = math.pi / max(rmax, math.pi / trunc)
-    edges = [0.0] + [trunc * 2.0 ** (-k) for k in range(_GRADING_LEVELS, -1, -1)]
-    subs = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = max(1, math.ceil((b - a) / width * resolution))
-        subs.append(np.linspace(a, b, m + 1))
-    rho, w = _gauss_panels(np.unique(np.concatenate(subs)))
+    edges = np.append(0.0, np.ldexp(trunc, np.arange(-_GRADING_LEVELS, 1)))
+    lo, span = edges[:-1], np.diff(edges)
+    m = np.maximum(1.0, np.ceil(span / width * resolution)).astype(np.intp)
+    k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    cuts = np.append(np.repeat(lo, m) + k * np.repeat(span / m, m), trunc)
+    rho, w = _gauss_panels(cuts)
     w *= np.exp(-t * rho**alpha)
     return rho, w
 
@@ -417,7 +429,11 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
     The integral S_{d-1} int_0^inf p(t,r)^mu r^(d-1) dr is evaluated on
     geometric Gauss-Legendre panels out to a heavy-tail cut, after which the
     first-order |x|^(-d-alpha) asymptotic supplies the remainder (for
-    alpha < 2; the Gaussian tail is negligible beyond the cut).
+    alpha < 2; the Gaussian tail is negligible beyond the cut).  The radii
+    span 24 octaves, so p(t, r) is evaluated band by band, each band on the
+    node set :func:`_quad_panels` sizes for its largest radius: one band for
+    the radii up to 2 pi/trunc, below which every dyadic level takes one
+    panel and the node set is the coarsest, then one band per octave.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -426,7 +442,10 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
     a, d = spec.alpha, spec.dim
     rcut = _lp_radial_cut(a, d, t, mu)
     r, w = _gauss_panels(np.concatenate([[0.0], np.geomspace(rcut * 2.0 ** (-24), rcut, 48)]))
-    vals = density_profile(spec, t, r)
+    r_one = 2.0 * math.pi / _trunc(a, t)
+    octaves = max(0, math.ceil(math.log2(rcut / r_one)))
+    bands = np.split(r, np.searchsorted(r, np.ldexp(r_one, np.arange(octaves)), side="right"))
+    vals = np.concatenate([density_profile(spec, t, band) for band in bands if band.size])
     surf = _sphere_area(d)
     total = surf * float(np.dot(w, vals**mu * r ** (d - 1)))
     if a < 2.0:

@@ -573,7 +573,10 @@ ASYM_2D_GOLDEN = {
     "verification.txt": "142bef4299fa4208359249623d2865f0960aaec941dd08a054befb421b98202f",
     "manifest.txt": "729ee8557521fa9d29f9a5eb10d0f23a2ec9d7d5a989ed9d321ec108da7e3088",
 }
-VERIFY_KERNEL_123_GOLDEN = "daeb531d4a82d0549f67b44a320fae9d695ef65d9855f1fd8d3fda01ab86dd84"
+# Re-pinned when lp_norm took one node set per radius octave: one line moved,
+# alpha = 1.5, d = 3 l2_slope_rel_err, from 5.551115e-16 to 2.220446e-16 (a
+# slope change of 3.3e-16, round-off), with every lp_norm within 1.3e-15 relative.
+VERIFY_KERNEL_123_GOLDEN = "4a2b968403e1c6fa2e8acdc39d44e0305882102549b105b6791a76646e9009a1"
 VERIFY_KERNEL_DEFAULT_GOLDEN = "378cc97e20d210dc4944153287c8466c3f525394d0461509b1a36c73d653de09"
 
 

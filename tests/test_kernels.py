@@ -117,6 +117,31 @@ def test_blocked_quadrature_row_longer_than_block(monkeypatch):
     assert np.max(np.abs(got - ref)) <= 1e-14 * K._peak_value(1.5, 3, 1.0)
 
 
+def _quad_panels_per_level(alpha, t, rmax, resolution):
+    """The node set built level by level with ``np.linspace``: the form the
+    loop-free :func:`fracsys.kernels._quad_panels` replaced."""
+    trunc = (K._LOG_TRUNC / t) ** (1.0 / alpha)
+    width = math.pi / max(rmax, math.pi / trunc)
+    edges = [0.0] + [trunc * 2.0 ** (-k) for k in range(K._GRADING_LEVELS, -1, -1)]
+    subs = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = max(1, math.ceil((b - a) / width * resolution))
+        subs.append(np.linspace(a, b, m + 1))
+    rho, w = K._gauss_panels(np.unique(np.concatenate(subs)))
+    w *= np.exp(-t * rho**alpha)
+    return rho, w
+
+
+def test_quad_panels_gives_the_bits_of_the_per_level_form():
+    # alpha -> 0.2 or t -> 0.01 would build 1e8+ nodes, so the draws stay here
+    rng = np.random.default_rng(20)
+    for _ in range(1500):
+        args = (rng.uniform(0.8, 2.0), rng.uniform(0.5, 10.0), 10.0 ** rng.uniform(-3.0, 2.0),
+                float(rng.choice([0.5, 1.0, 2.0])))
+        got, ref = K._quad_panels(*args), _quad_panels_per_level(*args)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), args
+
+
 def test_gauss_rule_is_built_once_and_read_only(monkeypatch):
     leggauss = np.polynomial.legendre.leggauss
     calls = []
@@ -302,6 +327,44 @@ def test_gaussian_l2_norm_golden():
 def test_l1_norm_is_mass():
     assert lp_norm(KernelSpec(1.5, 1), 2.0, 1.0) == pytest.approx(1.0, abs=1e-9)
     assert lp_norm(KernelSpec(1.0, 2), 0.5, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+def _lp_norm_one_node_set(spec, t, mu):
+    """``lp_norm`` with every radius on the node set of the largest one: the
+    form the octave bands replaced."""
+    a, d = spec.alpha, spec.dim
+    rcut = K._lp_radial_cut(a, d, t, mu)
+    r, w = K._gauss_panels(np.concatenate([[0.0], np.geomspace(rcut * 2.0 ** (-24), rcut, 48)]))
+    vals = density_profile(spec, t, r)
+    surf = K._sphere_area(d)
+    total = surf * float(np.dot(w, vals**mu * r ** (d - 1)))
+    p_tail = mu * (d + a) - d
+    total += surf * (t * K._tail_coeff(a, d)) ** mu * rcut ** (-p_tail) / p_tail
+    return total ** (1.0 / mu)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+def test_banded_lp_norm_matches_one_node_set(alpha, dim):
+    spec = KernelSpec(alpha, dim)
+    for mu in (2.0, 3.0):
+        for t in (1.0, 8.0):
+            ref = _lp_norm_one_node_set(spec, t, mu)
+            assert abs(lp_norm(spec, t, mu) - ref) <= 2e-15 * ref, (mu, t)
+
+
+def test_banded_lp_norm_evaluates_few_kernel_elements(monkeypatch):
+    cos = np.cos
+    elements = []
+
+    def counted(x, out=None):
+        elements.append(np.size(x))
+        return cos(x, out=out)
+
+    monkeypatch.setattr(np, "cos", counted)
+    lp_norm(KernelSpec(1.5, 1), 1.0, 2.0)
+    # 1.51e6 with one node set for all 768 radii, 0.57e6 with the octave bands
+    assert 0 < sum(elements) <= 0.6e6
 
 
 def test_l2_slope_gaussian():

@@ -7,18 +7,23 @@ relies on: self-similar scaling, monotone domination in time, L^mu norm
 decay and the Chapman-Kolmogorov convolution identity.
 
 :func:`density_profile` takes the closed form for alpha = 2 (Gaussian) and
-alpha = 1 (Cauchy); every other alpha goes through a graded-panel
-Gauss-Legendre quadrature of the radial Fourier inversion integral.  The
-rule is built once per process, on the first quadrature; the panel cuts of
-all dyadic levels are built at once, without a per-level loop.  The
-(radii x nodes) kernel matrix is evaluated in place, one cache-sized block
-of ``_BLOCK_ELEMENTS`` at a time in a single reused buffer, and each block
-is reduced by ``einsum`` on the calling thread: no BLAS call, so no BLAS
-worker threads are started.  :func:`lp_norm` evaluates its radii, which
-span 24 octaves, one octave at a time, each on the node set its largest
-radius needs rather than all on the finest one.  ``scipy`` (for the Bessel
-function J0) is imported only inside the d = 2 quadrature, the one place
-that calls it.
+alpha = 1 (Cauchy).  For every other alpha, the radii from a switch radius
+r_far t^(1/alpha) on take the far-field series of p in powers of
+r^(-alpha), built from ``math.lgamma`` alone; r_far is derived from the
+series' own terms.  The radii below it go through a graded-panel
+Gauss-Legendre quadrature of the radial Fourier inversion integral, whose
+node set is sized for the largest of them.  The rule is built once per
+process, on the first quadrature; the panel cuts of all dyadic levels are
+built at once, without a per-level loop.  The (radii x nodes) kernel
+matrix is evaluated in place, one cache-sized block of ``_BLOCK_ELEMENTS``
+at a time in a single reused buffer, and each block is reduced by
+``einsum`` on the calling thread: no BLAS call, so no BLAS worker threads
+are started.  :func:`lp_norm` integrates over a few uniform panels on the
+core [0, t^(1/alpha)] and two geometric panels per octave from there to
+its heavy-tail cut, and evaluates its radii one octave at a time, each on
+the node set its largest radius needs.  ``scipy`` (for the Bessel function
+J0) is imported only inside the d = 2 quadrature, the one place that
+calls it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,13 @@ _LOG_TRUNC = -math.log(1e-18)
 # dyadic grading levels toward rho = 0 (the symbol rho^alpha is not smooth there)
 _GRADING_LEVELS = 40
 _GAUSS_ORDER = 16
+# far-field series of p: terms considered, the smallest one's share of the sum,
+# and the cancellation (sum of |terms| over |sum|) allowed
+_SERIES_TERMS = 60
+_SERIES_TOL = 1e-17
+_SERIES_SPREAD = 8.0
+# uniform Gauss-Legendre panels of lp_norm on the core [0, t^(1/alpha)]
+_LP_CORE_PANELS = 4
 # elements per block of the radial kernel matrix: 2 MB of float64, one L2 cache
 _BLOCK_ELEMENTS = 2**18
 # negative FFT ringing above this magnitude is clamped to zero silently
@@ -282,6 +294,55 @@ def _quad_panels(alpha: float, t: float, rmax: float, resolution: float):
     return rho, w
 
 
+@lru_cache(maxsize=64)
+def _far_series(alpha: float, dim: int):
+    """Coefficients c_1 .. c_K and switch radius r_far of the far-field series
+    p(1, r) = r^(-d) sum_{k <= K} c_k r^(-k alpha), exact for r >= r_far.
+
+    c_k = (-1)^(k+1)/k! 2^(k alpha) Gamma((k alpha + d)/2) Gamma(k alpha/2 + 1)
+    sin(pi k alpha/2) / pi^(d/2 + 1) (Bergstrom 1952; Kolokoltsov 2000 for
+    R^d), and c_1 is :func:`_tail_coeff`.  The series converges for
+    alpha < 1 and is asymptotic for alpha > 1, so its smallest term of
+    k = 2 .. ``_SERIES_TERMS`` ends the sum.  On a 2^(1/16) ladder of radii,
+    r_far is the smallest from which on that term is below ``_SERIES_TOL``
+    of the sum before it and the summed terms cancel by at most
+    ``_SERIES_SPREAD``; K is the count summed there, and farther out the
+    next term only shrinks.  Sizes omit the sine, which vanishes where
+    k alpha/2 is an integer while the neighbouring terms do not.  c_1
+    carries sin(pi alpha/2), so r_far grows as alpha -> 2; it is inf, with
+    no coefficients, when even the last radius fails.  Cached, so read-only.
+    """
+    k = np.arange(1, _SERIES_TERMS + 1)
+    ka = k * alpha
+    log_size = ka * math.log(2.0) - (dim / 2.0 + 1.0) * math.log(math.pi) + np.array(
+        [math.lgamma((x + dim) / 2.0) + math.lgamma(x / 2.0 + 1.0) - math.lgamma(j + 1.0)
+         for x, j in zip(ka, k)])
+    sine = (-1.0) ** (k + 1) * np.sin(0.5 * math.pi * ka)
+    radii = np.exp2(np.arange(-160, 161) / 16.0)
+    # each term's size over the first one's, per radius; clipped so nothing overflows
+    log_rel = (log_size - log_size[0])[:, None] - (ka - alpha)[:, None] * np.log(radii)
+    size = np.exp(np.minimum(log_rel, 700.0))
+    end = 1 + np.argmin(size[1:], axis=0)
+    head = np.where(k[:, None] <= end, sine[:, None] * size, 0.0)
+    total = np.abs(head.sum(axis=0))
+    exact = ((size[end, np.arange(radii.size)] <= _SERIES_TOL * total)
+             & (np.abs(head).sum(axis=0) <= _SERIES_SPREAD * total))
+    first = np.flatnonzero(~exact)[-1] + 1 if not exact.all() else 0
+    if first == radii.size:
+        return np.empty(0), math.inf
+    coeffs = sine[: end[first]] * np.exp(log_size[: end[first]])
+    coeffs.flags.writeable = False
+    return coeffs, float(radii[first])
+
+
+def _profile_series(alpha, dim, t, r):
+    """p(t, r) = r^(-d) sum_k c_k (t r^(-alpha))^k by Horner's rule, for
+    r >= r_far t^(1/alpha) (p(t, r) = t^(-d/alpha) p(1, r t^(-1/alpha)))."""
+    coeffs, _ = _far_series(alpha, dim)
+    x = t * r ** (-alpha)
+    return x * np.polyval(coeffs[::-1], x) * r ** (-dim)
+
+
 def _profile_quadrature(alpha, dim, t, r, resolution):
     """const * sum_i w_i rho_i^(d-1) K_d(rho_i r) for each radius r.
 
@@ -319,7 +380,13 @@ def _profile_quadrature(alpha, dim, t, r, resolution):
 
 
 def density_profile(spec: KernelSpec, t: float, r) -> np.ndarray:
-    """Evaluate p(t, |x|) on an array of radii r >= 0."""
+    """Evaluate p(t, |x|) on an array of radii r >= 0.
+
+    Closed forms for alpha = 2 and alpha = 1.  Otherwise the radii from
+    r_far t^(1/alpha) on take the far-field series (:func:`_far_series`)
+    and the others the radial quadrature, on a node set sized for the
+    largest of them.
+    """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -328,7 +395,13 @@ def density_profile(spec: KernelSpec, t: float, r) -> np.ndarray:
     if spec.alpha == 1.0:
         c = math.gamma((spec.dim + 1) / 2.0) / math.pi ** ((spec.dim + 1) / 2.0)
         return c * t / (t**2 + r**2) ** ((spec.dim + 1) / 2.0)
-    return _profile_quadrature(spec.alpha, spec.dim, t, r, 1.0)
+    _, r_far = _far_series(spec.alpha, spec.dim)
+    far = r >= r_far * t ** (1.0 / spec.alpha)
+    out = np.empty_like(r)
+    out[far] = _profile_series(spec.alpha, spec.dim, t, r[far])
+    if not far.all():
+        out[~far] = _profile_quadrature(spec.alpha, spec.dim, t, r[~far], 1.0)
+    return out
 
 
 def eval_density_grid(spec: KernelSpec, t: float, grid: SpectralGrid, *,
@@ -427,13 +500,18 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
     """L^mu(R^d) norm of p(t, .) by radial quadrature.
 
     The integral S_{d-1} int_0^inf p(t,r)^mu r^(d-1) dr is evaluated on
-    geometric Gauss-Legendre panels out to a heavy-tail cut, after which the
+    Gauss-Legendre panels out to a heavy-tail cut, after which the
     first-order |x|^(-d-alpha) asymptotic supplies the remainder (for
-    alpha < 2; the Gaussian tail is negligible beyond the cut).  The radii
-    span 24 octaves, so p(t, r) is evaluated band by band, each band on the
-    node set :func:`_quad_panels` sizes for its largest radius: one band for
-    the radii up to 2 pi/trunc, below which every dyadic level takes one
-    panel and the node set is the coarsest, then one band per octave.
+    alpha < 2; the Gaussian tail is negligible beyond the cut).  For
+    alpha >= 1, ``_LP_CORE_PANELS`` uniform panels cover the core
+    [0, t^(1/alpha)]; for alpha < 1 one panel covers [0, cut 2^(-24)].
+    Geometric panels, two per octave, run from there to the cut.  p(t, r)
+    is evaluated band by band, each band on the node set
+    :func:`_quad_panels` sizes for its largest radius: one band for the
+    radii up to 2 pi/trunc, below which every dyadic level takes one panel
+    and the node set is the coarsest, then one band per octave.  The radii
+    beyond the switch radius of :func:`density_profile` take its far-field
+    series and no quadrature.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -441,7 +519,16 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
         raise ValueError(f"mu must be >= 1, got {mu}")
     a, d = spec.alpha, spec.dim
     rcut = _lp_radial_cut(a, d, t, mu)
-    r, w = _gauss_panels(np.concatenate([[0.0], np.geomspace(rcut * 2.0 ** (-24), rcut, 48)]))
+    if a >= 1.0:
+        # p(t, .) is analytic at 0: a few uniform panels hold its core
+        lo = t ** (1.0 / a)
+        head = np.linspace(0.0, lo, _LP_CORE_PANELS + 1)
+    else:
+        # p(t, .) is only smooth at 0: the grading goes on 24 octaves below the cut
+        lo = rcut * 2.0 ** (-24)
+        head = np.array([0.0, lo])
+    halves = math.ceil(2.0 * math.log2(rcut / lo))
+    r, w = _gauss_panels(np.concatenate([head, np.geomspace(lo, rcut, halves + 1)[1:]]))
     r_one = 2.0 * math.pi / _trunc(a, t)
     octaves = max(0, math.ceil(math.log2(rcut / r_one)))
     bands = np.split(r, np.searchsorted(r, np.ldexp(r_one, np.arange(octaves)), side="right"))

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.special import j0
 
@@ -173,6 +174,97 @@ def test_gauss_panels_returns_arrays_of_its_own():
     w *= 3.0
     again = K._gauss_panels(cuts)
     assert again[0].tobytes() == ref[0].tobytes() and again[1].tobytes() == ref[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# far-field series
+
+SERIES_ALPHAS = [0.5, 0.8, 1.2, 1.5, 1.7, 1.9]
+
+
+def _beyond_r_far(alpha, dim, t):
+    """Radii from the switch radius r_far t^(1/alpha) to a quarter beyond it."""
+    return K._far_series(alpha, dim)[1] * t ** (1.0 / alpha) * np.array([1.0, 1.1, 1.25])
+
+
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS + [1.0])
+def test_far_series_leading_coefficient_is_the_tail_constant(alpha):
+    for dim in (1, 2, 3):
+        assert K._far_series(alpha, dim)[0][0] == pytest.approx(K._tail_coeff(alpha, dim), rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_far_series_is_the_cauchy_closed_form(dim):
+    for t in (1.0, 0.3):
+        r = K._far_series(1.0, dim)[1] * t * np.array([1.0, 1.5, 3.0, 10.0, 1e3])
+        ref = density_profile(KernelSpec(1.0, dim), t, r)
+        assert np.max(np.abs(K._profile_series(1.0, dim, t, r) / ref - 1.0)) <= 1e-14, t
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+def test_far_series_matches_quadrature_beyond_r_far(alpha, dim):
+    for t in (1.0, 0.7):
+        r = _beyond_r_far(alpha, dim, t)
+        ref = K._profile_quadrature(alpha, dim, t, r, 4.0)
+        # the float64 quadrature errs by up to about 1e-16 of the peak (the
+        # rounding of its nodes and weights), so up to 1e-12 of p at alpha = 1.9
+        tol = 1e-13 * ref + 2e-16 * K._peak_value(alpha, dim, t)
+        assert np.all(np.abs(K._profile_series(alpha, dim, t, r) - ref) <= tol), t
+
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def _profile_long_double(alpha, dim, t, r):
+    """p(t, r) for d = 1 or 3 by the radial quadrature with its rule, kernel
+    and sums in 80-bit long double: dyadic panels toward rho = 0, then panels
+    of a quarter period at the largest radius."""
+    ld, n = np.longdouble, K._GAUSS_ORDER
+    x = np.polynomial.legendre.leggauss(n)[0].astype(ld)
+    for _ in range(3):
+        p, dp = _legendre(n, x)
+        x -= p / dp
+    wg = 2 / ((1 - x * x) * _legendre(n, x)[1] ** 2)
+    trunc = K._trunc(alpha, t)
+    cuts = np.unique(np.concatenate([trunc * 2.0 ** -np.arange(40.0, 0.0, -1.0),
+                                     np.linspace(0.0, trunc, math.ceil(2 * trunc * max(r) / math.pi) + 1)]))
+    cuts = cuts.astype(ld)
+    mid, half = (cuts[1:] + cuts[:-1]) / 2, (cuts[1:] - cuts[:-1]) / 2
+    rho = (mid[:, None] + half[:, None] * x).ravel()
+    w = (half[:, None] * wg).ravel() * np.exp(-t * rho ** ld(alpha))
+    rr = np.asarray(r, dtype=ld)
+    if dim == 1:
+        return np.cos(np.outer(rr, rho)) @ w / ld(math.pi)
+    return np.sin(np.outer(rr, rho)) @ (w * rho) / rr / (2 * ld(math.pi) ** 2)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than float64")
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+def test_far_series_matches_long_double_quadrature(alpha, dim):
+    # what the float64 comparison leaves to round-off: here the reference
+    # holds p to about 1e-16 of itself, and so must the series
+    for t in (1.0, 0.7):
+        r = _beyond_r_far(alpha, dim, t)
+        ref = _profile_long_double(alpha, dim, t, r)
+        err = np.abs(K._profile_series(alpha, dim, t, r) / ref - 1)
+        assert float(np.max(err)) <= 1e-13, t
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+def test_density_profile_has_no_jump_at_r_far(alpha, dim):
+    for t in (1.0, 0.7):
+        edge = K._far_series(alpha, dim)[1] * t ** (1.0 / alpha)
+        below, at = density_profile(KernelSpec(alpha, dim), t, [np.nextafter(edge, 0.0), edge])
+        assert at == K._profile_series(alpha, dim, t, np.array([edge]))[0]
+        assert abs(at - below) <= 1e-13 * at + 2e-16 * K._peak_value(alpha, dim, t), t
 
 
 def test_domain_errors():
@@ -363,8 +455,28 @@ def test_banded_lp_norm_evaluates_few_kernel_elements(monkeypatch):
 
     monkeypatch.setattr(np, "cos", counted)
     lp_norm(KernelSpec(1.5, 1), 1.0, 2.0)
-    # 1.51e6 with one node set for all 768 radii, 0.57e6 with the octave bands
-    assert 0 < sum(elements) <= 0.6e6
+    # 1.51e6 with one node set for all 768 radii, 0.57e6 with the octave bands,
+    # 0.125e6 with the core panels and the far-field series
+    assert 0 < sum(elements) <= 0.13e6
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_heavy_tail_l1_norm_is_mass_from_few_kernel_elements(monkeypatch, dim):
+    # the heavy-tail cut is 9.4e4 (d = 1) and 1.2e5 (d = 2): the octave bands
+    # alone evaluated 6.3e8 and 8.3e8 kernel elements here
+    elements = []
+
+    def counting(kernel):
+        def counted(x, out=None):
+            elements.append(np.size(x))
+            return kernel(x, out=out)
+        return counted
+
+    monkeypatch.setattr(np, "cos", counting(np.cos))
+    monkeypatch.setattr(scipy.special, "j0", counting(scipy.special.j0))
+    assert lp_norm(KernelSpec(1.2, dim), 2.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+    # 0.97e5 (d = 1) and 0.96e5 (d = 2)
+    assert 0 < sum(elements) <= 1.2e5
 
 
 def test_l2_slope_gaussian():

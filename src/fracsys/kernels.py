@@ -12,18 +12,23 @@ r_far t^(1/alpha) on take the far-field series of p in powers of
 r^(-alpha), built from ``math.lgamma`` alone; r_far is derived from the
 series' own terms.  The radii below it go through a graded-panel
 Gauss-Legendre quadrature of the radial Fourier inversion integral, whose
-node set is sized for the largest of them.  The rule is built once per
-process, on the first quadrature; the panel cuts of all dyadic levels are
-built at once, without a per-level loop.  The (radii x nodes) kernel
-matrix is evaluated in place, one cache-sized block of ``_BLOCK_ELEMENTS``
-at a time in a single reused buffer, and each block is reduced by
-``einsum`` on the calling thread: no BLAS call, so no BLAS worker threads
-are started.  :func:`lp_norm` integrates over a few uniform panels on the
-core [0, t^(1/alpha)] and two geometric panels per octave from there to
-its heavy-tail cut, and evaluates its radii one octave at a time, each on
-the node set its largest radius needs.  ``scipy`` (for the Bessel function
-J0) is imported only inside the d = 2 quadrature, the one place that
-calls it.
+node set is sized for the largest of them, and r = 0 takes the closed form
+of p(t, 0).  The rule is built once per process, on the first quadrature;
+the panel cuts of all dyadic levels are built at once, without a per-level
+loop, and a node set larger than ``_MAX_NODES`` raises
+:class:`NodeCountError` before it is built.  The nodes with rho rmax <= 1/2
+(rmax the largest radius) are summed as moments of the kernel's Taylor
+series, one polynomial in r^2 for all radii.  For the other nodes the
+(radii x nodes) kernel matrix is evaluated in place, one cache-sized block
+of ``_BLOCK_ELEMENTS`` at a time in a single reused buffer, and each block
+is reduced by ``einsum`` on the calling thread: no BLAS call, so no BLAS
+worker threads are started.  :func:`lp_norm` integrates over a few uniform
+panels on the core [0, t^(1/alpha)] and two geometric panels per octave
+from there to its heavy-tail cut, and evaluates its radii one octave at a
+time up to the switch radius, each on the node set its largest radius
+needs, and all radii beyond it in one series call.  ``scipy`` (for the
+Bessel function J0) is imported only inside the d = 2 quadrature, the one
+place that calls it.
 """
 
 from __future__ import annotations
@@ -48,14 +53,26 @@ _GAUSS_ORDER = 16
 _SERIES_TERMS = 60
 _SERIES_TOL = 1e-17
 _SERIES_SPREAD = 8.0
+# the radial quadrature sums its nodes with rho rmax <= _TAYLOR_SPLIT by the
+# kernel's Taylor series; at 1 its values just beyond r_far (alpha = 1.9, d = 1)
+# left the far-field series by more than the 2e-16 of the peak they keep
+_TAYLOR_SPLIT = 0.5
 # uniform Gauss-Legendre panels of lp_norm on the core [0, t^(1/alpha)]
 _LP_CORE_PANELS = 4
+# nodes of one radial quadrature at most: at its peak it holds about four
+# float64 arrays of its node count (33 bytes a node under tracemalloc), so
+# 2^22 nodes take about 140 MB
+_MAX_NODES = 2**22
 # elements per block of the radial kernel matrix: 2 MB of float64, one L2 cache
 _BLOCK_ELEMENTS = 2**18
 # negative FFT ringing above this magnitude is clamped to zero silently
 CLAMP_FLOOR = 1e-12
 # grid ringing below -NEG_TOL * peak means the box cannot hold the tails
 NEG_TOL = 1e-6
+
+
+class NodeCountError(ArithmeticError):
+    """The radial quadrature would need more nodes than ``_MAX_NODES``."""
 
 
 class TruncationError(ArithmeticError):
@@ -286,7 +303,12 @@ def _quad_panels(alpha: float, t: float, rmax: float, resolution: float):
     width = math.pi / max(rmax, math.pi / trunc)
     edges = np.append(0.0, np.ldexp(trunc, np.arange(-_GRADING_LEVELS, 1)))
     lo, span = edges[:-1], np.diff(edges)
-    m = np.maximum(1.0, np.ceil(span / width * resolution)).astype(np.intp)
+    m = np.maximum(1.0, np.ceil(span / width * resolution))
+    nodes = _GAUSS_ORDER * float(m.sum())
+    if nodes > _MAX_NODES:
+        raise NodeCountError(f"alpha={alpha:g}, t={t:g}: the radial quadrature out to r = {rmax:.6g} "
+                             f"needs {nodes:.3e} nodes, over the cap of {_MAX_NODES}")
+    m = m.astype(np.intp)
     k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
     cuts = np.append(np.repeat(lo, m) + k * np.repeat(span / m, m), trunc)
     rho, w = _gauss_panels(cuts)
@@ -343,11 +365,34 @@ def _profile_series(alpha, dim, t, r):
     return x * np.polyval(coeffs[::-1], x) * r ** (-dim)
 
 
+@lru_cache(maxsize=3)
+def _taylor_coeffs(dim: int) -> np.ndarray:
+    """a_0 .. a_(J-1) of the radial kernel K_d(x) = sum_j a_j x^(2j): cos x
+    (d = 1), J0(x) (d = 2) and sin x / x (d = 3).  The series alternate with
+    shrinking terms for x <= X = ``_TAYLOR_SPLIT``, so the first term left
+    out bounds the remainder: J is the first j with X^(2j) |a_j| <=
+    ``_SERIES_TOL`` (8 for all three).  Cached, so read-only.
+    """
+    term = {1: lambda j: (-1.0) ** j / math.factorial(2 * j),
+            2: lambda j: (-0.25) ** j / math.factorial(j) ** 2,
+            3: lambda j: (-1.0) ** j / math.factorial(2 * j + 1)}[dim]
+    a = []
+    while _TAYLOR_SPLIT ** (2 * len(a)) * abs(term(len(a))) > _SERIES_TOL:
+        a.append(term(len(a)))
+    out = np.array(a)
+    out.flags.writeable = False
+    return out
+
+
 def _profile_quadrature(alpha, dim, t, r, resolution):
     """const * sum_i w_i rho_i^(d-1) K_d(rho_i r) for each radius r.
 
-    Blocks hold whole rows (one radius each), so a block is one row when a
-    row alone exceeds ``_BLOCK_ELEMENTS``.
+    The nodes with rho rmax <= ``_TAYLOR_SPLIT`` (rmax the largest radius)
+    are summed by the kernel's Taylor series (:func:`_taylor_coeffs`) as
+    moments: sum_j a_j M_j r^(2j) with M_j = sum_i w_i rho_i^(d-1+2j), one
+    polynomial in r^2 for all radii.  The other nodes go through the
+    (radii x nodes) kernel matrix; its blocks hold whole rows (one radius
+    each), so a block is one row when a row alone exceeds ``_BLOCK_ELEMENTS``.
     """
     if dim == 1:
         kernel, const = np.cos, 1.0 / math.pi
@@ -359,22 +404,39 @@ def _profile_quadrature(alpha, dim, t, r, resolution):
         kernel, const = np.sin, 1.0 / (2.0 * math.pi**2)
     else:
         raise ValueError("the radial quadrature supports dim 1, 2 or 3 only")
-    rho, w = _quad_panels(alpha, t, float(np.max(r, initial=0.0)), resolution)
+    rmax = float(np.max(r, initial=0.0))
+    rho, w = _quad_panels(alpha, t, rmax, resolution)
     if dim > 1:
         w *= rho
-    out = np.empty_like(r)
-    rows = max(1, min(r.size, _BLOCK_ELEMENTS // rho.size))
-    buf = np.empty(rows * rho.size)
-    for lo in range(0, r.size, rows):
-        rr = r[lo : lo + rows]
-        block = buf[: rr.size * rho.size].reshape(rr.size, rho.size)
-        np.multiply(rr[:, None], rho, out=block)
-        kernel(block, out=block)
-        np.einsum("ij,j->i", block, w, out=out[lo : lo + rr.size])
-    if dim == 3:
-        origin = r == 0.0
-        np.divide(out, r, out=out, where=~origin)
-        out[origin] = np.einsum("i,i->", w, rho)
+    # rho ascends, so the Taylor nodes are a prefix
+    split = np.count_nonzero(rho * rmax <= _TAYLOR_SPLIT)
+    a = _taylor_coeffs(dim)
+    # row j holds w_i rho_i^(d-1+2j); the series of sinc carries the whole
+    # rho^2, so it needs no 1/r.  Rows are summed pairwise (numpy's sum along
+    # a contiguous axis): einsum's running sum erred 2.4 times as much.
+    terms = np.empty((a.size, split))
+    terms[0] = w[:split] * rho[:split] if dim == 3 else w[:split]
+    rho2 = rho[:split] ** 2
+    for j in range(1, a.size):
+        np.multiply(terms[j - 1], rho2, out=terms[j])
+    moments = terms.sum(axis=1)
+    out = np.polyval((a * moments)[::-1], r * r)
+    rho, w = rho[split:], w[split:]
+    if rho.size:
+        high = np.empty_like(r)
+        rows = max(1, min(r.size, _BLOCK_ELEMENTS // rho.size))
+        buf = np.empty(rows * rho.size)
+        for lo in range(0, r.size, rows):
+            rr = r[lo : lo + rows]
+            block = buf[: rr.size * rho.size].reshape(rr.size, rho.size)
+            np.multiply(rr[:, None], rho, out=block)
+            kernel(block, out=block)
+            np.einsum("ij,j->i", block, w, out=high[lo : lo + rr.size])
+        if dim == 3:
+            origin = r == 0.0
+            np.divide(high, r, out=high, where=~origin)
+            high[origin] = np.einsum("i,i->", w, rho)
+        out += high
     out *= const
     return out
 
@@ -383,9 +445,9 @@ def density_profile(spec: KernelSpec, t: float, r) -> np.ndarray:
     """Evaluate p(t, |x|) on an array of radii r >= 0.
 
     Closed forms for alpha = 2 and alpha = 1.  Otherwise the radii from
-    r_far t^(1/alpha) on take the far-field series (:func:`_far_series`)
-    and the others the radial quadrature, on a node set sized for the
-    largest of them.
+    r_far t^(1/alpha) on take the far-field series (:func:`_far_series`),
+    r = 0 takes the closed form :func:`_peak_value`, and the others the
+    radial quadrature, on a node set sized for the largest of them.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -397,10 +459,14 @@ def density_profile(spec: KernelSpec, t: float, r) -> np.ndarray:
         return c * t / (t**2 + r**2) ** ((spec.dim + 1) / 2.0)
     _, r_far = _far_series(spec.alpha, spec.dim)
     far = r >= r_far * t ** (1.0 / spec.alpha)
+    origin = r == 0.0
+    near = ~(far | origin)
     out = np.empty_like(r)
-    out[far] = _profile_series(spec.alpha, spec.dim, t, r[far])
-    if not far.all():
-        out[~far] = _profile_quadrature(spec.alpha, spec.dim, t, r[~far], 1.0)
+    if far.any():
+        out[far] = _profile_series(spec.alpha, spec.dim, t, r[far])
+    out[origin] = _peak_value(spec.alpha, spec.dim, t)
+    if near.any():
+        out[near] = _profile_quadrature(spec.alpha, spec.dim, t, r[near], 1.0)
     return out
 
 
@@ -509,9 +575,10 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
     is evaluated band by band, each band on the node set
     :func:`_quad_panels` sizes for its largest radius: one band for the
     radii up to 2 pi/trunc, below which every dyadic level takes one panel
-    and the node set is the coarsest, then one band per octave.  The radii
-    beyond the switch radius of :func:`density_profile` take its far-field
-    series and no quadrature.
+    and the node set is the coarsest, then one band per octave up to the
+    switch radius r_far t^(1/alpha) of :func:`density_profile`.  The radii
+    beyond it form one band more, which takes the far-field series and no
+    quadrature.  The closed forms (alpha = 1, 2) take all radii in one call.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -529,10 +596,17 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
         head = np.array([0.0, lo])
     halves = math.ceil(2.0 * math.log2(rcut / lo))
     r, w = _gauss_panels(np.concatenate([head, np.geomspace(lo, rcut, halves + 1)[1:]]))
-    r_one = 2.0 * math.pi / _trunc(a, t)
-    octaves = max(0, math.ceil(math.log2(rcut / r_one)))
-    bands = np.split(r, np.searchsorted(r, np.ldexp(r_one, np.arange(octaves)), side="right"))
-    vals = np.concatenate([density_profile(spec, t, band) for band in bands if band.size])
+    if a in (1.0, 2.0):
+        vals = density_profile(spec, t, r)
+    else:
+        r_one = 2.0 * math.pi / _trunc(a, t)
+        octaves = max(0, math.ceil(math.log2(rcut / r_one)))
+        edges = np.ldexp(r_one, np.arange(octaves))
+        # the switch radius is the last edge: the series takes all radii beyond it
+        r_far = _far_series(a, d)[1] * t ** (1.0 / a)
+        edges = np.append(edges[edges < r_far], r_far)
+        bands = np.split(r, np.searchsorted(r, edges, side="right"))
+        vals = np.concatenate([density_profile(spec, t, band) for band in bands if band.size])
     surf = _sphere_area(d)
     total = surf * float(np.dot(w, vals**mu * r ** (d - 1)))
     if a < 2.0:

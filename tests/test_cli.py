@@ -581,8 +581,16 @@ ASYM_2D_GOLDEN = {
 # moved by round-off and with it the alpha = 1.5 domination_min_margin, the
 # margin at r = 0 where the identity is exact: d = 2 from 5.551115e-17 to
 # 2.081668e-17 (both outputs) and d = 3 from 3.469447e-18 to 1.214306e-17.
-VERIFY_KERNEL_123_GOLDEN = "e07fdccda55b021ec86b7996be8708671e43b8c20b4cff9708f5e0a0780eb858"
-VERIFY_KERNEL_DEFAULT_GOLDEN = "88ea8b556f8b0fb11efe35022a7d3f14cf3973a62c3a7259b26c6035aa1fd0e5"
+# Re-pinned both when the quadrature summed its nodes below rho rmax = 1/2 as
+# Taylor moments and density_profile took r = 0 from the closed form; only
+# alpha = 1.5 round-off residuals moved, every lp_norm within 2.2e-16 relative:
+# scaling_rel_err d = 1 1.524486e-14 -> 2.008600e-14, d = 2 3.121561e-14 ->
+# 2.920170e-14, d = 3 2.951344e-14 -> 3.158455e-14; domination_min_margin (now
+# the closed-form p(t, 0) alone) d = 1 -1.665335e-16 -> 2.775558e-17, d = 2
+# 2.081668e-17 -> -6.938894e-18, d = 3 1.214306e-17 -> 1.734723e-18; and
+# l2_slope_rel_err d = 3 2.220446e-16 -> 5.551115e-16.  d = 3 is in the first only.
+VERIFY_KERNEL_123_GOLDEN = "7b833f765fc6674c2b78292a4e7078b6015105064d128ed4398708127430d1c6"
+VERIFY_KERNEL_DEFAULT_GOLDEN = "28bbae6b7bcaedc2e9b73e4f7eb6d4a84aa15279a9011e8f7a24ac2afa2d3b7a"
 
 
 def test_asymmetric_2d_artifact_bytes_are_frozen(tmp_path):
@@ -653,6 +661,14 @@ def test_verify_kernel_reports_failed_case_and_continues(capsys):
     assert "[FAIL] alpha=1 d=3 TruncationError: " in out
     assert out.count("[PASS] alpha=2 d=3 ") == 7
     assert out.endswith("# 9/10 checks passed\n")
+
+
+def test_verify_kernel_fails_a_case_over_the_node_cap_without_building_it(capsys):
+    # alpha = 0.2 would need 3e8 quadrature nodes (about 10 GB) for its first check
+    assert main(["verify-kernel", "--alpha", "0.2", "--dims", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("[FAIL] alpha=0.2 d=1 NodeCountError: ")
+    assert lines[1] == "# 0/1 checks passed"
 
 
 @pytest.mark.parametrize("alpha, dims", [("2", "4"), ("1.5", "4"), ("3", "1"), ("x", "1"),

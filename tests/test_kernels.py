@@ -10,6 +10,7 @@ Golden values frozen from independent oracles before the implementation:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ def test_alpha15_golden_at_origin():
     assert v10 == pytest.approx(GOLD_P15_AT_ZERO, abs=1e-13)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9])
+def test_density_at_origin_is_the_closed_form_peak(alpha, dim):
+    # p(t, 0) = (s/t)^(d/alpha) p(s, 0) holds exactly, so the domination
+    # margin at r = 0 must not move with the quadrature's node set
+    for t in (0.6, 1.5):
+        assert density_profile(KernelSpec(alpha, dim), t, [0.0])[0] == K._peak_value(alpha, dim, t)
+        assert density_profile(KernelSpec(alpha, dim), t, [0.5, 0.0])[1] == K._peak_value(alpha, dim, t)
+
+
 @pytest.mark.parametrize("alpha,dim", [(2.0, 1), (2.0, 2), (2.0, 3), (1.0, 1), (1.0, 2), (1.0, 3)])
 def test_quadrature_matches_closed_form(alpha, dim):
     r = np.linspace(0.0, 9.0, 46)
@@ -116,6 +127,69 @@ def test_blocked_quadrature_row_longer_than_block(monkeypatch):
     monkeypatch.setattr(K, "_BLOCK_ELEMENTS", 100)   # fewer than the nodes
     got = K._profile_quadrature(1.5, 3, 1.0, r, 1.0)
     assert np.max(np.abs(got - ref)) <= 1e-14 * K._peak_value(1.5, 3, 1.0)
+
+
+def _profile_direct(alpha, dim, t, r):
+    """The radial quadrature with the kernel evaluated at every node: the
+    nodes below the Taylor split summed exactly (``math.fsum``), the others
+    as the blocked quadrature sums them, so the two differ only in how the
+    nodes below the split are summed."""
+    rmax = float(np.max(r))
+    rho, w = K._quad_panels(alpha, t, rmax, 1.0)
+    if dim > 1:
+        w = w * rho
+    x = np.outer(r, rho)
+    split = np.count_nonzero(rho * rmax <= K._TAYLOR_SPLIT)
+    assert 0 < split < rho.size
+    if dim == 1:
+        low, kernel = np.cos(x[:, :split]) * w[:split], np.cos
+    elif dim == 2:
+        low, kernel = j0(x[:, :split]) * w[:split], j0
+    else:
+        low, kernel = np.sinc(x[:, :split] / math.pi) * (w[:split] * rho[:split]), np.sin
+    high = np.einsum("ij,j->i", kernel(x[:, split:]), w[split:])
+    if dim == 3:
+        origin = r == 0.0
+        high[~origin] /= r[~origin]
+        high[origin] = np.einsum("i,i->", w[split:], rho[split:])
+    out = np.array([math.fsum([*row, h]) for row, h in zip(low, high)])
+    return out * {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi), 3: 1.0 / (2.0 * math.pi**2)}[dim]
+
+
+def test_taylor_coefficients_are_the_kernels_series():
+    x = np.linspace(0.0, K._TAYLOR_SPLIT, 11)
+    for dim, kernel in ((1, np.cos(x)), (2, j0(x)), (3, np.sinc(x / math.pi))):
+        a = K._taylor_coeffs(dim)
+        assert a.size == 8
+        assert np.max(np.abs(np.polyval(a[::-1], x * x) - kernel)) <= 2e-16, dim
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.2, 1.5, 1.7, 1.9])
+def test_taylor_moments_match_the_direct_kernel_sum(alpha, dim):
+    # the radii the quadrature serves in density_profile: 0 up to the switch radius
+    for t in (1.0, 0.7, 2.0):
+        r = np.linspace(0.0, K._far_series(alpha, dim)[1] * t ** (1.0 / alpha), 33)
+        got = K._profile_quadrature(alpha, dim, t, r, 1.0)
+        ref = _profile_direct(alpha, dim, t, r)
+        assert np.max(np.abs(got - ref)) <= 2e-16 * K._peak_value(alpha, dim, t), t
+
+
+def test_quad_panels_refuses_a_node_set_over_the_cap():
+    # alpha = 0.2 needs 3e8 nodes out to r = 2.75 at t = 1.4, about 10 GB:
+    # the count is checked before any array of that size is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(K.NodeCountError, match=r"needs 3\.185e\+08 nodes"):
+            K._quad_panels(0.2, 1.4, 2.75, 1.0)
+        with pytest.raises(K.NodeCountError):
+            density_profile(KernelSpec(0.2, 1), 1.4, np.linspace(0.0, 8.0, 33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # verify-kernel reports an ArithmeticError as a failed case and goes on
+    assert issubclass(K.NodeCountError, ArithmeticError)
 
 
 def _quad_panels_per_level(alpha, t, rmax, resolution):
@@ -456,8 +530,32 @@ def test_banded_lp_norm_evaluates_few_kernel_elements(monkeypatch):
     monkeypatch.setattr(np, "cos", counted)
     lp_norm(KernelSpec(1.5, 1), 1.0, 2.0)
     # 1.51e6 with one node set for all 768 radii, 0.57e6 with the octave bands,
-    # 0.125e6 with the core panels and the far-field series
-    assert 0 < sum(elements) <= 0.13e6
+    # 0.125e6 with the core panels and the far-field series, 32,352 with the
+    # nodes below rho rmax = 1/2 summed as Taylor moments
+    assert 0 < sum(elements) <= 0.033e6
+
+
+def test_lp_norm_takes_its_far_radii_in_one_series_call(monkeypatch):
+    profile_series, profile = K._profile_series, K.density_profile
+    series, profiles = [], []
+
+    def counted_series(alpha, dim, t, r):
+        series.append(r.size)
+        return profile_series(alpha, dim, t, r)
+
+    def counted_profile(spec, t, r):
+        profiles.append(np.size(r))
+        return profile(spec, t, r)
+
+    monkeypatch.setattr(K, "_profile_series", counted_series)
+    monkeypatch.setattr(K, "density_profile", counted_profile)
+    lp_norm(KernelSpec(1.5, 1), 1.0, 2.0)
+    # five bands below the switch radius (6.7) go to the quadrature alone
+    assert len(profiles) == 6 and len(series) == 1 and series[0] == profiles[-1]
+    for alpha in (1.0, 2.0):
+        profiles.clear()
+        lp_norm(KernelSpec(alpha, 2), 1.0, 2.0)
+        assert len(profiles) == 1
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -475,8 +573,9 @@ def test_heavy_tail_l1_norm_is_mass_from_few_kernel_elements(monkeypatch, dim):
     monkeypatch.setattr(np, "cos", counting(np.cos))
     monkeypatch.setattr(scipy.special, "j0", counting(scipy.special.j0))
     assert lp_norm(KernelSpec(1.2, dim), 2.0, 1.0) == pytest.approx(1.0, abs=1e-9)
-    # 0.97e5 (d = 1) and 0.96e5 (d = 2)
-    assert 0 < sum(elements) <= 1.2e5
+    # 0.97e5 (d = 1) and 0.96e5 (d = 2) by the kernel at every node; 26,969
+    # and 26,687 with the Taylor moments
+    assert 0 < sum(elements) <= 2.8e4
 
 
 def test_l2_slope_gaussian():

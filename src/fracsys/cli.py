@@ -12,6 +12,7 @@ error (default WARNING); they never reach an artifact.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import os
 import sys
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .config import (PARAM_KEYS, ConfigError, ExperimentConfig, build, parse_config,
-                     sha256_file, swept, system_params, write_manifest)
+from .config import (PARAM_KEYS, ConfigError, ExperimentConfig, build, parse_config, swept,
+                     system_params, write_manifest)
 from .exponents import DeltaOutsideWindow, REGIME_NO_GUARANTEE, _fmt, classify
 from .kernels import (KernelSpec, SpectralGrid, check_monotone_domination, check_scaling,
                       eval_density_grid, grid_mass, lp_norm_slope, semigroup_residual,
@@ -86,14 +87,11 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
     run_dir = out_base / cfg.values.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    artifacts = {}
-    norms_path = run_dir / "norms.csv"
-    result.norms.write_csv(norms_path)
-    artifacts["norms.csv"] = sha256_file(norms_path)
+    # every writer returns the SHA-256 of the bytes it wrote
+    artifacts = {"norms.csv": result.norms.write_csv(run_dir / "norms.csv")}
     for idx, snap in enumerate(result.snapshots):
         name = f"snap_{idx:06d}.bin"
-        write_snapshot(run_dir / name, snap, cfg.run.grid, cfg.params)
-        artifacts[name] = sha256_file(run_dir / name)
+        artifacts[name] = write_snapshot(run_dir / name, snap, cfg.run.grid, cfg.params)
 
     status = result.status
     entries = dict(report.flat_items())
@@ -123,9 +121,9 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
            "verdict": all(verdicts) if verdicts else None}
     row.update((col, entries.get(key)) for col, key in SUMMARY_SOURCES.items())
 
-    report_path = run_dir / "verification.txt"
-    report_path.write_text("".join(f"{key} = {_fmt(value)}\n" for key, value in entries.items()))
-    artifacts["verification.txt"] = sha256_file(report_path)
+    text = "".join(f"{key} = {_fmt(value)}\n" for key, value in entries.items()).encode()
+    (run_dir / "verification.txt").write_bytes(text)
+    artifacts["verification.txt"] = hashlib.sha256(text).hexdigest()
     write_manifest(run_dir / "manifest.txt", cfg, artifacts)
     if append_summary:
         _append_summary(out_base / "summary.csv", row)

@@ -37,6 +37,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -67,7 +68,7 @@ _MAX_NODES = 2**22
 _BLOCK_ELEMENTS = 2**18
 # negative FFT ringing above this magnitude is clamped to zero silently
 CLAMP_FLOOR = 1e-12
-# grid ringing below -NEG_TOL * peak means the box cannot hold the tails
+# grid ringing below -NEG_TOL * peak means the spacing cuts the symbol too early
 NEG_TOL = 1e-6
 
 
@@ -76,7 +77,8 @@ class NodeCountError(ArithmeticError):
 
 
 class TruncationError(ArithmeticError):
-    """Grid too small for the kernel tails; negative lobes exceed tolerance."""
+    """Grid spacing too coarse for the kernel's symbol: negative lobes
+    exceed tolerance."""
 
     def __init__(self, message, min_value):
         super().__init__(f"{message} (most negative value {min_value:.3e})")
@@ -107,6 +109,8 @@ class SpectralGrid:
 
     # every sample stands for one grid point (see EvenGrid.weights)
     weights = None
+    # spectra on the rfftn layout are complex (an EvenGrid's are real)
+    spectral_dtype = complex
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -172,13 +176,40 @@ class SpectralGrid:
             np.fft.ifft(spectrum, axis=ax, out=spectrum)
         return np.fft.irfft(spectrum, n=self.n, axis=-1, out=out)
 
+    def centered(self, values: np.ndarray) -> np.ndarray:
+        """A field of the transforms' layout (x = 0 at index 0) on the
+        grid's own layout (x = 0 at index n//2)."""
+        return np.fft.fftshift(values)
+
+    def corner(self, values: np.ndarray) -> np.ndarray:
+        """The samples of a full-grid field this view keeps: all of them
+        (see :meth:`EvenGrid.corner`)."""
+        return values
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """The full-grid field of these samples: they are one already."""
+        return values
+
     def radius(self) -> np.ndarray:
         """|x| on the centered grid."""
-        ax = self.axis()
-        if self.dim == 1:
-            return np.abs(ax)
-        mesh = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        return np.sqrt(sum(m * m for m in mesh))
+        return _radius(self.axis(), self.dim)
+
+
+def _radius(ax: np.ndarray, dim: int) -> np.ndarray:
+    """|x| on the grid whose every axis takes the coordinates ``ax``."""
+    if dim == 1:
+        return np.abs(ax)
+    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
+    return np.sqrt(sum(m * m for m in mesh))
+
+
+def _blocks(values: np.ndarray, shape: tuple, pieces) -> np.ndarray:
+    """A new array of ``shape`` filled by slice copies: every combination
+    over the axes of the (destination, source) slice pairs of ``pieces``."""
+    out = np.empty(shape, dtype=values.dtype)
+    for combo in product(pieces, repeat=len(shape)):
+        out[tuple(dst for dst, _ in combo)] = values[tuple(src for _, src in combo)]
+    return out
 
 
 class EvenGrid:
@@ -193,15 +224,23 @@ class EvenGrid:
     the full grid's transforms of the field re-centred at x = 0, whose
     spectrum differs from the full grid's by (-1)^k per axis, a sign every
     radial multiplier and the mask commute with; the symbols and the mask
-    are the ``[:n/2+1]`` corners of the full grid's.  A sum over the full
-    grid weights each sample by its multiplicity ``weights``: per axis 1
-    at index 0 or n/2 and 2 elsewhere, multiplied over the axes.  The
-    buffers make a view serve one transform at a time.
+    are the ``[:n/2+1]`` corners of the full grid's.  The view keeps x = 0
+    at index 0, where the transforms put it, so :meth:`centered` moves
+    nothing, and its spacing and half-length are the full grid's.  A sum
+    over the full grid weights each sample by its multiplicity
+    ``weights``: per axis 1 at index 0 or n/2 and 2 elsewhere, multiplied
+    over the axes.  :meth:`corner` and :meth:`expand` convert between the
+    view and the full grid by 2^d slice copies.  The buffers make a view
+    serve one transform at a time.
     """
+
+    # the spectrum of an even field is real
+    spectral_dtype = float
 
     def __init__(self, grid: SpectralGrid):
         self.full = grid
         self.dim, self.n, self.cell_volume = grid.dim, grid.n, grid.cell_volume
+        self.half_length, self.spacing = grid.half_length, grid.spacing
         m = grid.n // 2 + 1
         self._corner = (slice(0, m),) * grid.dim
         per_axis = np.full(m, 2.0)
@@ -225,15 +264,25 @@ class EvenGrid:
     def dealias_mask(self) -> np.ndarray:
         return np.ascontiguousarray(self.full.dealias_mask()[self._corner])
 
+    def centered(self, values: np.ndarray) -> np.ndarray:
+        return values
+
     def corner(self, values: np.ndarray) -> np.ndarray:
         """The x >= 0 samples of a full-grid field (x = L is x = -L)."""
-        index = (self.n // 2 + np.arange(self.n // 2 + 1)) % self.n
-        return values[np.ix_(*[index] * self.dim)]
+        h = self.n // 2
+        return _blocks(values, self.shape(), ((slice(0, h), slice(h, None)),
+                                              (slice(h, None), slice(0, 1))))
 
     def expand(self, values: np.ndarray) -> np.ndarray:
         """The full-grid field, even in every axis, with these x >= 0 samples."""
-        index = np.abs(np.arange(self.n) - self.n // 2)
-        return values[np.ix_(*[index] * self.dim)]
+        h = self.n // 2
+        return _blocks(values, self.full.shape(), ((slice(0, h + 1), slice(None, None, -1)),
+                                                   (slice(h + 1, None), slice(1, h))))
+
+    def radius(self) -> np.ndarray:
+        """|x| on the corner, bit for bit the full grid's |x| there."""
+        ax = self.full.axis()
+        return _radius(np.append(ax[self.n // 2:], ax[0]), self.dim)
 
     def forward(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """DCT-I of ``values``, into ``out`` when given."""
@@ -470,30 +519,38 @@ def density_profile(spec: KernelSpec, t: float, r) -> np.ndarray:
     return out
 
 
-def eval_density_grid(spec: KernelSpec, t: float, grid: SpectralGrid, *,
-                      clamp: bool = True) -> np.ndarray:
-    """Sample the periodized density on a spectral grid via the inverse FFT
-    of the symbol e^(-t |xi|^alpha).
+def eval_density_grid(spec: KernelSpec, t: float, grid, *, clamp: bool = True) -> np.ndarray:
+    """Sample the periodized density on a grid view via the inverse
+    transform of the symbol e^(-t |xi|^alpha).
 
-    The returned field is centered (index n//2 is x = 0) and its Riemann
-    mass h^d * sum equals 1 exactly (mode zero of the symbol), so all error
-    lives in periodic wrap-around of the tails; :func:`tail_mass_bound`
-    budgets that. Ringing below ``-NEG_TOL * peak`` means the box cannot
-    hold the tails and raises :class:`TruncationError`; smaller negative
-    lobes are clamped to zero with a debug-logged count.
+    On a :class:`SpectralGrid` the field is centered (index n//2 is x = 0);
+    on its :class:`EvenGrid` it is that field's x >= 0 corner (index 0 is
+    x = 0), taken from the real corner of the symbol by the DCT-I without
+    the full grid.  The view supplies what differs: the symbol's dtype, the
+    centring and the half-length.  The Riemann mass h^d * sum equals 1
+    exactly (mode zero of the symbol), so all error lives in periodic
+    wrap-around of the tails; :func:`tail_mass_bound` budgets that.
+    Ringing below ``-NEG_TOL * peak`` raises :class:`TruncationError`; the
+    periodization of a positive kernel is positive, so such ringing comes
+    from cutting the symbol at the Nyquist radius pi/h, and the message
+    names h and the symbol's value there.  Smaller negative lobes are
+    clamped to zero with a debug-logged count.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if grid.dim != spec.dim:
         raise ValueError(f"grid dim {grid.dim} != kernel dim {spec.dim}")
-    symbol = np.exp(-t * grid.symbol_exponent(spec.alpha)).astype(complex)
+    symbol = np.exp(-t * grid.symbol_exponent(spec.alpha)).astype(grid.spectral_dtype, copy=False)
     raw = grid.inverse(symbol) * (grid.n**grid.dim / (2.0 * grid.half_length) ** grid.dim)
-    raw = np.fft.fftshift(raw)
+    raw = grid.centered(raw)
     peak = raw.max()
     mn = raw.min()
     if mn < -NEG_TOL * peak:
+        h = grid.spacing
         raise TruncationError(
-            f"domain half_length {grid.half_length} too small for alpha={spec.alpha}, t={t}", mn)
+            f"grid spacing h = {h:.6g} does not resolve alpha={spec.alpha}, t={t}: the symbol "
+            f"at the Nyquist radius pi/h is e^(-t (pi/h)^alpha) = "
+            f"{math.exp(-t * (math.pi / h) ** spec.alpha):.3e}", mn)
     if clamp and mn < 0.0:
         count = int(np.count_nonzero(raw < -CLAMP_FLOOR))
         if count:
@@ -636,5 +693,5 @@ def semigroup_residual(spec: KernelSpec, t: float, s: float, grid: SpectralGrid)
     w = eval_density_grid(spec, t + s, grid, clamp=False)
     conv = grid.inverse(grid.forward(u) * grid.forward(v)) * grid.cell_volume
     # both inputs are centered, so the circular convolution is centered too
-    conv = np.fft.fftshift(conv)
+    conv = grid.centered(conv)
     return float(np.max(np.abs(conv - w)))

@@ -13,6 +13,7 @@ the scheme keeps second order for every sigma > -1.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import struct
@@ -151,8 +152,8 @@ class FieldPair:
     """Both solution components sampled on the grid at one time.
 
     On a symmetric run (see :func:`solve`) ``u1`` and ``u2`` are the same
-    array.  The arrays of a solve's snapshots are read-only; :meth:`copy`
-    gives two independent, writable arrays.
+    array.  The arrays of a solve's snapshots and of a step's result are
+    read-only; :meth:`copy` gives two independent, writable arrays.
     """
 
     u1: np.ndarray
@@ -171,6 +172,9 @@ class StepDiagnostics:
     iterations: int
     changes: list          # successive iterate distances
     clamped: int
+    # per component the read-only spectrum of the returned field, or None
+    # where the clamp touched it; the next step's ``spectra`` argument
+    spectra: tuple = (None, None)
 
 
 @dataclass
@@ -199,15 +203,24 @@ class NormSeries:
     mass: np.ndarray       # shape (nodes, 2)
     picard_iters: np.ndarray
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(NORM_COLUMNS) + "\n")
+    def write_csv(self, path) -> str:
+        """Write the series as CSV, row by row; returns the file's SHA-256
+        (hex), taken from the bytes as they are written."""
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            def emit(cells):
+                data = (",".join(cells) + "\n").encode()
+                fh.write(data)
+                digest.update(data)
+
+            emit(NORM_COLUMNS)
             for k in range(self.t.size):
                 row = [_fmt(self.t[k])]
                 for pair in (self.linf, self.ls, self.scaled, self.mass):
                     row += [_fmt(pair[k, 0]), _fmt(pair[k, 1])]
                 row.append(str(int(self.picard_iters[k])))
-                fh.write(",".join(row) + "\n")
+                emit(row)
+        return digest.hexdigest()
 
 
 @dataclass
@@ -224,8 +237,18 @@ def recommended_half_length(params: SystemParams, horizon: float) -> float:
     return HALF_LENGTH_SAFETY * spread
 
 
-def make_initial_data(init: InitialData, grid: SpectralGrid, params: SystemParams) -> FieldPair:
-    """Nonnegative, integrable, bounded initial data at t = 0."""
+def grid_view(grid: SpectralGrid, init: InitialData):
+    """The view a run's fields live on: the :class:`EvenGrid` of ``grid``
+    for radial data in d >= 2, else ``grid`` itself (see :func:`solve`)."""
+    if grid.dim >= 2 and init.kind in RADIAL_KINDS:
+        return EvenGrid(grid)
+    return grid
+
+
+def make_initial_data(init: InitialData, grid, params: SystemParams) -> FieldPair:
+    """Nonnegative, integrable, bounded initial data at t = 0 on the grid
+    view ``grid``: a :class:`SpectralGrid`, or for radial kinds also its
+    :class:`EvenGrid`, where the fields are the x >= 0 corner."""
     if init.kind == "stable_kernel":
         def density(alpha):
             return init.epsilon * eval_density_grid(KernelSpec(alpha, grid.dim), 1.0, grid)
@@ -277,8 +300,9 @@ class _Plan:
     """Precomputed spectral data and the reused workspace of one run.
 
     The workspace holds the per-step coefficients (``coef[i][q]``, ``full``),
-    the spectra ``hat`` and ``total``, the real scratch fields ``work`` and
-    ``scratch`` and the two ``base`` fields.  It is overwritten by every
+    the spectra ``hat`` and ``total``, the spectra ``base`` of the two
+    propagated start fields, and the real scratch fields ``work`` and
+    ``scratch``.  It is overwritten by every
     :func:`step`, so a plan serves one trajectory at a time.  ``grid`` is the
     view the fields live on: the config's grid, or its :class:`EvenGrid`.
     ``grading`` is the mesh grading of the config's sigma.
@@ -295,12 +319,11 @@ class _Plan:
         field_shape = grid.shape()
         self.coef = [[np.empty(spec_shape) for _ in GAUSS_X] for _ in (0, 1)]
         self.full = np.empty(spec_shape)
-        # spectra are complex on the full grid and real on an even view
-        self.hat = grid.forward(np.zeros(field_shape))
+        self.hat = np.empty(spec_shape, dtype=grid.spectral_dtype)
         self.total = np.empty_like(self.hat)
         self.work = np.empty(field_shape)
         self.scratch = np.empty(field_shape)
-        self.base = [np.empty(field_shape) for _ in (0, 1)]
+        self.base = [np.empty_like(self.hat) for _ in (0, 1)]
 
     @property
     def symmetric(self) -> bool:
@@ -326,7 +349,7 @@ def _clamp(values: np.ndarray, weights: Optional[np.ndarray] = None):
     return values, count
 
 
-def step(pair: FieldPair, t_next: float, plan: _Plan):
+def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     """Advance both components from pair.time to t_next by Picard iteration
     of the local integral form.
 
@@ -338,24 +361,37 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     and summed in Fourier space, and each component takes one inverse
     transform per iteration (exponential quadrature).
 
+    Each iterate is the inverse of its spectrum: the propagated start
+    spectrum ``base`` plus the coupling terms ``total``.  That spectrum is
+    copied before the inverse (which on the full grid in d >= 2 overwrites
+    its input), and ``diag.spectra`` returns the copy of the last iterate
+    per component, read-only, unless the clamp touched the returned field
+    (then None).  Passing it back as ``spectra`` with the returned pair
+    lets the next step skip the forward transform of its start fields;
+    without it (None, or None for a component) the fields are transformed.
+    The caller passes only spectra of the fields as this function returned
+    them, as ``solve`` does.
+
     The fields live on the plan's grid view, the full grid or its
     :class:`EvenGrid`, whose clamp counts take the multiplicity weights.
     Every pass writes into the plan's workspace (see :class:`_Plan`): the
     transforms fill given arrays axis by axis, interpolation and powers run
     in place, and each iterate is inverted straight into its output field.
-    The only fresh arrays are two output sets per step, between which the
-    iterates alternate, so the returned pair never aliases the plan and
-    stays valid after later steps.  Clamped fields are nonnegative, so one
-    ``max`` per component gives the peak, the scale of the change and, as
-    it propagates NaN, the finiteness check.  Raises :class:`Divergence` on
-    overflow and :class:`StepRejected` when the iteration does not settle.
+    The only fresh arrays are two output field sets and one spectrum per
+    computed component each step, so the returned pair and spectra never
+    alias the plan and stay valid after later steps.  Both are read-only,
+    so a carried spectrum always describes its field.  Clamped fields are
+    nonnegative, so one ``max`` per component gives the peak, the scale of
+    the change and, as it propagates NaN, the finiteness check.  Raises
+    :class:`Divergence` on overflow and :class:`StepRejected` when the
+    iteration does not settle.
 
     When the plan is symmetric and ``pair.u1 is pair.u2``, the two
     components solve the same equation from the same data, so only the
-    first is computed and the returned pair is aliased the same way; its
-    clamped values count twice, as if both had been clamped.  The fields
-    and diagnostics are bitwise those of the unaliased pair.  ``step``
-    never writes into its input.
+    first is computed and the returned pair is aliased the same way, as are
+    its spectra; its clamped values count twice, as if both had been
+    clamped.  The fields and diagnostics are bitwise those of the unaliased
+    pair.  ``step`` never writes into its input.
     """
     params = plan.config.params
     t_cur = pair.time
@@ -372,33 +408,39 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     cur = pair.components()
     shared = plan.symmetric and pair.u1 is pair.u2
     comps = (0,) if shared else (0, 1)
-    grid, base, coef, hat, total = plan.grid, plan.base, plan.coef, plan.hat, plan.total
-    work, scratch = plan.work, plan.scratch
+    grid, base, coef = plan.grid, plan.base, plan.coef
+    hat, total, work, scratch = plan.hat, plan.total, plan.work, plan.scratch
     # coef[i][q] = propagator from s_q to t_next x weight x two-thirds mask
     for i in comps:
         rho_i = params.rho[i]
-        grid.forward(cur[i], hat)
-        hat *= plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=plan.full)
-        grid.inverse(hat, base[i])
+        start = grid.forward(cur[i], hat) if spectra is None or spectra[i] is None \
+            else spectra[i]
+        np.multiply(start, plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=plan.full),
+                    out=base[i])
         weights = jac_q * s_q ** params.sigma[i]
         for q, s in enumerate(s_q):
             mult = plan.multiplier(i, t_next**rho_i - s**rho_i, out=coef[i][q])
             mult *= weights[q]
             mult *= plan.mask
 
-    v = [np.copy(base[i]) for i in comps]
+    v = [np.empty(grid.shape()) for _ in comps]
     new = [np.empty_like(u) for u in v]
-    if shared:
-        v.append(v[0])
-        new.append(new[0])
+    spec = [np.empty_like(hat) for _ in comps]
     # a shared component's clamped values stand for both components
     clamp_weight = 2 if shared else 1
     clamped = 0
     for i in comps:
-        clamped += clamp_weight * _clamp(v[i], grid.weights)[1]
+        # the first iterate is the propagated start field
+        hat[...] = base[i]
+        clamped += clamp_weight * _clamp(grid.inverse(hat, v[i]), grid.weights)[1]
+    if shared:
+        v.append(v[0])
+        new.append(new[0])
+        spec.append(spec[0])
 
     changes = []
     iterations = 0
+    touched = [False, False]
     for _ in range(PICARD_MAX_ITER):
         iterations += 1
         for i in comps:
@@ -412,9 +454,12 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
                 spectrum *= coef[i][q]
                 if q > 0:
                     total += spectrum
+            total += base[i]
+            spec[i][...] = total
             grid.inverse(total, new[i])
-            new[i] += base[i]
-            clamped += clamp_weight * _clamp(new[i], grid.weights)[1]
+            count = _clamp(new[i], grid.weights)[1]
+            touched[i] = count > 0
+            clamped += clamp_weight * count
 
         peaks = [float(new[i].max(initial=0.0)) for i in comps]
         if not all(peak <= DIVERGENCE_LIMIT for peak in peaks):
@@ -431,7 +476,13 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     else:
         raise StepRejected(t_next, changes[-1])
 
-    return FieldPair(v[0], v[1], t_next), StepDiagnostics(iterations, changes, clamped)
+    # read-only, so that a carried spectrum always describes its field
+    for i in comps:
+        v[i].flags.writeable = spec[i].flags.writeable = False
+    if shared:
+        touched[1] = touched[0]
+    carried = tuple(None if touched[i] else spec[i] for i in (0, 1))
+    return FieldPair(v[0], v[1], t_next), StepDiagnostics(iterations, changes, clamped, carried)
 
 
 def _grid_norms(values: np.ndarray, grid, order: Optional[float], buf: np.ndarray):
@@ -460,13 +511,17 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     its s_i and xi_i, otherwise those columns stay blank.
 
     A run in d >= 2 from radial data (``stable_kernel`` or ``gaussian``)
-    marches on the :class:`EvenGrid` of its grid, from the x >= 0 corner of
-    the initial fields: every operator of the system commutes with
-    x_a -> -x_a, so the solution stays even.  Norms and clamp counts take
-    the view's multiplicity weights, and kept snapshots are expanded to the
-    full grid once.  ``from_file`` data need not be even, and in 1-D a
-    DCT-I on n/2 + 1 points costs what an rfft on n does, so those runs
-    take the full grid.
+    marches on the :class:`EvenGrid` of its grid (:func:`grid_view`), and
+    its initial fields are made there: every operator of the system
+    commutes with x_a -> -x_a, so the solution stays even.  Norms and clamp
+    counts take the view's multiplicity weights, and kept snapshots are
+    expanded to the full grid once.  ``from_file`` data need not be even,
+    and in 1-D a DCT-I on n/2 + 1 points costs what an rfft on n does, so
+    those runs take the full grid.
+
+    Each step hands the spectra of its unclamped, read-only fields to the
+    next (``diag.spectra``, see :func:`step`), which then skips their
+    forward transforms.
 
     A symmetric run, where both components share alpha, beta, rho, sigma
     and byte-equal initial fields, computes one component: every snapshot
@@ -478,15 +533,13 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     if exponents is not None and exponents.s is not None:
         orders, xi = exponents.s, exponents.xi
 
-    pair = make_initial_data(config.init, config.grid, config.params)
-    if config.grid.dim >= 2 and config.init.kind in RADIAL_KINDS:
-        view = EvenGrid(config.grid)
-        pair = FieldPair(view.corner(pair.u1), view.corner(pair.u2), pair.time)
+    view = grid_view(config.grid, config.init)
+    if view is config.grid:
+        log.info("full grid: %s", "1-D run" if config.grid.dim == 1 else "from_file data")
+    else:
         log.info("even quarter grid %s: %s data are radial",
                  "x".join(map(str, view.shape())), config.init.kind)
-    else:
-        view = config.grid
-        log.info("full grid: %s", "1-D run" if config.grid.dim == 1 else "from_file data")
+    pair = make_initial_data(config.init, view, config.params)
     plan = _Plan(config, view)
     nodes = config.mesh.nodes(plan.grading)
     n_nodes = nodes.size
@@ -517,9 +570,8 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
             scaled[k, i] = math.nan if xi is None else fp.time ** xi[i] * lsi
 
     def keep(fp):
-        if view is not config.grid:
-            u1 = view.expand(fp.u1)
-            fp = FieldPair(u1, u1 if fp.u2 is fp.u1 else view.expand(fp.u2), fp.time)
+        u1 = view.expand(fp.u1)
+        fp = FieldPair(u1, u1 if fp.u2 is fp.u1 else view.expand(fp.u2), fp.time)
         for u in fp.components():
             u.flags.writeable = False
         snapshots.append(fp)
@@ -529,9 +581,10 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     status = SolveStatus("completed", float(nodes[-1]))
     recorded = 1
 
+    spectra = None
     for k in range(1, n_nodes):
         try:
-            pair, diag = step(pair, float(nodes[k]), plan)
+            pair, diag = step(pair, float(nodes[k]), plan, spectra)
         except Divergence as exc:
             status = SolveStatus("diverged", exc.time)
             log.warning("divergence signal at t=%.6g", exc.time)
@@ -540,6 +593,7 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
             status = SolveStatus("step_rejected", exc.time)
             log.warning("step rejected at t=%.6g (last change %.3e)", exc.time, exc.diff)
             break
+        spectra = diag.spectra
         total_clamped += diag.clamped
         record(k, pair, diag.iterations)
         recorded = k + 1
@@ -568,17 +622,24 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
 _HEADER = struct.Struct("<4sIII")
 
 
-def write_snapshot(path, pair: FieldPair, grid: SpectralGrid, params: SystemParams):
-    buf = bytearray()
-    buf += _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n)
-    buf += struct.pack("<dd", grid.half_length, pair.time)
-    buf += struct.pack("<8d", params.alpha[0], params.alpha[1],
-                       params.beta[0], params.beta[1],
-                       params.rho[0], params.rho[1],
-                       params.sigma[0], params.sigma[1])
-    buf += np.ascontiguousarray(pair.u1, dtype="<f8").tobytes()
-    buf += np.ascontiguousarray(pair.u2, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(buf))
+def write_snapshot(path, pair: FieldPair, grid: SpectralGrid, params: SystemParams) -> str:
+    """Write ``pair`` on ``grid`` as a snapshot file; returns the file's
+    SHA-256 (hex), taken from the bytes as they are written, so the file is
+    never read back."""
+    header = (_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n)
+              + struct.pack("<dd", grid.half_length, pair.time)
+              + struct.pack("<8d", params.alpha[0], params.alpha[1],
+                            params.beta[0], params.beta[1],
+                            params.rho[0], params.rho[1],
+                            params.sigma[0], params.sigma[1]))
+    digest = hashlib.sha256(header)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for u in pair.components():
+            data = memoryview(np.ascontiguousarray(u, dtype="<f8")).cast("B")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def read_snapshot(path):

@@ -25,7 +25,7 @@ import numpy as np
 from .exponents import (ExponentReport, SystemParams, REGIME_NO_GUARANTEE,
                         REGIME_SMALL_DATA_BOUNDED)
 from .kernels import KernelSpec, SpectralGrid, eval_density_grid
-from .solver import InitialData, NormSeries
+from .solver import InitialData, NormSeries, grid_view
 
 # scaled-norm growth allowed between t = 1 and the horizon
 DECAY_GROWTH_SLACK = 0.10
@@ -148,11 +148,16 @@ def linf_bound_check(series: NormSeries, exps: ExponentReport):
     return tuple(out)
 
 
-def envelope_ratios(snapshots, params: SystemParams, grid: SpectralGrid):
+def envelope_ratios(snapshots, params: SystemParams, grid):
     """Snapshot times and the envelope ratios R_i(t) = max_x u_i(t, x) / D(t, x),
     one column per component, taken over the grid points where the envelope
     denominator D(t, x) = (1 + t^rho)^(d/alpha) p(1 + t^rho, x) is at least
     ``ENVELOPE_MASK`` * p(1 + t^rho, 0).  Kernel-shaped data give R_i(0) = eps.
+
+    ``grid`` is the run's grid or its view (:func:`~fracsys.solver.grid_view`):
+    the kernel is evaluated on the view, and the full-grid snapshots are
+    read on the view's samples (``grid.corner``).  An aliased ``u2`` (a
+    symmetric run) takes the ratio of ``u1``.
     """
     alpha, rho, d = params.alpha[0], params.rho[0], params.dim
     spec = KernelSpec(alpha, d)
@@ -164,9 +169,12 @@ def envelope_ratios(snapshots, params: SystemParams, grid: SpectralGrid):
         peak = float(kern.max())
         prefac = (1.0 + t**rho) ** (d / alpha)
         mask = prefac * kern >= ENVELOPE_MASK * peak
-        for i in (0, 1):
-            vals = snap.components()[i][mask] / kern[mask]
-            ratios[k, i] = float(vals.max()) / prefac
+        denom = kern[mask]
+        for i, u in enumerate(snap.components()):
+            if i == 1 and snap.u2 is snap.u1:
+                ratios[k, 1] = ratios[k, 0]
+            else:
+                ratios[k, i] = float((grid.corner(u)[mask] / denom).max()) / prefac
     return times, ratios
 
 
@@ -182,7 +190,7 @@ def selfsimilar_envelope_check(snapshots, params: SystemParams, exps: ExponentRe
     if init.kind != "stable_kernel":
         raise RegimeMismatch(f"self-similar envelope needs stable_kernel initial data, "
                              f"got {init.kind}")
-    times, ratios = envelope_ratios(snapshots, params, grid)
+    times, ratios = envelope_ratios(snapshots, params, grid_view(grid, init))
     fit = times >= 1.0
     if int(fit.sum()) < 3:
         raise InsufficientData("need at least 3 snapshots with t >= 1 to fit the envelope")

@@ -1,17 +1,21 @@
 """Command-line front end: config parsing, artifacts, exit codes, sweeps,
 and reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SMALL, read_norms_csv
 import fracsys
@@ -127,7 +131,11 @@ def test_resolved_text_and_hash_are_frozen():
 # the manifest of the BASE run as written before `dealias`, `coupling_scale`,
 # `picard_tol`, `picard_max_iter` and `grading` were retired, with the sha256 of every artifact (taken
 # with numpy 2.4.6 on x86-64 Linux, as ASYM_2D_GOLDEN below); the verification.txt
-# digest was re-taken when the sup-norm exponent became exact (-1/3 to the last bit)
+# digest was re-taken when the sup-norm exponent became exact (-1/3 to the last bit).
+# Re-taken when each iterate became the inverse of its whole spectrum and each step
+# started from the spectrum the last one carried: norms.csv, snapshots 1-5 and
+# verification.txt moved by round-off (norms within 8.7e-16 relative), so the
+# manifests of earlier versions reproduce their runs to 1e-13, not byte for byte
 RETIRED_KEYS_MANIFEST = """# fracsys run manifest (feed back to --config to reproduce)
 # config_sha256 = e0b0aeb02c43612fd3903150831e478f793c5e9a61bbc3b7efae32e3ea3641aa
 alpha1 = 2
@@ -158,14 +166,14 @@ run_id = t
 output_dir = out
 sweep_param =
 sweep_values =
-# sha256 norms.csv = 108a00d7fa18127efce42b96008a4ec174632e6e5d9dc3f90ee4eb40beb16220
+# sha256 norms.csv = 210a86930830d6b2eea48d34e5e4f0fb787028028aac04fec3791aea3e8282bf
 # sha256 snap_000000.bin = b97b8678084b7d5db14f1bf20edb4f6458356dee211fa8a0e1ec5fb6dd6bba02
-# sha256 snap_000001.bin = f1508714960abe7c414e3e537592580f4e0f40fb190f786ca293c0dd25331ce6
-# sha256 snap_000002.bin = 7bc07353072dad78d040cb5e0d76e6be4717796907edf99394119b114128152e
-# sha256 snap_000003.bin = 6e003b440ab0caaea034215557570572796cd5869ab92aad2f486cd674d6839f
-# sha256 snap_000004.bin = 565927dd1a3f22951e595c07337145f8866d3b200749d6f3f0a581616a15a4a3
-# sha256 snap_000005.bin = ba9c11ec56eab5ecdf847c61f4d0e8fd12cbc2bfb26add5ba5f8f3334af48e86
-# sha256 verification.txt = b917f58c0fc8b2ce6afc83e44b60bdf71262e6e5c5bf9145a8db620dacfb22ec
+# sha256 snap_000001.bin = 92fbabdbe78b728abcad23f96d68554d9964b1f6b7f08497eeb53e93cdc39fff
+# sha256 snap_000002.bin = 3105c5776283133a61b5ca3c6439b2fc2ecdb062aed17a6b3cfba4dbd3362533
+# sha256 snap_000003.bin = 03974a5955d3cdd975624ac1377a347d415aae1f98290f20ace9982e2732a3a0
+# sha256 snap_000004.bin = 9d80838cce41949ed558650d1e221ea2bb93232c05825d95c65be25e1f236758
+# sha256 snap_000005.bin = 407682020e35df80bc91d05adb1cba66edf7d4864139758ce3a629c530c1eb91
+# sha256 verification.txt = e095423eb09d90ca8b119862f9aafe6bc7f8f5548125b23d41182e59664c74d1
 """
 
 
@@ -419,6 +427,32 @@ def test_solve_bad_initial_data_fails_cleanly(tmp_path, capsys, kind):
     assert not (tmp_path / "bad").exists()
 
 
+def test_solve_unresolved_kernel_data_names_the_spacing(tmp_path, capsys):
+    # 2-D kernel data are made on the even view; h = 2 leaves the symbol at
+    # the Nyquist radius at e^(-(pi/2)^2) = 8.5e-2
+    text = BASE.replace("dim = 1", "dim = 2").replace("grid_n = 512", "grid_n = 8") \
+        .replace("half_length = 30.0", "half_length = 8.0")
+    cfg = _write(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid spacing h = 2 does not resolve alpha=2.0, t=1.0: the "
+                          "symbol at the Nyquist radius pi/h is e^(-t (pi/h)^alpha) = 8.480e-02 ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
+
+
+def test_manifest_digests_are_the_artifacts_bytes(tmp_path):
+    cfg = _write(tmp_path, BASE)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    run = tmp_path / "o" / "t"
+    recorded = dict(line.removeprefix("# sha256 ").split(" = ")
+                    for line in (run / "manifest.txt").read_text().splitlines()
+                    if line.startswith("# sha256 "))
+    assert sorted(recorded) == sorted(p.name for p in run.iterdir() if p.name != "manifest.txt")
+    for name, digest in recorded.items():
+        assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
+
+
 def _set(text, line):
     """``text`` with the key of ``line`` set by ``line``."""
     key = line.partition("=")[0].strip()
@@ -568,10 +602,13 @@ run_id = asym
 # even path (the x >= 0 corner, DCT-I transforms); its norms and snapshots are
 # within 1.9e-15 of the peak of those of the full-grid path.  The manifest was
 # re-pinned when `grading` left the keys: it lost that line and its config hash.
+# All three were re-pinned when the initial data and the envelope kernel were made
+# on the even view and each step started from the carried spectrum of the last:
+# norms within 1.5e-15 relative of the earlier bytes.
 ASYM_2D_GOLDEN = {
-    "norms.csv": "a786540126837629327835685c8e0fe481c01b9e8ad3957a8053d1fe52815133",
-    "verification.txt": "142bef4299fa4208359249623d2865f0960aaec941dd08a054befb421b98202f",
-    "manifest.txt": "729ee8557521fa9d29f9a5eb10d0f23a2ec9d7d5a989ed9d321ec108da7e3088",
+    "norms.csv": "a8760e4c579ec5acec4aa5a4669b3a6e7584e6ab96e9777a23f0c5d4f8971cef",
+    "verification.txt": "9d7aba3e49d6f7c5bd3c2b46521ebe6bd4444c160a9c953c8a1b125faea737d8",
+    "manifest.txt": "85c7067d2babb694c62c773aa46970f78af5affc82962eec265771a4618cf961",
 }
 # Re-pinned when lp_norm took one node set per radius octave: one line moved,
 # alpha = 1.5, d = 3 l2_slope_rel_err, from 5.551115e-16 to 2.220446e-16 (a
@@ -589,7 +626,9 @@ ASYM_2D_GOLDEN = {
 # the closed-form p(t, 0) alone) d = 1 -1.665335e-16 -> 2.775558e-17, d = 2
 # 2.081668e-17 -> -6.938894e-18, d = 3 1.214306e-17 -> 1.734723e-18; and
 # l2_slope_rel_err d = 3 2.220446e-16 -> 5.551115e-16.  d = 3 is in the first only.
-VERIFY_KERNEL_123_GOLDEN = "7b833f765fc6674c2b78292a4e7078b6015105064d128ed4398708127430d1c6"
+# The first was re-pinned when TruncationError named its cause, the spacing: only
+# the alpha = 1, d = 3 [FAIL] line changed, every number in it kept.
+VERIFY_KERNEL_123_GOLDEN = "b2751d909fa704b1b0f711c06c151d412f005174abe313c318d5f08f05f92dbc"
 VERIFY_KERNEL_DEFAULT_GOLDEN = "28bbae6b7bcaedc2e9b73e4f7eb6d4a84aa15279a9011e8f7a24ac2afa2d3b7a"
 
 
@@ -913,3 +952,61 @@ def test_benchmark_tracer_finds_every_target(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+# ---------------------------------------------------------------------------
+# the solve contract over small configs
+
+@st.composite
+def _small_solve(draw):
+    """The text of a small solve config: d = 1 to 3, coarse grids, a few
+    steps, kernel or Gaussian data, any system the keys accept."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    alpha1 = draw(st.floats(0.3, 2.0))
+    values = {
+        "alpha1": alpha1, "alpha2": draw(st.one_of(st.just(alpha1), st.floats(0.3, 2.0))),
+        "beta1": draw(st.floats(1.1, 6.0)), "beta2": draw(st.floats(1.1, 6.0)),
+        "rho1": draw(st.floats(0.3, 2.0)), "rho2": draw(st.floats(0.3, 2.0)),
+        "sigma1": draw(st.floats(-0.8, 2.0)), "sigma2": draw(st.floats(-0.8, 2.0)),
+        "dim": dim, "grid_n": draw(st.sampled_from((8, 16) if dim == 3 else (8, 16, 32))),
+        "half_length": draw(st.floats(1.0, 40.0)), "horizon": draw(st.floats(0.05, 3.0)),
+        "steps": draw(st.integers(1, 6)), "snapshot_stride": draw(st.integers(1, 3)),
+        "init": draw(st.sampled_from(("stable_kernel", "gaussian"))),
+        "epsilon": draw(st.floats(1e-3, 8.0)), "width": draw(st.floats(0.3, 3.0)),
+        "run_id": "p",
+    }
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(text=_small_solve())
+@settings(max_examples=30, deadline=None)
+def test_solve_contract_over_small_configs(text):
+    # exit codes 0-3 only; exit 1 is one error line and no run directory; a
+    # finished run reruns from its manifest to the same bytes, so no state
+    # carries over between steps or runs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "exp.cfg").write_text(text)
+        code, err = _main_captured(["solve", "--config", str(tmp / "exp.cfg"), "--out", str(tmp / "a")])
+        assert code in (0, 1, 2, 3), err
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not (tmp / "a").exists()
+            return
+        if code != 0:
+            return
+        run = tmp / "a" / "p"
+        again, err = _main_captured(["solve", "--config", str(run / "manifest.txt"),
+                                     "--out", str(tmp / "b")])
+        assert again == 0, err
+        names = sorted(p.name for p in run.iterdir())
+        assert names == sorted(p.name for p in (tmp / "b" / "p").iterdir())
+        for name in names:
+            assert (run / name).read_bytes() == (tmp / "b" / "p" / name).read_bytes(), name

@@ -432,6 +432,84 @@ def test_even_grid_is_the_full_grid_on_even_fields(dim, n):
     assert np.array_equal(even.dealias_mask(), grid.dealias_mask()[corner])
 
 
+def _corner_ix(values, n):
+    """The x >= 0 corner of a full-grid field by fancy indexing (the
+    reference form of EvenGrid.corner)."""
+    index = (n // 2 + np.arange(n // 2 + 1)) % n
+    return values[np.ix_(*[index] * values.ndim)]
+
+
+def _expand_ix(values, n):
+    """The even full-grid field of a corner by fancy indexing (the reference
+    form of EvenGrid.expand)."""
+    index = np.abs(np.arange(n) - n // 2)
+    return values[np.ix_(*[index] * values.ndim)]
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (2, 8), (2, 32), (2, 256), (3, 16)])
+def test_even_grid_slices_are_bitwise_the_fancy_index_forms(dim, n):
+    grid = SpectralGrid(dim, n, 10.0)
+    even = EvenGrid(grid)
+    rng = np.random.default_rng(n + dim)
+    q = rng.standard_normal(even.shape())
+    full = rng.standard_normal(grid.shape())
+    q.flags.writeable = full.flags.writeable = False
+    for got, want in ((even.expand(q), _expand_ix(q, n)), (even.corner(full), _corner_ix(full, n))):
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+    assert even.radius().tobytes() == _corner_ix(grid.radius(), n).tobytes()
+    assert grid.corner(full) is full and grid.expand(full) is full
+
+
+@pytest.mark.parametrize("dim, n, half_length, alpha, t", [
+    (1, 64, 10.0, 1.5, 1.0), (2, 32, 10.0, 1.5, 1.0), (2, 64, 15.0, 1.0, 1.0),
+    (2, 256, 40.0, 1.5, 1.0), (2, 128, 20.0, 0.8, 2.0), (3, 32, 8.0, 2.0, 1.0),
+    (3, 32, 10.0, 1.7, 0.5)])
+def test_even_view_density_is_the_full_grid_corner(dim, n, half_length, alpha, t):
+    grid = SpectralGrid(dim, n, half_length)
+    even = EvenGrid(grid)
+    spec = KernelSpec(alpha, dim)
+    for clamp in (True, False):
+        full = eval_density_grid(spec, t, grid, clamp=clamp)
+        got = eval_density_grid(spec, t, even, clamp=clamp)
+        assert got.shape == even.shape()
+        assert np.max(np.abs(got - _corner_ix(full, n))) <= 1e-15 * full.max()
+        assert (got.min() >= 0.0) == (full.min() >= 0.0)
+    assert grid_mass(got, even) == pytest.approx(grid_mass(full, grid), rel=1e-13)
+
+
+def test_even_view_density_clamps_like_the_full_grid():
+    # h = 0.625 leaves e^(-t (pi/h)^alpha) = 2.6e-7 at the Nyquist radius:
+    # negative lobes of 2.9e-8 of the peak, which both views clamp to zero
+    grid = SpectralGrid(2, 32, 10.0)
+    spec = KernelSpec(2.0, 2)
+    raw = eval_density_grid(spec, 0.6, grid, clamp=False)
+    assert -K.NEG_TOL * raw.max() < raw.min() < 0.0
+    full = eval_density_grid(spec, 0.6, grid)
+    got = eval_density_grid(spec, 0.6, EvenGrid(grid))
+    assert got.min() == full.min() == 0.0
+    assert np.array_equal(got == 0.0, _corner_ix(full, 32) == 0.0)
+
+
+@pytest.mark.parametrize("even", [False, True])
+def test_truncation_error_names_the_spacing_and_the_nyquist_symbol(even):
+    # alpha = 1.2, t = 0.5 on 64^3 with L = 15: h = 0.46875, and the symbol
+    # at pi/h is e^(-0.5 (6.702)^1.2) = 7.4e-3, far from negligible; a larger
+    # L at the same n would make h, and the ringing, worse
+    grid = SpectralGrid(3, 64, 15.0)
+    view = EvenGrid(grid) if even else grid
+    with pytest.raises(TruncationError) as info:
+        eval_density_grid(KernelSpec(1.2, 3), 0.5, view)
+    nyquist = math.exp(-0.5 * (math.pi / 0.46875) ** 1.2)
+    assert str(info.value) == (
+        "grid spacing h = 0.46875 does not resolve alpha=1.2, t=0.5: the symbol at the "
+        f"Nyquist radius pi/h is e^(-t (pi/h)^alpha) = {nyquist:.3e} "
+        f"(most negative value {info.value.min_value:.3e})")
+    assert f"{nyquist:.3e}" == "7.428e-03"
+    assert info.value.min_value == pytest.approx(-4.108e-05, rel=1e-3)
+    assert "half_length" not in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # scaling and domination
 

@@ -11,9 +11,9 @@ from scipy.integrate import solve_ivp
 
 from conftest import SMALL, propagate_reference, read_norms_csv
 from fracsys import solver as solver_module
-from fracsys.config import RETIRED
+from fracsys.config import RETIRED, sha256_file
 from fracsys.exponents import SystemParams, classify
-from fracsys.kernels import KernelSpec, SpectralGrid, density_profile, eval_density_grid
+from fracsys.kernels import EvenGrid, KernelSpec, SpectralGrid, density_profile, eval_density_grid
 from fracsys.solver import (Divergence, FieldPair, InitialData, NormSeries, RunConfig,
                             SnapshotFormatError, StepDiagnostics, StepRejected, TimeMesh,
                             _grid_norms, _Plan, _power, make_initial_data, mesh_grading,
@@ -840,6 +840,126 @@ def test_grid_norms_bitwise_equal_temporaries(order):
 
 
 # ---------------------------------------------------------------------------
+# carried spectra: a step may start from the spectrum the last one returned
+
+CARRY_PARAMS = {d: SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 0.7), (0.0, 0.5), d) for d in (1, 2)}
+# (params, grid, init, on the even view); the 2-D full grid is the view whose
+# inverse overwrites its input
+CARRY_VIEWS = {
+    "1d_full": (CARRY_PARAMS[1], GRID, InitialData("stable_kernel", epsilon=1.0), False),
+    "2d_even": (CARRY_PARAMS[2], SpectralGrid(2, 64, 20.0), InitialData("stable_kernel", epsilon=5.0),
+                True),
+    "2d_full": (CARRY_PARAMS[2], SpectralGrid(2, 64, 20.0), InitialData("stable_kernel", epsilon=5.0),
+                False),
+}
+# 2-D, alpha = 2, beta = 2, n = 32, L = 10, epsilon = 5: the first steps clamp
+# their accepted iterates, the later ones do not
+CLAMP_CASE = (SystemParams((2.0, 2.0), (2.0, 2.0), (1.0, 1.0), (0.0, 0.0), 2), GRID_2D,
+              InitialData("stable_kernel", epsilon=5.0))
+
+
+def _carry_run(params, grid, init, even):
+    """A config, its plan on the view, the unaliased initial pair and the mesh."""
+    cfg = _config(params=params, grid=grid, init=init, horizon=0.6, steps=6)
+    view = EvenGrid(grid) if even else grid
+    phi = make_initial_data(init, view, params)
+    return cfg, _Plan(cfg, view), FieldPair(phi.u1, phi.u2.copy(), 0.0), _times(cfg)
+
+
+@pytest.mark.parametrize("case", sorted(CARRY_VIEWS))
+def test_carried_step_matches_a_fresh_forward_step(case):
+    cfg, plan, pair, times = _carry_run(*CARRY_VIEWS[case])
+    view = plan.grid
+    spectra, carried, kept = None, 0, []
+    for t_next in times:
+        fresh, f_diag = step(pair, t_next, plan)
+        if spectra is not None:
+            before = [s.tobytes() for s in spectra]
+            got, diag = step(pair, t_next, plan, spectra)
+            # the carried spectra are read-only inputs, never written
+            assert [s.tobytes() for s in spectra] == before
+            assert not any(s.flags.writeable for s in spectra)
+            assert diag.iterations == f_diag.iterations
+            for a, b in zip(got.components(), fresh.components()):
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(b)
+            carried += 1
+            kept.append((spectra, [s.copy() for s in spectra]))
+        assert f_diag.clamped == 0 and f_diag.iterations > 2          # the coupling acts
+        assert not any(u.flags.writeable for u in fresh.components())
+        for spectrum, u in zip(f_diag.spectra, fresh.components()):
+            want = view.forward(u)
+            assert spectrum.shape == want.shape and spectrum.dtype == want.dtype
+            assert np.max(np.abs(spectrum - want)) <= 1e-14 * np.max(np.abs(want))
+        workspace = [plan.full, plan.hat, plan.total, plan.work, plan.scratch, *plan.base,
+                     *plan.coef[0], *plan.coef[1]]
+        assert not any(np.shares_memory(s, w) for s in f_diag.spectra for w in workspace)
+        pair, spectra = fresh, f_diag.spectra
+    assert carried == len(times) - 1
+    # spectra stay valid after later steps
+    for spectra, copies in kept:
+        assert all(np.array_equal(s, c) for s, c in zip(spectra, copies))
+
+
+@pytest.mark.parametrize("even", [False, True])
+def test_carry_is_dropped_after_a_clamped_accepted_iterate(monkeypatch, even):
+    counts = []
+    real = solver_module._clamp
+
+    def recording(values, weights=None):
+        out = real(values, weights)
+        counts.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver_module, "_clamp", recording)
+    cfg, plan, pair, times = _carry_run(*CLAMP_CASE, even)
+    spectra, outcomes = None, []
+    for t_next in times:
+        counts.clear()
+        pair, diag = step(pair, t_next, plan, spectra)
+        # the last clamp of each component is that of its accepted iterate
+        for spectrum, count in zip(diag.spectra, counts[-2:]):
+            assert (spectrum is None) == (count > 0)
+            outcomes.append(spectrum is None)
+        spectra = diag.spectra
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_aliased_step_carries_one_spectrum_for_both():
+    params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 2)
+    cfg, plan, pair, times = _carry_run(params, SpectralGrid(2, 64, 20.0),
+                                        InitialData("stable_kernel", epsilon=5.0), True)
+    assert plan.symmetric
+    alias = FieldPair(pair.u1, pair.u1, 0.0)
+    a_spectra = f_spectra = None
+    for t_next in times:
+        alias, a_diag = step(alias, t_next, plan, a_spectra)
+        pair, f_diag = step(pair, t_next, plan, f_spectra)
+        assert a_diag.spectra[0] is a_diag.spectra[1] is not None
+        assert alias.u1.tobytes() == pair.u1.tobytes() == pair.u2.tobytes()
+        assert all(a_diag.spectra[0].tobytes() == s.tobytes() for s in f_diag.spectra)
+        a_spectra, f_spectra = a_diag.spectra, f_diag.spectra
+
+
+def test_solve_carries_spectra_only_between_its_own_steps(monkeypatch):
+    # every step of a solve gets exactly the spectra the previous step returned
+    seen = []
+    real = solver_module.step
+
+    def recording(pair, t_next, plan, spectra=None):
+        seen.append(spectra)
+        out = real(pair, t_next, plan, spectra)
+        seen.append(out[1].spectra)
+        return out
+
+    monkeypatch.setattr(solver_module, "step", recording)
+    params, grid, init, _ = CARRY_VIEWS["2d_even"]
+    res = solve(_config(params=params, grid=grid, init=init, horizon=0.6, steps=6))
+    assert res.status.completed
+    assert seen[0] is None
+    assert all(given is returned for returned, given in zip(seen[1:-1:2], seen[2::2]))
+
+
+# ---------------------------------------------------------------------------
 # file formats
 
 def test_snapshot_roundtrip_bits(tmp_path):
@@ -853,6 +973,27 @@ def test_snapshot_roundtrip_bits(tmp_path):
     assert back.time == 1.25
     assert (grid.dim, grid.n, grid.half_length) == (1, 512, 30.0)
     assert params.beta == (4.0, 4.0)
+
+
+@pytest.mark.parametrize("aliased", [False, True])
+def test_snapshot_digest_is_the_written_files(tmp_path, aliased):
+    params = CARRY_PARAMS[2]
+    pair = make_initial_data(InitialData("gaussian", epsilon=0.3), GRID_2D, params)
+    pair = FieldPair(pair.u1, pair.u1 if aliased else pair.u2 + 1.0, 0.75)
+    for u in pair.components():
+        u.flags.writeable = False        # as a solve's snapshots are
+    path = tmp_path / "snap.bin"
+    digest = write_snapshot(path, pair, GRID_2D, params)
+    assert digest == sha256_file(path)
+    back, grid, back_params = read_snapshot(path)
+    assert back.u1.tobytes() == pair.u1.tobytes() and back.u2.tobytes() == pair.u2.tobytes()
+    assert (back.time, grid, back_params) == (0.75, GRID_2D, params)
+
+
+def test_norm_series_digest_is_the_written_file(tmp_path):
+    res = solve(_config(horizon=1.0, steps=10), classify(PARAMS_B4, delta=0.3))
+    path = tmp_path / "norms.csv"
+    assert res.norms.write_csv(path) == sha256_file(path)
 
 
 def test_snapshot_header_layout(tmp_path):

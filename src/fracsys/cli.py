@@ -91,7 +91,7 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
     artifacts = {"norms.csv": result.norms.write_csv(run_dir / "norms.csv")}
     for idx, snap in enumerate(result.snapshots):
         name = f"snap_{idx:06d}.bin"
-        artifacts[name] = write_snapshot(run_dir / name, snap, cfg.run.grid, cfg.params)
+        artifacts[name] = write_snapshot(run_dir / name, snap, result.grid, cfg.params)
 
     status = result.status
     entries = dict(report.flat_items())
@@ -102,7 +102,7 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
     checks = (("decay", "decay", lambda: verify.decay_report(result.norms, report)),
               ("linf", "linf", lambda: verify.linf_bound_check(result.norms, report)),
               ("env", "envelope", lambda: verify.selfsimilar_envelope_check(
-                  result.snapshots, cfg.params, report, cfg.run.init, cfg.run.grid)))
+                  result.snapshots, cfg.params, report, cfg.run.init, result.grid)))
     verdicts = []
     for prefix, name, check in checks:
         if not status.completed:

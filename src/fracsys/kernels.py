@@ -166,25 +166,21 @@ class SpectralGrid:
 
     def inverse(self, spectrum: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """irfftn of the complex ``spectrum``, into ``out`` when given;
-        ``spectrum`` is overwritten.
+        ``spectrum`` is left unchanged.
 
         The complex passes run over axes 0 .. d-2 as in ``np.fft.irfftn``;
         ``ifftn`` takes them in the other order and differs in the last bits
-        for d = 3.
+        for d = 3.  The first pass is out of place, the later ones in place
+        on its result.
         """
         for ax in range(self.dim - 1):
-            np.fft.ifft(spectrum, axis=ax, out=spectrum)
+            spectrum = np.fft.ifft(spectrum, axis=ax, out=None if ax == 0 else spectrum)
         return np.fft.irfft(spectrum, n=self.n, axis=-1, out=out)
 
     def centered(self, values: np.ndarray) -> np.ndarray:
         """A field of the transforms' layout (x = 0 at index 0) on the
         grid's own layout (x = 0 at index n//2)."""
         return np.fft.fftshift(values)
-
-    def corner(self, values: np.ndarray) -> np.ndarray:
-        """The samples of a full-grid field this view keeps: all of them
-        (see :meth:`EvenGrid.corner`)."""
-        return values
 
     def expand(self, values: np.ndarray) -> np.ndarray:
         """The full-grid field of these samples: they are one already."""
@@ -201,15 +197,6 @@ def _radius(ax: np.ndarray, dim: int) -> np.ndarray:
         return np.abs(ax)
     mesh = np.meshgrid(*([ax] * dim), indexing="ij")
     return np.sqrt(sum(m * m for m in mesh))
-
-
-def _blocks(values: np.ndarray, shape: tuple, pieces) -> np.ndarray:
-    """A new array of ``shape`` filled by slice copies: every combination
-    over the axes of the (destination, source) slice pairs of ``pieces``."""
-    out = np.empty(shape, dtype=values.dtype)
-    for combo in product(pieces, repeat=len(shape)):
-        out[tuple(dst for dst, _ in combo)] = values[tuple(src for _, src in combo)]
-    return out
 
 
 class EvenGrid:
@@ -229,9 +216,10 @@ class EvenGrid:
     nothing, and its spacing and half-length are the full grid's.  A sum
     over the full grid weights each sample by its multiplicity
     ``weights``: per axis 1 at index 0 or n/2 and 2 elsewhere, multiplied
-    over the axes.  :meth:`corner` and :meth:`expand` convert between the
-    view and the full grid by 2^d slice copies.  The buffers make a view
-    serve one transform at a time.
+    over the axes.  A run's fields stay on the view; only the snapshot
+    writer takes the full-grid field, :meth:`expand`.  Neither transform
+    writes into its input, and the buffers make a view serve one transform
+    at a time.
     """
 
     # the spectrum of an even field is real
@@ -267,17 +255,16 @@ class EvenGrid:
     def centered(self, values: np.ndarray) -> np.ndarray:
         return values
 
-    def corner(self, values: np.ndarray) -> np.ndarray:
-        """The x >= 0 samples of a full-grid field (x = L is x = -L)."""
-        h = self.n // 2
-        return _blocks(values, self.shape(), ((slice(0, h), slice(h, None)),
-                                              (slice(h, None), slice(0, 1))))
-
     def expand(self, values: np.ndarray) -> np.ndarray:
-        """The full-grid field, even in every axis, with these x >= 0 samples."""
+        """The full-grid field, even in every axis, with these x >= 0
+        samples, by 2^d slice copies: per axis the samples reversed fill
+        x <= 0 (x = L is x = -L), and those strictly inside fill x > 0."""
         h = self.n // 2
-        return _blocks(values, self.full.shape(), ((slice(0, h + 1), slice(None, None, -1)),
-                                                   (slice(h + 1, None), slice(1, h))))
+        pieces = ((slice(0, h + 1), slice(None, None, -1)), (slice(h + 1, None), slice(1, h)))
+        out = np.empty(self.full.shape(), dtype=values.dtype)
+        for combo in product(pieces, repeat=self.dim):
+            out[tuple(dst for dst, _ in combo)] = values[tuple(src for _, src in combo)]
+        return out
 
     def radius(self) -> np.ndarray:
         """|x| on the corner, bit for bit the full grid's |x| there."""

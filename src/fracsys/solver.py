@@ -226,6 +226,7 @@ class NormSeries:
 @dataclass
 class SolveResult:
     snapshots: list        # FieldPair at every stride-th node (first and last always)
+    grid: object           # the view the snapshots live on (see solve)
     norms: NormSeries
     status: SolveStatus
     diagnostics: dict = field(default_factory=dict)
@@ -235,14 +236,6 @@ def recommended_half_length(params: SystemParams, horizon: float) -> float:
     """Dispersive-spread heuristic max_i (T^rho_i)^(1/alpha_i) times a safety factor."""
     spread = max((horizon ** params.rho[i]) ** (1.0 / params.alpha[i]) for i in (0, 1))
     return HALF_LENGTH_SAFETY * spread
-
-
-def grid_view(grid: SpectralGrid, init: InitialData):
-    """The view a run's fields live on: the :class:`EvenGrid` of ``grid``
-    for radial data in d >= 2, else ``grid`` itself (see :func:`solve`)."""
-    if grid.dim >= 2 and init.kind in RADIAL_KINDS:
-        return EvenGrid(grid)
-    return grid
 
 
 def make_initial_data(init: InitialData, grid, params: SystemParams) -> FieldPair:
@@ -300,9 +293,9 @@ class _Plan:
     """Precomputed spectral data and the reused workspace of one run.
 
     The workspace holds the per-step coefficients (``coef[i][q]``, ``full``),
-    the spectra ``hat`` and ``total``, the spectra ``base`` of the two
-    propagated start fields, and the real scratch fields ``work`` and
-    ``scratch``.  It is overwritten by every
+    the spectrum ``hat``, the spectra ``base`` of the two propagated start
+    fields, and the real scratch fields ``work`` and ``scratch``.  It is
+    overwritten by every
     :func:`step`, so a plan serves one trajectory at a time.  ``grid`` is the
     view the fields live on: the config's grid, or its :class:`EvenGrid`.
     ``grading`` is the mesh grading of the config's sigma.
@@ -320,7 +313,6 @@ class _Plan:
         self.coef = [[np.empty(spec_shape) for _ in GAUSS_X] for _ in (0, 1)]
         self.full = np.empty(spec_shape)
         self.hat = np.empty(spec_shape, dtype=grid.spectral_dtype)
-        self.total = np.empty_like(self.hat)
         self.work = np.empty(field_shape)
         self.scratch = np.empty(field_shape)
         self.base = [np.empty_like(self.hat) for _ in (0, 1)]
@@ -362,11 +354,11 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     transform per iteration (exponential quadrature).
 
     Each iterate is the inverse of its spectrum: the propagated start
-    spectrum ``base`` plus the coupling terms ``total``.  That spectrum is
-    copied before the inverse (which on the full grid in d >= 2 overwrites
-    its input), and ``diag.spectra`` returns the copy of the last iterate
-    per component, read-only, unless the clamp touched the returned field
-    (then None).  Passing it back as ``spectra`` with the returned pair
+    spectrum ``base`` plus the coupling terms, summed in the step's own
+    spectrum per component, which no inverse writes into.
+    ``diag.spectra`` returns that of the last iterate per component,
+    read-only, unless the clamp touched the returned field (then None).
+    Passing it back as ``spectra`` with the returned pair
     lets the next step skip the forward transform of its start fields;
     without it (None, or None for a component) the fields are transformed.
     The caller passes only spectra of the fields as this function returned
@@ -378,9 +370,10 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     transforms fill given arrays axis by axis, interpolation and powers run
     in place, and each iterate is inverted straight into its output field.
     The only fresh arrays are two output field sets and one spectrum per
-    computed component each step, so the returned pair and spectra never
-    alias the plan and stay valid after later steps.  Both are read-only,
-    so a carried spectrum always describes its field.  Clamped fields are
+    computed component each step, and on the full grid in d >= 2 the
+    out-of-place first pass of each inverse, so the returned pair and
+    spectra never alias the plan and stay valid after later steps.  Both
+    are read-only, so a carried spectrum always describes its field.  Clamped fields are
     nonnegative, so one ``max`` per component gives the peak, the scale of
     the change and, as it propagates NaN, the finiteness check.  Raises
     :class:`Divergence` on overflow and :class:`StepRejected` when the
@@ -409,7 +402,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     shared = plan.symmetric and pair.u1 is pair.u2
     comps = (0,) if shared else (0, 1)
     grid, base, coef = plan.grid, plan.base, plan.coef
-    hat, total, work, scratch = plan.hat, plan.total, plan.work, plan.scratch
+    hat, work, scratch = plan.hat, plan.work, plan.scratch
     # coef[i][q] = propagator from s_q to t_next x weight x two-thirds mask
     for i in comps:
         rho_i = params.rho[i]
@@ -431,8 +424,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     clamped = 0
     for i in comps:
         # the first iterate is the propagated start field
-        hat[...] = base[i]
-        clamped += clamp_weight * _clamp(grid.inverse(hat, v[i]), grid.weights)[1]
+        clamped += clamp_weight * _clamp(grid.inverse(base[i], v[i]), grid.weights)[1]
     if shared:
         v.append(v[0])
         new.append(new[0])
@@ -450,13 +442,12 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
                 work += np.multiply(v[j], theta_q[q], out=scratch)
                 np.maximum(work, 0.0, out=work)
                 spectrum = grid.forward(_power(work, params.beta[i], scratch),
-                                        total if q == 0 else hat)
+                                        spec[i] if q == 0 else hat)
                 spectrum *= coef[i][q]
                 if q > 0:
-                    total += spectrum
-            total += base[i]
-            spec[i][...] = total
-            grid.inverse(total, new[i])
+                    spec[i] += spectrum
+            spec[i] += base[i]
+            grid.inverse(spec[i], new[i])
             count = _clamp(new[i], grid.weights)[1]
             touched[i] = count > 0
             clamped += clamp_weight * count
@@ -511,13 +502,14 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     its s_i and xi_i, otherwise those columns stay blank.
 
     A run in d >= 2 from radial data (``stable_kernel`` or ``gaussian``)
-    marches on the :class:`EvenGrid` of its grid (:func:`grid_view`), and
-    its initial fields are made there: every operator of the system
-    commutes with x_a -> -x_a, so the solution stays even.  Norms and clamp
-    counts take the view's multiplicity weights, and kept snapshots are
-    expanded to the full grid once.  ``from_file`` data need not be even,
+    marches on the :class:`EvenGrid` of its grid, and its initial fields
+    are made there: every operator of the system commutes with
+    x_a -> -x_a, so the solution stays even.  Norms and clamp counts take
+    the view's multiplicity weights.  ``from_file`` data need not be even,
     and in 1-D a DCT-I on n/2 + 1 points costs what an rfft on n does, so
-    those runs take the full grid.
+    those runs take the full grid.  The snapshots are the step results
+    themselves, on the view ``result.grid``; ``result.grid.expand`` gives
+    a full-grid field, as :func:`write_snapshot` writes it.
 
     Each step hands the spectra of its unclamped, read-only fields to the
     next (``diag.spectra``, see :func:`step`), which then skips their
@@ -533,12 +525,13 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     if exponents is not None and exponents.s is not None:
         orders, xi = exponents.s, exponents.xi
 
-    view = grid_view(config.grid, config.init)
-    if view is config.grid:
-        log.info("full grid: %s", "1-D run" if config.grid.dim == 1 else "from_file data")
-    else:
+    view = config.grid
+    if view.dim >= 2 and config.init.kind in RADIAL_KINDS:
+        view = EvenGrid(view)
         log.info("even quarter grid %s: %s data are radial",
                  "x".join(map(str, view.shape())), config.init.kind)
+    else:
+        log.info("full grid: %s", "1-D run" if view.dim == 1 else "from_file data")
     pair = make_initial_data(config.init, view, config.params)
     plan = _Plan(config, view)
     nodes = config.mesh.nodes(plan.grading)
@@ -546,6 +539,9 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     # bytes, not values: -0.0 == 0.0 would alias fields that differ
     if plan.symmetric and pair.u1.tobytes() == pair.u2.tobytes():
         pair = FieldPair(pair.u1, pair.u1, pair.time)
+    # step results are read-only already
+    for u in pair.components():
+        u.flags.writeable = False
 
     t_arr = np.full(n_nodes, math.nan)
     linf = np.full((n_nodes, 2), math.nan)
@@ -569,15 +565,8 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
             mass[k, i] = mi
             scaled[k, i] = math.nan if xi is None else fp.time ** xi[i] * lsi
 
-    def keep(fp):
-        u1 = view.expand(fp.u1)
-        fp = FieldPair(u1, u1 if fp.u2 is fp.u1 else view.expand(fp.u2), fp.time)
-        for u in fp.components():
-            u.flags.writeable = False
-        snapshots.append(fp)
-
     record(0, pair, 0)
-    keep(pair)
+    snapshots.append(pair)
     status = SolveStatus("completed", float(nodes[-1]))
     recorded = 1
 
@@ -598,7 +587,7 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
         record(k, pair, diag.iterations)
         recorded = k + 1
         if k % config.snapshot_stride == 0 or k == n_nodes - 1:
-            keep(pair)
+            snapshots.append(pair)
 
     norms = NormSeries(t=t_arr[:recorded], linf=linf[:recorded], ls=ls[:recorded],
                        scaled=scaled[:recorded], mass=mass[:recorded],
@@ -613,7 +602,8 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
         "tail_mass_budget": tail_budget,
         "recommended_half_length": recommended_half_length(config.params, config.mesh.horizon),
     }
-    return SolveResult(snapshots=snapshots, norms=norms, status=status, diagnostics=diagnostics)
+    return SolveResult(snapshots=snapshots, grid=view, norms=norms, status=status,
+                       diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +612,12 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
 _HEADER = struct.Struct("<4sIII")
 
 
-def write_snapshot(path, pair: FieldPair, grid: SpectralGrid, params: SystemParams) -> str:
-    """Write ``pair`` on ``grid`` as a snapshot file; returns the file's
-    SHA-256 (hex), taken from the bytes as they are written, so the file is
-    never read back."""
+def write_snapshot(path, pair: FieldPair, grid, params: SystemParams) -> str:
+    """Write ``pair``, sampled on the grid view ``grid``, as a snapshot file
+    of the full grid: the fields ``grid.expand(u)`` (an aliased pair is
+    expanded once) under a header of the view's dim, n and half-length.
+    Returns the file's SHA-256 (hex), taken from the bytes as they are
+    written, so the file is never read back."""
     header = (_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n)
               + struct.pack("<dd", grid.half_length, pair.time)
               + struct.pack("<8d", params.alpha[0], params.alpha[1],
@@ -635,7 +627,8 @@ def write_snapshot(path, pair: FieldPair, grid: SpectralGrid, params: SystemPara
     digest = hashlib.sha256(header)
     with open(path, "wb") as fh:
         fh.write(header)
-        for u in pair.components():
+        u1 = grid.expand(pair.u1)
+        for u in (u1, u1 if pair.u2 is pair.u1 else grid.expand(pair.u2)):
             data = memoryview(np.ascontiguousarray(u, dtype="<f8")).cast("B")
             fh.write(data)
             digest.update(data)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .exponents import (ExponentReport, SystemParams, REGIME_NO_GUARANTEE,
                         REGIME_SMALL_DATA_BOUNDED)
-from .kernels import KernelSpec, SpectralGrid, eval_density_grid
-from .solver import InitialData, NormSeries, grid_view
+from .kernels import KernelSpec, eval_density_grid
+from .solver import InitialData, NormSeries
 
 # scaled-norm growth allowed between t = 1 and the horizon
 DECAY_GROWTH_SLACK = 0.10
@@ -154,10 +154,9 @@ def envelope_ratios(snapshots, params: SystemParams, grid):
     denominator D(t, x) = (1 + t^rho)^(d/alpha) p(1 + t^rho, x) is at least
     ``ENVELOPE_MASK`` * p(1 + t^rho, 0).  Kernel-shaped data give R_i(0) = eps.
 
-    ``grid`` is the run's grid or its view (:func:`~fracsys.solver.grid_view`):
-    the kernel is evaluated on the view, and the full-grid snapshots are
-    read on the view's samples (``grid.corner``).  An aliased ``u2`` (a
-    symmetric run) takes the ratio of ``u1``.
+    ``grid`` is the view the snapshots live on (``SolveResult.grid``): the
+    kernel is evaluated there and the fields are read as they are.  An
+    aliased ``u2`` (a symmetric run) takes the ratio of ``u1``.
     """
     alpha, rho, d = params.alpha[0], params.rho[0], params.dim
     spec = KernelSpec(alpha, d)
@@ -174,23 +173,23 @@ def envelope_ratios(snapshots, params: SystemParams, grid):
             if i == 1 and snap.u2 is snap.u1:
                 ratios[k, 1] = ratios[k, 0]
             else:
-                ratios[k, i] = float((grid.corner(u)[mask] / denom).max()) / prefac
+                ratios[k, i] = float((u[mask] / denom).max()) / prefac
     return times, ratios
 
 
 def selfsimilar_envelope_check(snapshots, params: SystemParams, exps: ExponentReport,
-                               init: InitialData, grid: SpectralGrid):
+                               init: InitialData, grid):
     """Fit the envelope ratios of :func:`envelope_ratios` as c*eps*(1+t)^(-k)
-    over t >= 1.  Needs the Theorem 3 hypothesis and kernel-shaped initial
-    data.  Verdict: fitted k > 0 and no snapshot exceeds the fit by more
-    than 10%.
+    over t >= 1; ``grid`` is the view the snapshots live on.  Needs the
+    Theorem 3 hypothesis and kernel-shaped initial data.  Verdict: fitted
+    k > 0 and no snapshot exceeds the fit by more than 10%.
     """
     if not exps.theorem3_applicable:
         raise RegimeMismatch("self-similar envelope hypothesis does not hold for these parameters")
     if init.kind != "stable_kernel":
         raise RegimeMismatch(f"self-similar envelope needs stable_kernel initial data, "
                              f"got {init.kind}")
-    times, ratios = envelope_ratios(snapshots, params, grid_view(grid, init))
+    times, ratios = envelope_ratios(snapshots, params, grid)
     fit = times >= 1.0
     if int(fit.sum()) < 3:
         raise InsufficientData("need at least 3 snapshots with t >= 1 to fit the envelope")
@@ -207,7 +206,7 @@ def selfsimilar_envelope_check(snapshots, params: SystemParams, exps: ExponentRe
 
 
 def comparison_check(upper_snapshots, lower_snapshots) -> ComparisonReport:
-    """Pointwise ordering of two runs sharing grid and mesh: every shared
+    """Pointwise ordering of two runs sharing grid view and mesh: every shared
     snapshot must satisfy u >= v - tol with tol = COMPARISON_TOL * ||u||_inf."""
     if len(upper_snapshots) != len(lower_snapshots):
         raise ValueError("runs have different snapshot counts")

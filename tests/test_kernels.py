@@ -417,7 +417,7 @@ def test_even_grid_is_the_full_grid_on_even_fields(dim, n):
     corner = (slice(0, m),) * dim
     q = np.random.default_rng(dim).uniform(0.5, 1.5, even.shape())
     full = even.expand(q)
-    assert full.shape == grid.shape() and even.corner(full).tobytes() == q.tobytes()
+    assert full.shape == grid.shape()
     assert np.array_equal(full, np.flip(np.roll(full, -1, axis=tuple(range(dim)))))
     assert even.weights.sum() == n**dim
     assert grid_mass(q, even) == pytest.approx(grid_mass(full, grid), rel=1e-14)
@@ -433,8 +433,8 @@ def test_even_grid_is_the_full_grid_on_even_fields(dim, n):
 
 
 def _corner_ix(values, n):
-    """The x >= 0 corner of a full-grid field by fancy indexing (the
-    reference form of EvenGrid.corner)."""
+    """The x >= 0 corner of a full-grid field by fancy indexing: the
+    samples an EvenGrid keeps."""
     index = (n // 2 + np.arange(n // 2 + 1)) % n
     return values[np.ix_(*[index] * values.ndim)]
 
@@ -454,11 +454,45 @@ def test_even_grid_slices_are_bitwise_the_fancy_index_forms(dim, n):
     q = rng.standard_normal(even.shape())
     full = rng.standard_normal(grid.shape())
     q.flags.writeable = full.flags.writeable = False
-    for got, want in ((even.expand(q), _expand_ix(q, n)), (even.corner(full), _corner_ix(full, n))):
-        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.writeable
-        assert got.tobytes() == want.tobytes()
+    got, want = even.expand(q), _expand_ix(q, n)
+    assert got.shape == want.shape and got.dtype == want.dtype and got.flags.writeable
+    assert got.tobytes() == want.tobytes()
     assert even.radius().tobytes() == _corner_ix(grid.radius(), n).tobytes()
-    assert grid.corner(full) is full and grid.expand(full) is full
+    assert grid.expand(full) is full
+
+
+def _inverse_in_place(grid, spectrum):
+    """SpectralGrid.inverse with every complex pass in place, overwriting
+    ``spectrum``: the reference form of its out-of-place first pass."""
+    for ax in range(grid.dim - 1):
+        np.fft.ifft(spectrum, axis=ax, out=spectrum)
+    return np.fft.irfft(spectrum, n=grid.n, axis=-1)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+def test_no_view_transform_writes_into_its_input(dim, n):
+    # read-only inputs: a write into one raises, and the bytes stay
+    grid = SpectralGrid(dim, n, 10.0)
+    rng = np.random.default_rng(dim)
+    for view in (grid, EvenGrid(grid)):
+        values = rng.standard_normal(view.shape())
+        spectrum = view.forward(values)
+        kept = values.tobytes(), spectrum.tobytes()
+        values.flags.writeable = spectrum.flags.writeable = False
+        view.forward(values, np.empty_like(spectrum))
+        inverted = view.inverse(spectrum)
+        assert view.inverse(spectrum, np.empty(view.shape())).tobytes() == inverted.tobytes()
+        assert (values.tobytes(), spectrum.tobytes()) == kept
+        assert np.max(np.abs(inverted - values)) <= 1e-14 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (2, 32), (2, 256), (3, 16), (3, 64)])
+def test_out_of_place_inverse_is_bitwise_the_in_place_form(dim, n):
+    grid = SpectralGrid(dim, n, 10.0)
+    spectrum = grid.forward(np.random.default_rng(n + dim).standard_normal(grid.shape()))
+    want = _inverse_in_place(grid, spectrum.copy()).tobytes()
+    assert grid.inverse(spectrum).tobytes() == want
+    assert grid.inverse(spectrum, np.empty(grid.shape())).tobytes() == want
 
 
 @pytest.mark.parametrize("dim, n, half_length, alpha, t", [

@@ -378,7 +378,7 @@ def test_plan_transforms_bitwise_equal_numpy(dim, n, dealias):
     assert np.array_equal(spectrum, np.fft.rfftn(values))
     assert np.array_equal(grid.forward(values), spectrum)
     want = np.fft.irfftn(spectrum, s=(n,) * dim, axes=tuple(range(dim)))
-    assert np.array_equal(grid.inverse(spectrum.copy()), want)
+    assert np.array_equal(grid.inverse(spectrum), want)
     assert grid.inverse(spectrum, plan.work) is plan.work
     assert np.array_equal(plan.work, want)
     fresh = plan.multiplier(1, 0.3)
@@ -405,7 +405,7 @@ def test_step_result_survives_later_steps():
         later, _ = step(later, t_next, plan)
     for got, want in zip(pair.components(), kept.components()):
         assert np.array_equal(got, want)
-    workspace = [plan.full, plan.hat, plan.total, plan.work, plan.scratch, *plan.base,
+    workspace = [plan.full, plan.hat, plan.work, plan.scratch, *plan.base,
                  *plan.coef[0], *plan.coef[1]]
     assert not any(np.shares_memory(u, w) for u in later.components() for w in workspace)
 
@@ -566,7 +566,7 @@ def test_even_path_matches_its_full_grid_twin(tmp_path, caplog, case):
     path = tmp_path / "phi.bin"
     with caplog.at_level("INFO", logger="fracsys.solver"):
         even = solve(cfg, exponents)
-        write_snapshot(path, even.snapshots[0], grid, params)
+        write_snapshot(path, even.snapshots[0], even.grid, params)
         twin = solve(replace(cfg, init=InitialData("from_file", path=str(path))), exponents)
     side = "x".join([str(grid.n // 2 + 1)] * grid.dim)
     assert [r.getMessage() for r in caplog.records] == [
@@ -576,7 +576,7 @@ def test_even_path_matches_its_full_grid_twin(tmp_path, caplog, case):
     # the data are even to roundoff, so the expanded corner is the data
     phi = make_initial_data(init, grid, params)
     for got, want in zip(even.snapshots[0].components(), phi.components()):
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+        assert np.max(np.abs(even.grid.expand(got) - want)) <= 1e-15 * np.max(want)
     for col in ("t", "linf", "ls", "scaled", "mass", "picard_iters"):
         got, want = getattr(even.norms, col), getattr(twin.norms, col)
         assert np.nanmax(np.abs(got - want)) <= 1e-13 * np.nanmax(np.abs(want)), col
@@ -584,14 +584,83 @@ def test_even_path_matches_its_full_grid_twin(tmp_path, caplog, case):
     assert len(even.snapshots) == len(twin.snapshots) == 4
     for snap, ref in zip(even.snapshots, twin.snapshots):
         assert (snap.u1 is snap.u2) == symmetric == (ref.u1 is ref.u2)
-        for got, want in zip(snap.components(), ref.components()):
-            assert got.shape == grid.shape() and not got.flags.writeable
+        for u, want in zip(snap.components(), ref.components()):
+            got = even.grid.expand(u)
+            assert got.shape == grid.shape() and not u.flags.writeable
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
     # values clamped well away from roundoff have one sign on both paths, so
     # the weighted count equals the full grid's; one within roundoff of zero
     # may take either sign
     if case == "2d_clamping_gaussian":
         assert even.diagnostics["clamped_values"] == twin.diagnostics["clamped_values"] > 0
+
+
+@pytest.mark.parametrize("case", ["2d_symmetric_kernel", "2d_asymmetric_kernel",
+                                  "3d_symmetric_gaussian"])
+def test_even_run_keeps_its_step_results_on_the_view(monkeypatch, case):
+    returned = []
+    real = solver_module.step
+
+    def recording(*args):
+        out = real(*args)
+        returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver_module, "step", recording)
+    params, grid, init = EVEN_CASES[case]
+    cfg = _config(params=params, grid=grid, init=init, horizon=0.6, steps=6, snapshot_stride=2)
+    res = solve(cfg)
+    assert res.status.completed and isinstance(res.grid, EvenGrid) and res.grid.full == grid
+    # the kept snapshots are the step results themselves, not copies
+    assert len(res.snapshots) == 4
+    assert all(snap is returned[k - 1] for k, snap in zip((2, 4, 6), res.snapshots[1:]))
+    symmetric = _Plan(cfg).symmetric
+    assert symmetric == ("asymmetric" not in case)
+    for snap in res.snapshots:
+        assert (snap.u1 is snap.u2) == symmetric
+        for u in snap.components():
+            assert u.shape == (grid.n // 2 + 1,) * grid.dim and not u.flags.writeable
+
+
+def test_full_grid_runs_keep_their_snapshots_on_the_config_grid(tmp_path):
+    params, grid, init = EVEN_CASES["2d_asymmetric_kernel"]
+    path = tmp_path / "phi.bin"
+    write_snapshot(path, make_initial_data(init, grid, params), grid, params)
+    from_file = _config(params=params, grid=grid, horizon=0.6, steps=4,
+                        init=InitialData("from_file", path=str(path)))
+    for cfg in (_config(horizon=0.5, steps=4), from_file):
+        res = solve(cfg)
+        assert res.status.completed and res.grid is cfg.grid
+        for snap in res.snapshots:
+            assert all(u.shape == cfg.grid.shape() and not u.flags.writeable
+                       for u in snap.components())
+
+
+@pytest.mark.parametrize("aliased", [False, True])
+def test_write_snapshot_writes_the_expanded_view_fields(tmp_path, monkeypatch, aliased):
+    params, grid, init = EVEN_CASES["2d_symmetric_kernel"]
+    view = EvenGrid(grid)
+    phi = make_initial_data(init, view, params)
+    pair = FieldPair(phi.u1, phi.u1 if aliased else phi.u2, 0.25)
+    full = FieldPair(view.expand(pair.u1), view.expand(pair.u2), 0.25)
+    calls = []
+    real = EvenGrid.expand
+
+    def counting(self, values):
+        calls.append(values)
+        return real(self, values)
+
+    monkeypatch.setattr(EvenGrid, "expand", counting)
+    digest = write_snapshot(tmp_path / "view.bin", pair, view, params)
+    assert len(calls) == (1 if aliased else 2)
+    assert write_snapshot(tmp_path / "full.bin", full, grid, params) == digest
+    data = (tmp_path / "view.bin").read_bytes()
+    assert data == (tmp_path / "full.bin").read_bytes()
+    assert len(data) == 96 + 2 * grid.n**2 * 8
+    back, back_grid, _ = read_snapshot(tmp_path / "view.bin")
+    assert back_grid == grid and back.time == 0.25
+    for got, want in zip(back.components(), full.components()):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_step_decoupled_equals_propagator():
@@ -657,7 +726,7 @@ def test_solve_linear_matches_multiplier_2d_fractional():
     phi = make_initial_data(cfg.init, cfg.grid, cfg.params)
     for snap in res.snapshots[1:]:
         ref = propagate_reference(phi.u2, cfg.grid, 1.5, 1.0, 0.0, snap.time)
-        rel = np.linalg.norm(snap.u2 - ref) / np.linalg.norm(ref)
+        rel = np.linalg.norm(res.grid.expand(snap.u2) - ref) / np.linalg.norm(ref)
         assert rel < 1e-10
 
 
@@ -844,7 +913,7 @@ def test_grid_norms_bitwise_equal_temporaries(order):
 
 CARRY_PARAMS = {d: SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 0.7), (0.0, 0.5), d) for d in (1, 2)}
 # (params, grid, init, on the even view); the 2-D full grid is the view whose
-# inverse overwrites its input
+# inverse takes a complex pass out of place before its in-place ones
 CARRY_VIEWS = {
     "1d_full": (CARRY_PARAMS[1], GRID, InitialData("stable_kernel", epsilon=1.0), False),
     "2d_even": (CARRY_PARAMS[2], SpectralGrid(2, 64, 20.0), InitialData("stable_kernel", epsilon=5.0),
@@ -890,7 +959,7 @@ def test_carried_step_matches_a_fresh_forward_step(case):
             want = view.forward(u)
             assert spectrum.shape == want.shape and spectrum.dtype == want.dtype
             assert np.max(np.abs(spectrum - want)) <= 1e-14 * np.max(np.abs(want))
-        workspace = [plan.full, plan.hat, plan.total, plan.work, plan.scratch, *plan.base,
+        workspace = [plan.full, plan.hat, plan.work, plan.scratch, *plan.base,
                      *plan.coef[0], *plan.coef[1]]
         assert not any(np.shares_memory(s, w) for s in f_diag.spectra for w in workspace)
         pair, spectra = fresh, f_diag.spectra

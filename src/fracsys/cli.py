@@ -12,7 +12,6 @@ error (default WARNING); they never reach an artifact.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import os
 import sys
@@ -28,7 +27,7 @@ from .exponents import DeltaOutsideWindow, REGIME_NO_GUARANTEE, _fmt, classify
 from .kernels import (KernelSpec, SpectralGrid, check_monotone_domination, check_scaling,
                       eval_density_grid, grid_mass, lp_norm_slope, semigroup_residual,
                       tail_mass_bound)
-from .solver import SnapshotFormatError, solve, write_snapshot
+from .solver import SnapshotFormatError, solve, write_artifact, write_snapshot
 
 # summary column -> the verification.txt key it copies
 SUMMARY_SOURCES = {"sup_scaled_u1": "decay_sup_scaled_u1", "sup_scaled_u2": "decay_sup_scaled_u2",
@@ -121,9 +120,8 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
            "verdict": all(verdicts) if verdicts else None}
     row.update((col, entries.get(key)) for col, key in SUMMARY_SOURCES.items())
 
-    text = "".join(f"{key} = {_fmt(value)}\n" for key, value in entries.items()).encode()
-    (run_dir / "verification.txt").write_bytes(text)
-    artifacts["verification.txt"] = hashlib.sha256(text).hexdigest()
+    text = "".join(f"{key} = {_fmt(value)}\n" for key, value in entries.items())
+    artifacts["verification.txt"] = write_artifact(run_dir / "verification.txt", [text.encode()])
     write_manifest(run_dir / "manifest.txt", cfg, artifacts)
     if append_summary:
         _append_summary(out_base / "summary.csv", row)
@@ -393,7 +391,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DeltaOutsideWindow, SnapshotFormatError, ArithmeticError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .exponents import SystemParams, _fmt
 from .kernels import SpectralGrid
-from .solver import InitialData, RunConfig, TimeMesh, mesh_grading
+from .solver import InitialData, RunConfig, TimeMesh, mesh_grading, write_artifact
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -206,9 +206,11 @@ def _parse_lines(text: str, source: str) -> dict:
 
 
 def parse_config(path) -> ExperimentConfig:
-    source = str(path)
-    text = Path(path).read_text()
-    return parse_config_text(text, source)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config_text(text, str(path))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -241,4 +243,4 @@ def write_manifest(path, config: ExperimentConfig, artifacts: dict):
     lines += config.resolved_lines()
     for name in sorted(artifacts):
         lines.append(f"# sha256 {name} = {artifacts[name]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_artifact(path, [("\n".join(lines) + "\n").encode()])

@@ -208,10 +208,9 @@ class _Calc:
         does not always provide that.
         """
         for i in (0, 1):
-            j = 1 - i
             # numerator - denominator >= 0, affine in delta
-            coef = -self.be[i] * (self.al[j] * self.ro[i] - self.al[i] * self.ro[j])
-            const = self.norm_numerator - self.r_denominator(i, Fraction(0))
+            den0 = self.r_denominator(i, Fraction(0))
+            const, coef = self.norm_numerator - den0, den0 - self.r_denominator(i, Fraction(1))
             if coef == 0:
                 if const < 0:
                     return lo, lo  # empty

@@ -204,23 +204,17 @@ class NormSeries:
     picard_iters: np.ndarray
 
     def write_csv(self, path) -> str:
-        """Write the series as CSV, row by row; returns the file's SHA-256
-        (hex), taken from the bytes as they are written."""
-        digest = hashlib.sha256()
-        with open(path, "wb") as fh:
-            def emit(cells):
-                data = (",".join(cells) + "\n").encode()
-                fh.write(data)
-                digest.update(data)
-
-            emit(NORM_COLUMNS)
+        """Write the series as CSV through :func:`write_artifact`, one UTF-8
+        chunk per row; returns the file's SHA-256 (hex)."""
+        def rows():
+            yield NORM_COLUMNS
             for k in range(self.t.size):
                 row = [_fmt(self.t[k])]
                 for pair in (self.linf, self.ls, self.scaled, self.mass):
                     row += [_fmt(pair[k, 0]), _fmt(pair[k, 1])]
                 row.append(str(int(self.picard_iters[k])))
-                emit(row)
-        return digest.hexdigest()
+                yield row
+        return write_artifact(path, ((",".join(row) + "\n").encode() for row in rows()))
 
 
 @dataclass
@@ -607,60 +601,56 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# snapshot files: little-endian, magic "FWCS", version 1
+# run files, each written by write_artifact.  A snapshot is little-endian:
+# the 96-byte _HEADER, then u1 and u2 as float64 on the full grid.
 
-_HEADER = struct.Struct("<4sIII")
+_HEADER = struct.Struct("<4sIIIdd8d")   # magic, version, dim, n, L, t, alpha, beta, rho, sigma
+
+
+def write_artifact(path, chunks) -> str:
+    """Write the bytes-like ``chunks`` to ``path`` in order; returns the
+    file's SHA-256 (hex), taken from the bytes as they are written, so the
+    file is never read back."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_snapshot(path, pair: FieldPair, grid, params: SystemParams) -> str:
     """Write ``pair``, sampled on the grid view ``grid``, as a snapshot file
     of the full grid: the fields ``grid.expand(u)`` (an aliased pair is
     expanded once) under a header of the view's dim, n and half-length.
-    Returns the file's SHA-256 (hex), taken from the bytes as they are
-    written, so the file is never read back."""
-    header = (_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n)
-              + struct.pack("<dd", grid.half_length, pair.time)
-              + struct.pack("<8d", params.alpha[0], params.alpha[1],
-                            params.beta[0], params.beta[1],
-                            params.rho[0], params.rho[1],
-                            params.sigma[0], params.sigma[1]))
-    digest = hashlib.sha256(header)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        u1 = grid.expand(pair.u1)
-        for u in (u1, u1 if pair.u2 is pair.u1 else grid.expand(pair.u2)):
-            data = memoryview(np.ascontiguousarray(u, dtype="<f8")).cast("B")
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
+    Returns the file's SHA-256 (hex) from :func:`write_artifact`."""
+    header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n, grid.half_length,
+                          pair.time, *params.alpha, *params.beta, *params.rho, *params.sigma)
+    u1 = grid.expand(pair.u1)
+    u2 = u1 if pair.u2 is pair.u1 else grid.expand(pair.u2)
+    return write_artifact(path, [header] + [memoryview(np.ascontiguousarray(u, dtype="<f8")).cast("B")
+                                            for u in (u1, u2)])
 
 
 def read_snapshot(path):
+    """The (FieldPair, SpectralGrid, SystemParams) of a snapshot file; a file
+    that is not a valid snapshot raises SnapshotFormatError."""
     raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size + 80:
+    if len(raw) < _HEADER.size:
         raise SnapshotFormatError(f"{path}: truncated snapshot")
-    magic, version, dim, n = _HEADER.unpack_from(raw, 0)
+    magic, version, dim, n, half_length, time, *pvals = _HEADER.unpack_from(raw)
     if magic != SNAPSHOT_MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")
-    off = _HEADER.size
-    half_length, time = struct.unpack_from("<dd", raw, off)
-    off += 16
-    pvals = struct.unpack_from("<8d", raw, off)
-    off += 64
     # the grid checks dim and n before n**dim is formed from them
     try:
         grid = SpectralGrid(dim, n, half_length)
+        params = SystemParams(*zip(pvals[::2], pvals[1::2]), dim)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: bad header: {exc}") from None
-    count = n**dim
-    expected = off + 2 * count * 8
+    expected = _HEADER.size + 2 * n**dim * 8
     if len(raw) != expected:
         raise SnapshotFormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    shape = grid.shape()
-    u1 = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-    u2 = np.frombuffer(raw, dtype="<f8", count=count, offset=off + count * 8).reshape(shape).copy()
-    params = SystemParams((pvals[0], pvals[1]), (pvals[2], pvals[3]),
-                          (pvals[4], pvals[5]), (pvals[6], pvals[7]), dim)
+    u1, u2 = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape((2, *grid.shape())).copy()
     return FieldPair(u1, u2, time), grid, params

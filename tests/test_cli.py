@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SMALL, read_norms_csv
+from conftest import BAD_HEADER_VALUES, SMALL, read_norms_csv
 import fracsys
 from fracsys import cli, solver
 from fracsys.cli import main
@@ -399,7 +400,8 @@ BAD_VALUES = {"nan": math.nan, "inf": math.inf, "negative": -0.5}
 def _bad_data(tmp_path, kind):
     """A config whose initial data cannot be made: a corrupt snapshot file, a
     snapshot of another grid, a snapshot with one value that is not finite
-    or is negative, or kernel data the box truncates."""
+    or is negative or one header constant out of range, or kernel data the
+    box truncates."""
     if kind == "truncated":
         return BASE.replace("alpha1 = 2.0", "alpha1 = 1.5").replace("alpha2 = 2.0", "alpha2 = 1.5") \
             .replace("grid_n = 512", "grid_n = 8").replace("half_length = 30.0", "half_length = 200")
@@ -413,18 +415,59 @@ def _bad_data(tmp_path, kind):
     else:
         cfg = parse_config_text(BASE)
         pair = solver.make_initial_data(cfg.run.init, cfg.run.grid, cfg.params)
-        pair.u2[100] = BAD_VALUES[kind]
+        if kind in BAD_VALUES:
+            pair.u2[100] = BAD_VALUES[kind]
         solver.write_snapshot(path, pair, cfg.run.grid, cfg.params)
+        if kind in BAD_HEADER_VALUES:
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<d", raw, *BAD_HEADER_VALUES[kind])
+            path.write_bytes(bytes(raw))
     return BASE.replace("init = stable_kernel", f"init = from_file\ninit_path = {path}")
 
 
-@pytest.mark.parametrize("kind", ["corrupt", "other_grid", "truncated", *BAD_VALUES])
+@pytest.mark.parametrize("kind", ["corrupt", "other_grid", "truncated", *BAD_VALUES,
+                                  *BAD_HEADER_VALUES])
 def test_solve_bad_initial_data_fails_cleanly(tmp_path, capsys, kind):
     cfg = _write(tmp_path, _bad_data(tmp_path, kind))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "bad").exists()
+
+
+def _unusable_path(tmp_path, case):
+    """The arguments of a command whose input cannot be read or whose output
+    directory cannot be made; ``file`` is a regular file."""
+    cfg = _write(tmp_path, BASE)
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    out = str(tmp_path / "out")
+    if case == "config_is_a_directory":
+        return ["solve", "--config", str(tmp_path), "--out", out]
+    if case == "init_path_is_a_directory":
+        text = BASE.replace("init = stable_kernel", f"init = from_file\ninit_path = {tmp_path}")
+        return ["solve", "--config", _write(tmp_path, text, "dir.cfg"), "--out", out]
+    if case == "solve_out_below_a_file":
+        return ["solve", "--config", cfg, "--out", str(file / "out")]
+    if case == "regime_out_is_a_file":
+        return ["regime", "--config", cfg, "--out", str(file)]
+    (tmp_path / "ff.cfg").write_bytes(BASE.encode() + b"# \xff\n")
+    return ["solve", "--config", str(tmp_path / "ff.cfg"), "--out", out]
+
+
+@pytest.mark.parametrize("case", ["config_is_a_directory", "init_path_is_a_directory",
+                                  "solve_out_below_a_file", "regime_out_is_a_file",
+                                  "config_not_utf8"])
+def test_unusable_paths_fail_cleanly(tmp_path, capsys, case):
+    argv = _unusable_path(tmp_path, case)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before     # no run directory, no file
+    assert (tmp_path / "file").read_text() == "kept\n"
+    if case == "config_not_utf8":
+        assert err.startswith(f"error: {tmp_path / 'ff.cfg'}: not UTF-8 text ")
 
 
 def test_solve_unresolved_kernel_data_names_the_spacing(tmp_path, capsys):

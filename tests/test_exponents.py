@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import eta_theta_residuals
 from fracsys.exponents import (DeltaOutsideWindow, REGIME_NO_GUARANTEE,
                                REGIME_SELF_SIMILAR, REGIME_SMALL_DATA,
-                               REGIME_SMALL_DATA_BOUNDED, SystemParams, classify)
+                               REGIME_SMALL_DATA_BOUNDED, SystemParams, _Calc, classify)
 from fracsys.solver import NormSeries
 from fracsys.verify import linf_bound_check
 
@@ -51,6 +51,32 @@ def _admissible_draws(count, seed=11):
 
 # ---------------------------------------------------------------------------
 # windows
+
+def _r_lower_bound_interval_typed(c, lo, hi):
+    """``_Calc.r_lower_bound_interval`` with the delta-coefficient of the
+    r-denominator typed out: the reference form of its derived coefficient."""
+    for i in (0, 1):
+        j = 1 - i
+        coef = -c.be[i] * (c.al[j] * c.ro[i] - c.al[i] * c.ro[j])
+        const = c.norm_numerator - c.r_denominator(i, Fraction(0))
+        if coef == 0:
+            if const < 0:
+                return lo, lo
+        elif coef > 0:
+            lo = max(lo, -const / coef)
+        else:
+            hi = min(hi, -const / coef)
+    return lo, hi
+
+
+def test_r_lower_bound_interval_is_its_typed_form():
+    rng = np.random.default_rng(5)
+    draws = [_random_params(rng) for _ in range(200)] + [CLASSICAL_D3, QUARTIC_D1, ASYMMETRIC]
+    for params in draws:
+        c = _Calc(params)
+        for lo, hi in (c.window_bounds(c.k_tilde), (Fraction(-5), Fraction(5))):
+            assert c.r_lower_bound_interval(lo, hi) == _r_lower_bound_interval_typed(c, lo, hi)
+
 
 def test_window_classical_d3():
     info = classify(CLASSICAL_D3)

@@ -2,6 +2,7 @@
 trajectory invariants, and the snapshot/norm file formats."""
 
 import math
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import SMALL, propagate_reference, read_norms_csv
+from conftest import BAD_HEADER_VALUES, SMALL, propagate_reference, read_norms_csv
 from fracsys import solver as solver_module
 from fracsys.config import RETIRED, sha256_file
 from fracsys.exponents import SystemParams, classify
@@ -17,8 +18,8 @@ from fracsys.kernels import EvenGrid, KernelSpec, SpectralGrid, density_profile,
 from fracsys.solver import (Divergence, FieldPair, InitialData, NormSeries, RunConfig,
                             SnapshotFormatError, StepDiagnostics, StepRejected, TimeMesh,
                             _grid_norms, _Plan, _power, make_initial_data, mesh_grading,
-                            read_snapshot, recommended_half_length, solve, step,
-                            write_snapshot)
+                            _HEADER, read_snapshot, recommended_half_length, solve, step,
+                            write_artifact, write_snapshot)
 
 PARAMS_B4 = SystemParams((2, 2), (4, 4), (1, 1), (0, 0), 1)
 PARAMS_B2 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 1)
@@ -1076,6 +1077,53 @@ def test_snapshot_header_layout(tmp_path):
     assert int.from_bytes(raw[8:12], "little") == 1       # dim
     assert int.from_bytes(raw[12:16], "little") == 8      # n
     assert len(raw) == 16 + 16 + 64 + 2 * 8 * 8
+
+
+def _three_part_header(pair, grid, params):
+    """The snapshot header as three packs: the reference form of ``_HEADER``."""
+    return (struct.pack("<4sIII", b"FWCS", 1, grid.dim, grid.n)
+            + struct.pack("<dd", grid.half_length, pair.time)
+            + struct.pack("<8d", params.alpha[0], params.alpha[1], params.beta[0], params.beta[1],
+                          params.rho[0], params.rho[1], params.sigma[0], params.sigma[1]))
+
+
+@pytest.mark.parametrize("grid, params", [(SpectralGrid(1, 8, 1.0), PARAMS_B4),
+                                          (SpectralGrid(2, 8, 2.5),
+                                           SystemParams((1.5, 1.7), (3, 2.5), (1, 0.5),
+                                                        (0.25, -0.5), 2))])
+def test_snapshot_header_is_the_three_part_pack(tmp_path, grid, params):
+    assert _HEADER.size == 96
+    zeros = np.zeros(grid.shape())
+    pair = FieldPair(zeros, zeros, 0.3125)
+    path = tmp_path / "s.bin"
+    write_snapshot(path, pair, grid, params)
+    raw = path.read_bytes()
+    assert raw[:96] == _three_part_header(pair, grid, params)
+    back, back_grid, back_params = read_snapshot(path)
+    assert (back.time, back_grid, back_params) == (0.3125, grid, params)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADER_VALUES))
+def test_snapshot_bad_header_constants(tmp_path, case):
+    path = tmp_path / "hdr.bin"
+    write_snapshot(path, FieldPair(np.zeros(8), np.zeros(8), 0.0),
+                   SpectralGrid(1, 8, 1.0), PARAMS_B4)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, *BAD_HEADER_VALUES[case])
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="bad header"):
+        read_snapshot(path)
+
+
+def test_write_artifact_digest_is_the_written_file(tmp_path):
+    chunks = [b"head", bytearray(b"\x00\xff"), b"",
+              memoryview(np.arange(6.0).reshape(2, 3)).cast("B")]
+    path = tmp_path / "a.bin"
+    assert write_artifact(path, chunks) == sha256_file(path)
+    assert path.read_bytes() == b"".join(bytes(c) for c in chunks)
+    # any iterable of chunks; a rewrite replaces the file
+    assert write_artifact(path, iter([b"x"])) == sha256_file(path)
+    assert path.read_bytes() == b"x"
 
 
 def test_snapshot_format_errors(tmp_path):

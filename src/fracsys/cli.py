@@ -50,18 +50,17 @@ def cmd_regime(args) -> int:
     cfg = parse_config(args.config)
     if args.delta is not None:
         cfg = cfg.with_values(delta=args.delta)
-    report = classify(cfg.params, delta=cfg.delta)
-    for key, value in report.flat_items():
-        print(f"{key} = {value}")
+    items = classify(cfg.params, delta=cfg.delta).flat_items()
+    lines = [f"{key} = {value}" for key, value in items]
+    # the file is written before anything is printed, so a failed write
+    # prints nothing on standard output
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        items = report.flat_items()
-        path = out / "regime.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(k for k, _ in items) + "\n")
-            fh.write(",".join(v for _, v in items) + "\n")
-        print(f"# wrote {path}")
+        path = Path(args.out) / "regime.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_artifact(path, [(",".join(k for k, _ in items) + "\n"
+                               + ",".join(v for _, v in items) + "\n").encode()])
+        lines.append(f"# wrote {path}")
+    print("\n".join(lines))
     return 0
 
 
@@ -270,7 +269,7 @@ def _write_whole(path: Path, text: str):
     """Write ``path`` whole or not at all: a torn write leaves only the tmp
     file, which never counts as a finished point or a sweep key."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    write_artifact(tmp, [text.encode()])
     os.replace(tmp, path)
 
 
@@ -339,10 +338,9 @@ def cmd_sweep(args) -> int:
             _write_point(points_dir, task[0], sweep_point(task))
 
     merged = out_base / "sweep.csv"
-    with open(merged, "w", newline="") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for idx in range(len(sweep_values)):
-            fh.write((points_dir / f"point_{idx:04d}.csv").read_text())
+    write_artifact(merged, [(",".join(SWEEP_COLUMNS) + "\n").encode()]
+                   + [(points_dir / f"point_{idx:04d}.csv").read_bytes()
+                      for idx in range(len(sweep_values))])
     print(f"# wrote {merged} ({len(sweep_values)} points)")
     return 0
 

@@ -73,14 +73,14 @@ class SystemParams:
             if not 0.0 < a <= 2.0:
                 raise ValueError(f"alpha must lie in (0, 2], got {a}")
         for b in self.beta:
-            if not b > 1.0:
-                raise ValueError(f"beta must exceed 1, got {b}")
+            if not (b > 1.0 and math.isfinite(b)):
+                raise ValueError(f"beta must be finite and exceed 1, got {b}")
         for r in self.rho:
-            if not r > 0.0:
-                raise ValueError(f"rho must be positive, got {r}")
+            if not (r > 0.0 and math.isfinite(r)):
+                raise ValueError(f"rho must be finite and positive, got {r}")
         for s in self.sigma:
-            if not s > -1.0:
-                raise ValueError(f"sigma must exceed -1, got {s}")
+            if not (s > -1.0 and math.isfinite(s)):
+                raise ValueError(f"sigma must be finite and exceed -1, got {s}")
         if self.dim < 1 or self.dim != int(self.dim):
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
 
@@ -106,43 +106,33 @@ class _Calc:
     """
 
     def __init__(self, params: SystemParams):
-        self.al = [Fraction(float(a)) for a in params.alpha]
-        self.be = [Fraction(float(b)) for b in params.beta]
-        self.ro = [Fraction(float(r)) for r in params.rho]
-        self.si = [Fraction(float(s)) for s in params.sigma]
+        self.al = al = [Fraction(float(a)) for a in params.alpha]
+        self.be = be = [Fraction(float(b)) for b in params.beta]
+        self.ro = ro = [Fraction(float(r)) for r in params.rho]
+        self.si = si = [Fraction(float(s)) for s in params.sigma]
         self.d = Fraction(int(params.dim))
-        self.bb1 = self.be[0] * self.be[1] - 1   # beta_i beta_j - 1 > 0
+        self.bb1 = bb1 = be[0] * be[1] - 1   # beta_i beta_j - 1 > 0
+        rr = ro[0] * ro[1] * bb1               # rho_i rho_j (beta_i beta_j - 1)
         # the numerator d rho_i rho_j (beta_i beta_j - 1) of r_i and s_i
-        self.norm_numerator = self.d * self.ro[0] * self.ro[1] * self.bb1
+        self.norm_numerator = self.d * rr
+        # the Delta-free pairs, each formed once: the window's lower ends
+        # x_tilde and caps rho_tilde, the k-caps and the envelope rates theta3
+        self.x_tilde, self.rho_tilde, self.k_tilde, self.k_hat, self.theta3 = [], [], [], [], []
+        for i, j in ((0, 1), (1, 0)):
+            # (1 + beta_i + sigma_i (1 - beta_i beta_j)) / (beta_i (1 + beta_j))
+            self.x_tilde.append((1 + be[i] - si[i] * bb1) / (be[i] * (1 + be[j])))
+            self.rho_tilde.append(ro[i] - si[i])
+            # k = (lead rr - rest) / den: the window cap k_tilde leads with d
+            # (d rr is the norm numerator), the boundedness cap k_hat with alpha_i
+            p, q = al[j] * ro[i], al[i] * be[j] * ro[j]
+            rest, den = (p * si[j] + q * si[i]) * be[i], (p + q) * be[i]
+            self.k_tilde.append((self.norm_numerator - rest) / den)
+            self.k_hat.append((al[i] * rr - rest) / den)
+            self.theta3.append((1 + si[i] + be[i] * (1 + si[j])) / bb1)
 
-    def x_tilde(self, i):
-        j = 1 - i
-        return (1 + self.be[i] + self.si[i] * (1 - self.be[i] * self.be[j])) \
-            / (self.be[i] * (1 + self.be[j]))
-
-    def rho_tilde(self, i):
-        return self.ro[i] - self.si[i]
-
-    def _k(self, i, lead):
-        # the window cap k_tilde has lead = d, the boundedness cap k_hat alpha_i
-        j = 1 - i
-        num = lead * self.ro[i] * self.ro[j] * self.bb1 \
-            - (self.al[j] * self.ro[i] * self.si[j]
-               + self.al[i] * self.be[j] * self.ro[j] * self.si[i]) * self.be[i]
-        den = self.be[i] * (self.al[j] * self.ro[i] + self.al[i] * self.be[j] * self.ro[j])
-        return num / den
-
-    def k_tilde(self, i):
-        return self._k(i, self.d)
-
-    def k_hat(self, i):
-        return self._k(i, self.al[i])
-
-    def window_bounds(self, cap):
-        """The window (lo, hi) whose upper end takes the k-cap ``cap(i)``."""
-        lo = max(self.x_tilde(0), self.x_tilde(1))
-        hi = min(Fraction(1), self.rho_tilde(0), self.rho_tilde(1), max(cap(0), cap(1)))
-        return lo, hi
+    def window_bounds(self, caps):
+        """The window (lo, hi) whose upper end takes the larger of the k-caps ``caps``."""
+        return max(self.x_tilde), min(Fraction(1), *self.rho_tilde, max(caps))
 
     def r_denominator(self, i, delta):
         j = 1 - i
@@ -163,12 +153,6 @@ class _Calc:
                 f"{name}_{i + 1} denominator {float(den):.6g} is nonpositive at delta={float(delta):.17g}")
         return self.norm_numerator / den
 
-    def r_value(self, i, delta):
-        return self._order("r", i, self.r_denominator(i, delta), delta)
-
-    def s_value(self, i, delta):
-        return self._order("s", i, self.s_denominator(i, delta), delta)
-
     def at(self, delta):
         """The pairs r, s, xi, delta_small and sup-norm exponent e at ``delta``,
         and the first role whose admissibility holds, or None.
@@ -177,8 +161,8 @@ class _Calc:
         - rho_i d beta_i / (alpha_i s_j) + 1 is -xi_i - rho_i d / (alpha_i s_i),
         and role i's strict beta_i/s_j - 1/s_i < alpha_i/d is delta_i < 1.
         """
-        r = [self.r_value(i, delta) for i in (0, 1)]
-        s = [self.s_value(i, delta) for i in (0, 1)]
+        r = [self._order("r", i, self.r_denominator(i, delta), delta) for i in (0, 1)]
+        s = [self._order("s", i, self.s_denominator(i, delta), delta) for i in (0, 1)]
         # the paper's printed xi_i, reduced
         xi = [(1 - delta) * (1 + self.be[i]) / self.bb1 for i in (0, 1)]
         dsm = [self.d / self.al[i] * (self.be[i] / s[1 - i] - 1 / s[i]) for i in (0, 1)]
@@ -220,22 +204,17 @@ class _Calc:
                 hi = min(hi, -const / coef)
         return lo, hi
 
-    def theta3(self, i):
-        j = 1 - i
-        return (1 + self.si[i] + self.be[i] * (1 + self.si[j])) / self.bb1
-
     def theorem3_applicable(self):
         """The self-similar envelope gate: equal stability indices, equal
-        time exponents with rho <= 1, and the strict rate inequality."""
+        time exponents with rho <= 1, and the strict rate inequality
+        max_i theta3_i < d rho / alpha."""
         if self.al[0] != self.al[1] or self.ro[0] != self.ro[1] or self.ro[0] > 1:
             return False
-        lhs = (1 + max(self.si[0] + self.be[0] * (1 + self.si[1]),
-                       self.si[1] + self.be[1] * (1 + self.si[0]))) / self.bb1
-        return lhs < self.d * self.ro[0] / self.al[0]
+        return max(self.theta3) < self.d * self.ro[0] / self.al[0]
 
 
-def _pair(fn) -> tuple:
-    return (float(fn(0)), float(fn(1)))
+def _pair(values) -> tuple:
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -293,7 +272,7 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
     """
     c = _Calc(params)
     lo, hi = c.window_bounds(c.k_tilde)
-    blo, bhi = c.window_bounds(lambda i: min(c.k_tilde(i), c.k_hat(i)))
+    blo, bhi = c.window_bounds(map(min, c.k_tilde, c.k_hat))
     rlo, rhi = c.r_lower_bound_interval(lo, hi)
     rblo, rbhi = c.r_lower_bound_interval(blo, bhi)
     t3_ok = c.theorem3_applicable()
@@ -321,7 +300,7 @@ def classify(params: SystemParams, delta: Optional[float] = None) -> ExponentRep
     r = s = xi = dsm = e = role = None
     if dlt is not None:
         *pairs, role = c.at(dlt)
-        r, s, xi, dsm, e = (tuple(map(float, pair)) for pair in pairs)
+        r, s, xi, dsm, e = map(_pair, pairs)
 
     return ExponentReport(
         a_index=params.a_index,

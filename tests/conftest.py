@@ -23,9 +23,12 @@ REF_EPSILON = 1e-2
 SMALL = 2.0**-100
 
 # snapshot header constants the paper excludes, each as (byte offset, value):
-# alpha_1 lies at byte 32, beta_1 at 48 and sigma_1 at 80 of the header
+# alpha_1 lies at byte 32, beta_1 at 48, rho_1 at 64 and sigma_1 at 80 of
+# the header
 BAD_HEADER_VALUES = {"alpha1=5": (32, 5.0), "alpha1=nan": (32, math.nan),
-                     "beta1=1": (48, 1.0), "sigma1=-2": (80, -2.0)}
+                     "beta1=1": (48, 1.0), "sigma1=-2": (80, -2.0),
+                     "beta1=inf": (48, math.inf), "rho1=inf": (64, math.inf),
+                     "sigma1=inf": (80, math.inf)}
 
 REFERENCE_TEXT = """
 alpha1 = 2

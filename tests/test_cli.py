@@ -462,7 +462,8 @@ def test_unusable_paths_fail_cleanly(tmp_path, capsys, case):
     argv = _unusable_path(tmp_path, case)
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before     # no run directory, no file
     assert (tmp_path / "file").read_text() == "kept\n"

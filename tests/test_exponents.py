@@ -78,6 +78,63 @@ def test_r_lower_bound_interval_is_its_typed_form():
             assert c.r_lower_bound_interval(lo, hi) == _r_lower_bound_interval_typed(c, lo, hi)
 
 
+def _delta_free_reference(params: SystemParams):
+    """Each Delta-free pair typed out per component from its defining
+    formula, and the Theorem-3 gate with its left-hand side typed out: the
+    reference forms of the pairs ``_Calc`` forms once and of its gate."""
+    al, be, ro, si = ([Fraction(float(v)) for v in pair]
+                      for pair in (params.alpha, params.beta, params.rho, params.sigma))
+    d, bb1 = Fraction(params.dim), be[0] * be[1] - 1
+
+    def x_tilde(i):
+        j = 1 - i
+        return (1 + be[i] + si[i] * (1 - be[i] * be[j])) / (be[i] * (1 + be[j]))
+
+    def k(i, lead):
+        j = 1 - i
+        num = lead * ro[i] * ro[j] * bb1 \
+            - (al[j] * ro[i] * si[j] + al[i] * be[j] * ro[j] * si[i]) * be[i]
+        return num / (be[i] * (al[j] * ro[i] + al[i] * be[j] * ro[j]))
+
+    def theta3(i):
+        j = 1 - i
+        return (1 + si[i] + be[i] * (1 + si[j])) / bb1
+
+    pairs = {"x_tilde": [x_tilde(0), x_tilde(1)], "rho_tilde": [ro[0] - si[0], ro[1] - si[1]],
+             "k_tilde": [k(0, d), k(1, d)], "k_hat": [k(0, al[0]), k(1, al[1])],
+             "theta3": [theta3(0), theta3(1)]}
+    gate = al[0] == al[1] and ro[0] == ro[1] and ro[0] <= 1 \
+        and (1 + max(si[0] + be[0] * (1 + si[1]), si[1] + be[1] * (1 + si[0]))) / bb1 \
+        < d * ro[0] / al[0]
+    return pairs, gate
+
+
+def test_delta_free_pairs_are_their_reference_forms():
+    # each constant's components are equal in 40 % of the draws, so the
+    # Theorem-3 gate's equalities hold and tied pairs meet in max and min;
+    # the draws are multiples of 2^-20, whose short binary expansions keep
+    # the exact arithmetic of 2,000 draws near a second
+    rng = np.random.default_rng(25)
+    count = 2000
+    constants = []
+    for lo, hi in ((0.3, 2.0), (1.05, 6.0), (0.2, 2.0), (-0.9, 2.0)):
+        pairs = rng.integers(lo * 2**20, hi * 2**20, (count, 2)) / 2**20
+        tied = rng.random(count) < 0.4
+        pairs[tied, 1] = pairs[tied, 0]
+        constants.append(pairs.tolist())
+    gates, unequal = {True: 0, False: 0}, []
+    for *pairs, dim in zip(*constants, rng.integers(1, 7, count).tolist()):
+        params = SystemParams(*map(tuple, pairs), dim)
+        c = _Calc(params)
+        reference, gate = _delta_free_reference(params)
+        unequal += [(name, params) for name, pair in reference.items() if getattr(c, name) != pair]
+        if c.theorem3_applicable() is not gate:
+            unequal.append(("theorem3_applicable", params))
+        gates[gate] += 1
+    assert not unequal, unequal[:3]
+    assert gates[True] >= 50 and gates[False] >= 50, gates
+
+
 def test_window_classical_d3():
     info = classify(CLASSICAL_D3)
     assert info.x_tilde == (0.5, 0.5)
@@ -110,6 +167,12 @@ def test_params_validation():
         SystemParams((2, 3), (2, 2), (1, 1), (0, 0), 1)       # alpha <= 2
     with pytest.raises(ValueError):
         SystemParams((2, 2), (2, 2), (0, 1), (0, 0), 1)       # rho > 0
+    with pytest.raises(ValueError, match="beta must be finite"):
+        SystemParams((2, 2), (math.inf, 2), (1, 1), (0, 0), 1)
+    with pytest.raises(ValueError, match="rho must be finite"):
+        SystemParams((2, 2), (2, 2), (math.inf, 1), (0, 0), 1)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        SystemParams((2, 2), (2, 2), (1, 1), (math.inf, 0), 1)
 
 
 def test_a_index_tiebreak():

@@ -153,17 +153,12 @@ def build(v: Values, source: str = "") -> ExperimentConfig:
     return ExperimentConfig(v, run)
 
 
-def sweep_keys(name: str) -> tuple:
-    """The keys that the sweep parameter ``name`` sets."""
-    if name not in _SWEPT:
-        raise ConfigError(f"unsupported sweep parameter {name!r}")
-    return _SWEPT[name]
-
-
 def swept(v: Values, name: str, value: float) -> Values:
     """``v`` with the sweep parameter ``name`` set to ``value``; an integer
     key refuses a non-integral value rather than truncate it."""
-    keys = sweep_keys(name)
+    if name not in _SWEPT:
+        raise ConfigError(f"unsupported sweep parameter {name!r}")
+    keys = _SWEPT[name]
     if keys[0] in _INTEGER_KEYS and value != int(value):
         raise ConfigError(f"sweep_param {name!r} needs integer sweep_values, got {_fmt(value)}")
     return v._replace(**{key: int(value) if key in _INTEGER_KEYS else value for key in keys})

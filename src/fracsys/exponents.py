@@ -118,6 +118,7 @@ class _Calc:
         # the Delta-free pairs, each formed once: the window's lower ends
         # x_tilde and caps rho_tilde, the k-caps and the envelope rates theta3
         self.x_tilde, self.rho_tilde, self.k_tilde, self.k_hat, self.theta3 = [], [], [], [], []
+        self.r_den, self.s_den = [], []
         for i, j in ((0, 1), (1, 0)):
             # (1 + beta_i + sigma_i (1 - beta_i beta_j)) / (beta_i (1 + beta_j))
             self.x_tilde.append((1 + be[i] - si[i] * bb1) / (be[i] * (1 + be[j])))
@@ -129,23 +130,16 @@ class _Calc:
             self.k_tilde.append((self.norm_numerator - rest) / den)
             self.k_hat.append((al[i] * rr - rest) / den)
             self.theta3.append((1 + si[i] + be[i] * (1 + si[j])) / bb1)
+            # R_i and S_i of r_i = N / R_i and s_i = N / S_i (N the norm
+            # numerator), affine in Delta, as (constant, slope)
+            a = al[i] * ro[j]
+            s0 = a * si[i] + be[i] * p * si[j]
+            self.r_den.append((a * (1 + be[i]) + s0, be[i] * (p - a)))
+            self.s_den.append((s0, a + be[i] * p))
 
     def window_bounds(self, caps):
         """The window (lo, hi) whose upper end takes the larger of the k-caps ``caps``."""
         return max(self.x_tilde), min(Fraction(1), *self.rho_tilde, max(caps))
-
-    def r_denominator(self, i, delta):
-        j = 1 - i
-        return self.al[i] * self.ro[j] * (1 + self.be[i]) \
-            + self.al[i] * self.ro[j] * self.si[i] \
-            + self.be[i] * self.al[j] * self.ro[i] * self.si[j] \
-            + self.be[i] * (self.al[j] * self.ro[i] - self.al[i] * self.ro[j]) * delta
-
-    def s_denominator(self, i, delta):
-        j = 1 - i
-        return self.al[i] * self.ro[j] * self.si[i] \
-            + self.be[i] * self.al[j] * self.ro[i] * self.si[j] \
-            + (self.al[i] * self.ro[j] + self.be[i] * self.al[j] * self.ro[i]) * delta
 
     def _order(self, name, i, den, delta):
         if den <= 0:
@@ -161,8 +155,8 @@ class _Calc:
         - rho_i d beta_i / (alpha_i s_j) + 1 is -xi_i - rho_i d / (alpha_i s_i),
         and role i's strict beta_i/s_j - 1/s_i < alpha_i/d is delta_i < 1.
         """
-        r = [self._order("r", i, self.r_denominator(i, delta), delta) for i in (0, 1)]
-        s = [self._order("s", i, self.s_denominator(i, delta), delta) for i in (0, 1)]
+        r = [self._order("r", i, c + g * delta, delta) for i, (c, g) in enumerate(self.r_den)]
+        s = [self._order("s", i, c + g * delta, delta) for i, (c, g) in enumerate(self.s_den)]
         # the paper's printed xi_i, reduced
         xi = [(1 - delta) * (1 + self.be[i]) / self.bb1 for i in (0, 1)]
         dsm = [self.d / self.al[i] * (self.be[i] / s[1 - i] - 1 / s[i]) for i in (0, 1)]
@@ -191,10 +185,9 @@ class _Calc:
         argument needs integrability orders >= 1; the printed window alone
         does not always provide that.
         """
-        for i in (0, 1):
+        for c, g in self.r_den:
             # numerator - denominator >= 0, affine in delta
-            den0 = self.r_denominator(i, Fraction(0))
-            const, coef = self.norm_numerator - den0, den0 - self.r_denominator(i, Fraction(1))
+            const, coef = self.norm_numerator - c, -g
             if coef == 0:
                 if const < 0:
                     return lo, lo  # empty

@@ -66,8 +66,6 @@ _LP_CORE_PANELS = 4
 _MAX_NODES = 2**22
 # elements per block of the radial kernel matrix: 2 MB of float64, one L2 cache
 _BLOCK_ELEMENTS = 2**18
-# negative FFT ringing above this magnitude is clamped to zero silently
-CLAMP_FLOOR = 1e-12
 # grid ringing below -NEG_TOL * peak means the spacing cuts the symbol too early
 NEG_TOL = 1e-6
 
@@ -539,10 +537,8 @@ def eval_density_grid(spec: KernelSpec, t: float, grid, *, clamp: bool = True) -
             f"at the Nyquist radius pi/h is e^(-t (pi/h)^alpha) = "
             f"{math.exp(-t * (math.pi / h) ** spec.alpha):.3e}", mn)
     if clamp and mn < 0.0:
-        count = int(np.count_nonzero(raw < -CLAMP_FLOOR))
-        if count:
-            log.debug("clamped %d ringing values below -%.0e (min %.3e)", count, CLAMP_FLOOR, mn)
-        raw = np.maximum(raw, 0.0)
+        log.debug("clamped %d negative ringing values (min %.3e)", np.count_nonzero(raw < 0.0), mn)
+        np.maximum(raw, 0.0, out=raw)
     return raw
 
 

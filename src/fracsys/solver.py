@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .exponents import SystemParams, _fmt
-from .kernels import (EvenGrid, KernelSpec, SpectralGrid, eval_density_grid, grid_mass,
+from .kernels import (NEG_TOL, EvenGrid, KernelSpec, SpectralGrid, eval_density_grid, grid_mass,
                       tail_mass_bound)
 
 log = logging.getLogger(__name__)
@@ -62,6 +62,10 @@ class Divergence(RuntimeError):
     def __init__(self, time):
         super().__init__(f"solution diverged near t={time:.6g}")
         self.time = time
+
+
+class UnresolvedData(ArithmeticError):
+    """Gaussian data whose grid mass is off epsilon by more than NEG_TOL relative."""
 
 
 class SnapshotFormatError(ValueError):
@@ -235,7 +239,8 @@ def recommended_half_length(params: SystemParams, horizon: float) -> float:
 def make_initial_data(init: InitialData, grid, params: SystemParams) -> FieldPair:
     """Nonnegative, integrable, bounded initial data at t = 0 on the grid
     view ``grid``: a :class:`SpectralGrid`, or for radial kinds also its
-    :class:`EvenGrid`, where the fields are the x >= 0 corner."""
+    :class:`EvenGrid`, where the fields are the x >= 0 corner.  Gaussian
+    data the grid cannot hold (see :class:`UnresolvedData`) raise."""
     if init.kind == "stable_kernel":
         def density(alpha):
             return init.epsilon * eval_density_grid(KernelSpec(alpha, grid.dim), 1.0, grid)
@@ -247,6 +252,11 @@ def make_initial_data(init: InitialData, grid, params: SystemParams) -> FieldPai
         r2 = grid.radius() ** 2
         w2 = init.width**2
         bump = init.epsilon * (2.0 * math.pi * w2) ** (-grid.dim / 2.0) * np.exp(-r2 / (2.0 * w2))
+        mass = grid_mass(bump, grid)
+        if abs(mass - init.epsilon) > NEG_TOL * init.epsilon:
+            raise UnresolvedData(f"gaussian data of width {init.width:.6g} have grid mass "
+                                 f"{mass:.6g}, not epsilon = {init.epsilon:.6g}, at spacing "
+                                 f"h = {grid.spacing:.6g} and half-length L = {grid.half_length:.6g}")
         return FieldPair(bump, bump.copy(), 0.0)
     pair, file_grid, _ = read_snapshot(init.path)
     if (file_grid.dim, file_grid.n) != (grid.dim, grid.n) \

@@ -155,8 +155,7 @@ def envelope_ratios(snapshots, params: SystemParams, grid):
     ``ENVELOPE_MASK`` * p(1 + t^rho, 0).  Kernel-shaped data give R_i(0) = eps.
 
     ``grid`` is the view the snapshots live on (``SolveResult.grid``): the
-    kernel is evaluated there and the fields are read as they are.  An
-    aliased ``u2`` (a symmetric run) takes the ratio of ``u1``.
+    kernel is evaluated there and the fields are read as they are.
     """
     alpha, rho, d = params.alpha[0], params.rho[0], params.dim
     spec = KernelSpec(alpha, d)
@@ -170,10 +169,7 @@ def envelope_ratios(snapshots, params: SystemParams, grid):
         mask = prefac * kern >= ENVELOPE_MASK * peak
         denom = kern[mask]
         for i, u in enumerate(snap.components()):
-            if i == 1 and snap.u2 is snap.u1:
-                ratios[k, 1] = ratios[k, 0]
-            else:
-                ratios[k, i] = float((u[mask] / denom).max()) / prefac
+            ratios[k, i] = float((u[mask] / denom).max()) / prefac
     return times, ratios
 
 

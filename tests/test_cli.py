@@ -485,6 +485,28 @@ def test_solve_unresolved_kernel_data_names_the_spacing(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("swaps, message", [
+    # a width-0.001 bump on h = 0.234 holds only its centre sample
+    ({"grid_n = 512": "grid_n = 256", "horizon = 4.0": "horizon = 2.0", "steps = 40": "steps = 20",
+      "init = stable_kernel": "init = gaussian\nwidth = 0.001"},
+     "gaussian data of width 0.001 have grid mass 0.935021, not epsilon = 0.01, at spacing "
+     "h = 0.234375 and half-length L = 30"),
+    # a width-1 bump on L = 1 loses a third of its mass at the box edge
+    ({"grid_n = 512": "grid_n = 8", "half_length = 30.0": "half_length = 1.0",
+      "init = stable_kernel": "init = gaussian\nwidth = 1"},
+     "gaussian data of width 1 have grid mass 0.00680164, not epsilon = 0.01, at spacing "
+     "h = 0.25 and half-length L = 1")], ids=["narrow_for_the_spacing", "wide_for_the_box"])
+def test_solve_gaussian_data_the_grid_cannot_hold_fail_cleanly(tmp_path, capsys, swaps, message):
+    text = BASE
+    for old, new in swaps.items():
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "bad").exists()
+
+
 def test_manifest_digests_are_the_artifacts_bytes(tmp_path):
     cfg = _write(tmp_path, BASE)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0

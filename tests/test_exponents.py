@@ -58,7 +58,8 @@ def _r_lower_bound_interval_typed(c, lo, hi):
     for i in (0, 1):
         j = 1 - i
         coef = -c.be[i] * (c.al[j] * c.ro[i] - c.al[i] * c.ro[j])
-        const = c.norm_numerator - c.r_denominator(i, Fraction(0))
+        const = c.norm_numerator - c.al[i] * c.ro[j] * (1 + c.be[i] + c.si[i]) \
+            - c.be[i] * c.al[j] * c.ro[i] * c.si[j]
         if coef == 0:
             if const < 0:
                 return lo, lo
@@ -133,6 +134,45 @@ def test_delta_free_pairs_are_their_reference_forms():
         gates[gate] += 1
     assert not unequal, unequal[:3]
     assert gates[True] >= 50 and gates[False] >= 50, gates
+
+
+def test_time_change_is_exactly_covariant():
+    # with rho_1 = rho_2 = rho, tau = t^rho maps the system to rho = 1 and
+    # sigma'_i = (1 + sigma_i)/rho - 1: both windows map by
+    # Delta' = 1 - (1 - Delta)/rho, r, s, delta_i and the role are equal at
+    # mapped Deltas, and xi' = xi/rho, theta3' = theta3/rho.  Theorem 3's
+    # rho <= 1 gate is not covariant and is left out.  Dyadic constants and
+    # rho keep sigma' exact.
+    rng = np.random.default_rng(27)
+    nonempty = 0
+    for _ in range(600):
+        rho = Fraction(2) ** int(rng.choice([-2, -1, 1, 2]))
+        alpha = tuple(rng.integers(1, 2**6 + 1, 2) / 2**5)
+        beta = tuple(1 + rng.integers(1, 5 * 2**5, 2) / 2**5)
+        sigma = tuple(rng.integers(-2**5 + 1, 2**6, 2) / 2**5)
+        dim = int(rng.integers(1, 7))
+        twin_sigma = tuple(float((1 + Fraction(s)) / rho - 1) for s in sigma)
+        c = _Calc(SystemParams(alpha, beta, (float(rho),) * 2, sigma, dim))
+        t = _Calc(SystemParams(alpha, beta, (1.0, 1.0), twin_sigma, dim))
+
+        def mapped(*deltas):
+            return tuple(1 - (1 - delta) / rho for delta in deltas)
+
+        window = c.window_bounds(c.k_tilde)
+        assert mapped(*window) == t.window_bounds(t.k_tilde)
+        assert mapped(*c.window_bounds(map(min, c.k_tilde, c.k_hat))) \
+            == t.window_bounds(map(min, t.k_tilde, t.k_hat))
+        assert mapped(*c.r_lower_bound_interval(*window)) \
+            == t.r_lower_bound_interval(*mapped(*window))
+        assert t.theta3 == [theta / rho for theta in c.theta3]
+        lo, hi = window
+        if lo < hi:
+            nonempty += 1
+            r, s, xi, dsm, _, role = c.at((lo + hi) / 2)
+            tr, ts, txi, tdsm, _, trole = t.at(*mapped((lo + hi) / 2))
+            assert (tr, ts, tdsm, trole) == (r, s, dsm, role)
+            assert txi == [x / rho for x in xi]
+    assert nonempty >= 100, nonempty
 
 
 def test_window_classical_d3():

@@ -3,11 +3,13 @@ trajectory invariants, and the snapshot/norm file formats."""
 
 import math
 import struct
+import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import BAD_HEADER_VALUES, SMALL, propagate_reference, read_norms_csv
@@ -819,6 +821,40 @@ def test_solve_iteration_counts_grow_toward_breakdown():
     assert res.status.kind in ("diverged", "step_rejected")
     iters = res.norms.picard_iters[1:]
     assert iters[-1] >= iters[0] + 5
+
+
+@given(lam=st.floats(0.5, 2.0), alpha=st.tuples(st.floats(1.0, 2.0), st.floats(1.0, 2.0)),
+       rho1=st.floats(0.6, 1.4), beta=st.tuples(st.floats(2.0, 4.0), st.floats(2.0, 4.0)),
+       sigma=st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 1.0)), dim=st.sampled_from((1, 2)))
+@settings(max_examples=5, deadline=None)
+def test_solve_is_covariant_under_the_scaling_twin(lam, alpha, rho1, beta, sigma, dim):
+    # with alpha_i / rho_i = c, u_i^lam(t, x) = lam^(a_i) u_i(lam^c t, lam x)
+    # solves the system when a_i - beta_i a_j = -c (1 + sigma_i), i.e.
+    # a_i = c theta3_i; the scheme is covariant too with the same n and
+    # steps on the box L / lam up to T / lam^c, so the twin's sup norm at
+    # every node is lam^(a_i) times the run's
+    c = alpha[0] / rho1
+    assume(alpha[1] / c <= 2.0)
+    params = SystemParams(alpha, beta, (rho1, alpha[1] / c), sigma, dim)
+    a = [c * theta for theta in classify(params).theta3]
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for scale in (1.0, lam):
+            grid = SpectralGrid(dim, 64 if dim == 1 else 32, 12.0 / scale)
+            w2 = (1.0 / scale) ** 2
+            bump = (2.0 * math.pi * w2) ** (-dim / 2.0) * np.exp(-grid.radius() ** 2 / (2.0 * w2))
+            eps = [0.5 * scale ** (a[i] - dim) for i in (0, 1)]
+            path = f"{tmp}/phi_{scale!r}.bin"
+            write_snapshot(path, FieldPair(eps[0] * bump, eps[1] * bump, 0.0), grid, params)
+            runs.append(solve(_config(params=params, grid=grid, horizon=1.0 / scale**c, steps=8,
+                                      init=InitialData("from_file", path=path))))
+    run, twin = runs
+    assert run.status.completed and twin.status.completed
+    assert run.norms.picard_iters.max() > 1                  # the coupling acts
+    assert np.array_equal(twin.norms.picard_iters, run.norms.picard_iters)
+    assert np.allclose(twin.norms.t, run.norms.t / lam**c, rtol=1e-14, atol=0.0)
+    expected = run.norms.linf * lam ** np.array(a)
+    assert np.max(np.abs(twin.norms.linf / expected - 1.0)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -133,26 +133,21 @@ class SpectralGrid:
     def shape(self) -> tuple:
         return (self.n,) * self.dim
 
-    def _on_layout(self, full: np.ndarray, half: np.ndarray) -> list:
-        """Per-axis arrays meshed on the rfftn layout: ``full`` on axes
-        0 .. d-2, ``half`` on the last axis."""
-        return np.meshgrid(*([full] * (self.dim - 1) + [half]), indexing="ij")
+    @property
+    def _freqs(self) -> tuple:
+        """The per-axis frequencies of the rfftn layout: full axes 0 .. d-2,
+        the half axis last."""
+        return (np.fft.fftfreq,) * (self.dim - 1) + (np.fft.rfftfreq,)
 
     @lru_cache(maxsize=32)
     def symbol_exponent(self, alpha: float) -> np.ndarray:
         """|xi|^alpha on the rfftn layout; cached per grid and alpha, so read-only."""
-        k = [2.0 * np.pi * f(self.n, d=self.spacing) for f in (np.fft.fftfreq, np.fft.rfftfreq)]
-        out = np.asarray(sum(m * m for m in self._on_layout(*k)), dtype=float) ** (alpha / 2.0)
-        out.flags.writeable = False
-        return out
+        return _symbol_exponent(self, alpha)
 
     @lru_cache(maxsize=8)
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule on the rfftn layout; cached per grid, so read-only."""
-        keep = [np.abs(f(self.n) * self.n) <= self.n // 3 for f in (np.fft.fftfreq, np.fft.rfftfreq)]
-        out = np.logical_and.reduce(self._on_layout(*keep))
-        out.flags.writeable = False
-        return out
+        return _dealias_mask(self)
 
     def forward(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """rfftn of ``values``, into ``out`` when given, one axis pass at a
@@ -197,27 +192,49 @@ def _radius(ax: np.ndarray, dim: int) -> np.ndarray:
     return np.sqrt(sum(m * m for m in mesh))
 
 
+def _symbol_exponent(view, alpha: float) -> np.ndarray:
+    """|xi|^alpha, read-only, meshed from the per-axis frequency functions
+    ``view._freqs`` of a grid view."""
+    k = [2.0 * np.pi * f(view.n, d=view.spacing) for f in view._freqs]
+    out = sum(m * m for m in np.meshgrid(*k, indexing="ij", sparse=True)) ** (alpha / 2.0)
+    out.flags.writeable = False
+    return out
+
+
+def _dealias_mask(view) -> np.ndarray:
+    """The two-thirds rule |k| <= n // 3 on every axis, read-only, meshed
+    from the per-axis frequency functions ``view._freqs`` of a grid view."""
+    keep = [np.abs(f(view.n) * view.n) <= view.n // 3 for f in view._freqs]
+    out = reduce(np.logical_and, np.meshgrid(*keep, indexing="ij", sparse=True))
+    out.flags.writeable = False
+    return out
+
+
 class EvenGrid:
     """The x >= 0 samples x = 0, h, ..., L on each axis of a
     :class:`SpectralGrid`, (n/2 + 1)^d points, which fix a field that is
     even in every axis.
 
     The spectrum of such a field is real, so :meth:`forward` is a DCT-I:
-    each axis pass copies the even extension of length n into a
-    preallocated buffer, takes its ``rfft`` and keeps the real part.
-    :meth:`inverse` is the same passes scaled by 1/n per axis.  Both equal
-    the full grid's transforms of the field re-centred at x = 0, whose
-    spectrum differs from the full grid's by (-1)^k per axis, a sign every
-    radial multiplier and the mask commute with; the symbols and the mask
-    are the ``[:n/2+1]`` corners of the full grid's.  The view keeps x = 0
-    at index 0, where the transforms put it, so :meth:`centered` moves
-    nothing, and its spacing and half-length are the full grid's.  A sum
-    over the full grid weights each sample by its multiplicity
-    ``weights``: per axis 1 at index 0 or n/2 and 2 elsewhere, multiplied
-    over the axes.  A run's fields stay on the view; only the snapshot
-    writer takes the full-grid field, :meth:`expand`.  Neither transform
-    writes into its input, and the buffers make a view serve one transform
-    at a time.
+    each axis pass copies the even extension of length n into one
+    preallocated buffer (every pass holds n (n/2 + 1)^(d-1) values, so
+    each views it in its own shape), takes its ``rfft`` and keeps the real
+    part.  :meth:`inverse` is the same passes scaled by 1/n per axis.  Both
+    equal the full grid's transforms of the field re-centred at x = 0,
+    whose spectrum differs from the full grid's by (-1)^k per axis, a sign
+    every radial multiplier and the mask commute with.  The symbols and the
+    mask are built on the view from ``rfftfreq`` on every axis and kept,
+    one read-only array per alpha: they are the ``[:n/2+1]`` corners of
+    the full grid's bit for bit, since -n/2, the full grid's Nyquist
+    frequency, squares as n/2 does, and the full grid's are never built.
+    The view keeps x = 0 at index 0, where the transforms put it, so
+    :meth:`centered` moves nothing, and its spacing and half-length are
+    the full grid's.  A sum over the full grid weights each sample by its
+    multiplicity ``weights``: per axis 1 at index 0 or n/2 and 2
+    elsewhere, multiplied over the axes.  A run's fields stay on the view;
+    only the snapshot writer takes the full-grid field, :meth:`expand`.
+    Neither transform writes into its input, and the buffers make a view
+    serve one transform at a time.
     """
 
     # the spectrum of an even field is real
@@ -228,27 +245,37 @@ class EvenGrid:
         self.dim, self.n, self.cell_volume = grid.dim, grid.n, grid.cell_volume
         self.half_length, self.spacing = grid.half_length, grid.spacing
         m = grid.n // 2 + 1
-        self._corner = (slice(0, m),) * grid.dim
         per_axis = np.full(m, 2.0)
         per_axis[[0, -1]] = 1.0
         self.weights = reduce(np.multiply, np.ix_(*[per_axis] * grid.dim))
         self._passes = []
+        ext = np.empty(grid.n * m ** (grid.dim - 1))
         for ax in range(grid.dim):
-            # the pass along ax: the field fills [:m] of the extension, its mirror [m:]
+            # the pass along ax views the one buffer in its own shape: the
+            # field fills [:m] of the extension, its mirror [m:]
             lead = (slice(None),) * ax
-            ext = np.empty(self.shape()[:ax] + (grid.n,) + self.shape()[ax + 1:])
-            self._passes.append((ext, lead + (slice(0, m),), lead + (slice(m, None),),
+            shape = self.shape()[:ax] + (grid.n,) + self.shape()[ax + 1:]
+            self._passes.append((ext.reshape(shape), lead + (slice(0, m),), lead + (slice(m, None),),
                                  lead + (slice(m - 2, 0, -1),)))
         self._spectrum = np.empty(self.shape(), dtype=complex)
+        self._freqs = (np.fft.rfftfreq,) * grid.dim
+        self._symbols = {}
+        self._mask = None
 
     def shape(self) -> tuple:
         return (self.n // 2 + 1,) * self.dim
 
     def symbol_exponent(self, alpha: float) -> np.ndarray:
-        return np.ascontiguousarray(self.full.symbol_exponent(alpha)[self._corner])
+        """|xi|^alpha on the view; built once per alpha, so read-only."""
+        if alpha not in self._symbols:
+            self._symbols[alpha] = _symbol_exponent(self, alpha)
+        return self._symbols[alpha]
 
     def dealias_mask(self) -> np.ndarray:
-        return np.ascontiguousarray(self.full.dealias_mask()[self._corner])
+        """Two-thirds rule on the view; built once, so read-only."""
+        if self._mask is None:
+            self._mask = _dealias_mask(self)
+        return self._mask
 
     def centered(self, values: np.ndarray) -> np.ndarray:
         return values

@@ -296,13 +296,15 @@ def _power(x: np.ndarray, beta: float, scratch: np.ndarray) -> np.ndarray:
 class _Plan:
     """Precomputed spectral data and the reused workspace of one run.
 
-    The workspace holds the per-step coefficients (``coef[i][q]``, ``full``),
-    the spectrum ``hat``, the spectra ``base`` of the two propagated start
-    fields, and the real scratch fields ``work`` and ``scratch``.  It is
-    overwritten by every
-    :func:`step`, so a plan serves one trajectory at a time.  ``grid`` is the
-    view the fields live on: the config's grid, or its :class:`EvenGrid`.
-    ``grading`` is the mesh grading of the config's sigma.
+    The workspace holds the spectrum ``hat`` and the real scratch fields
+    ``work`` and ``scratch``, and per component i the spectrum ``base[i]``
+    of its propagated start field and its node coefficients
+    ``coef[i][q]``, both None until :meth:`component` makes them on the
+    first step that computes component i.  The workspace is overwritten by
+    every :func:`step`, so a plan serves one trajectory at a time; between
+    steps ``work`` is free scratch.  ``grid`` is the view the fields live
+    on: the config's grid, or its :class:`EvenGrid`.  ``grading`` is the
+    mesh grading of the config's sigma.
     """
 
     def __init__(self, config: RunConfig, grid=None):
@@ -312,14 +314,18 @@ class _Plan:
         self.symb = [grid.symbol_exponent(config.params.alpha[i]) for i in (0, 1)]
         self.mask = grid.dealias_mask()
 
-        spec_shape = self.symb[0].shape
-        field_shape = grid.shape()
-        self.coef = [[np.empty(spec_shape) for _ in GAUSS_X] for _ in (0, 1)]
-        self.full = np.empty(spec_shape)
-        self.hat = np.empty(spec_shape, dtype=grid.spectral_dtype)
-        self.work = np.empty(field_shape)
-        self.scratch = np.empty(field_shape)
-        self.base = [np.empty_like(self.hat) for _ in (0, 1)]
+        self.hat = np.empty(self.symb[0].shape, dtype=grid.spectral_dtype)
+        self.work = np.empty(grid.shape())
+        self.scratch = np.empty(grid.shape())
+        self.base = [None, None]
+        self.coef = [None, None]
+
+    def component(self, i: int):
+        """(``base[i]``, ``coef[i]``), made on the first call for component i."""
+        if self.base[i] is None:
+            self.base[i] = np.empty_like(self.hat)
+            self.coef[i] = [np.empty(self.hat.shape) for _ in GAUSS_X]
+        return self.base[i], self.coef[i]
 
     @property
     def symmetric(self) -> bool:
@@ -370,7 +376,12 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
 
     The fields live on the plan's grid view, the full grid or its
     :class:`EvenGrid`, whose clamp counts take the multiplicity weights.
-    Every pass writes into the plan's workspace (see :class:`_Plan`): the
+    Every pass writes into the plan's workspace (see :class:`_Plan`), made
+    for a component on the first step that computes it: an aliased pair
+    never makes component 1's, and an unaliased pair may go to any plan.
+    The start field is transformed straight into its ``base`` buffer and
+    multiplied there by the cell's propagator, which the first node
+    coefficient holds until its node overwrites it.  The
     transforms fill given arrays axis by axis, interpolation and powers run
     in place, and each iterate is inverted straight into its output field.
     The only fresh arrays are two output field sets and one spectrum per
@@ -405,15 +416,18 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     cur = pair.components()
     shared = plan.symmetric and pair.u1 is pair.u2
     comps = (0,) if shared else (0, 1)
-    grid, base, coef = plan.grid, plan.base, plan.coef
-    hat, work, scratch = plan.hat, plan.work, plan.scratch
+    grid, hat, work, scratch = plan.grid, plan.hat, plan.work, plan.scratch
+    base, coef = [None, None], [None, None]
     # coef[i][q] = propagator from s_q to t_next x weight x two-thirds mask
     for i in comps:
+        base[i], coef[i] = plan.component(i)
         rho_i = params.rho[i]
-        start = grid.forward(cur[i], hat) if spectra is None or spectra[i] is None \
-            else spectra[i]
-        np.multiply(start, plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=plan.full),
-                    out=base[i])
+        cell = plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=coef[i][0])
+        if spectra is None or spectra[i] is None:
+            grid.forward(cur[i], base[i])
+            base[i] *= cell
+        else:
+            np.multiply(spectra[i], cell, out=base[i])
         weights = jac_q * s_q ** params.sigma[i]
         for q, s in enumerate(s_q):
             mult = plan.multiplier(i, t_next**rho_i - s**rho_i, out=coef[i][q])
@@ -556,14 +570,14 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
 
     snapshots = []
     total_clamped = 0
-    buf = np.empty(view.shape())
 
     def record(k, fp, n_iter):
         t_arr[k] = fp.time
         iters[k] = n_iter
         for i in (0, 1):
             if i == 0 or fp.u2 is not fp.u1 or orders[1] != orders[0]:
-                li, lsi, mi = _grid_norms(fp.components()[i], view, orders[i], buf)
+                # the plan's scratch field is free between steps
+                li, lsi, mi = _grid_norms(fp.components()[i], view, orders[i], plan.work)
             linf[k, i] = li
             ls[k, i] = lsi
             mass[k, i] = mi

@@ -495,6 +495,54 @@ def test_out_of_place_inverse_is_bitwise_the_in_place_form(dim, n):
     assert grid.inverse(spectrum, np.empty(grid.shape())).tobytes() == want
 
 
+def _dct_two_buffers(even, values, scale):
+    """EvenGrid's DCT-I with one extension buffer per axis and a fresh
+    spectrum: the reference form of its one shared extension buffer."""
+    m = even.n // 2 + 1
+    spectrum = np.empty(even.shape(), dtype=complex)
+    for ax in range(even.dim - 1, -1, -1):
+        lead = (slice(None),) * ax
+        ext = np.empty(even.shape()[:ax] + (even.n,) + even.shape()[ax + 1:])
+        ext[lead + (slice(0, m),)] = values
+        ext[lead + (slice(m, None),)] = ext[lead + (slice(m - 2, 0, -1),)]
+        values = np.fft.rfft(ext, axis=ax, out=spectrum).real
+    return values * scale
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (2, 8), (2, 32), (3, 8), (3, 16)])
+def test_one_buffer_dct_is_bitwise_the_two_buffer_form(dim, n):
+    even = EvenGrid(SpectralGrid(dim, n, 10.0))
+    exts = [ext for ext, *_ in even._passes]
+    assert all(np.shares_memory(ext, exts[0]) and ext.size == n * (n // 2 + 1) ** (dim - 1)
+               for ext in exts)
+    rng = np.random.default_rng(n + dim)
+    # twice, so the second pair of calls reads a buffer the first one filled
+    for _ in range(2):
+        values = rng.standard_normal(even.shape())
+        spectrum = even.forward(values)
+        assert spectrum.tobytes() == _dct_two_buffers(even, values, 1.0).tobytes()
+        want = _dct_two_buffers(even, spectrum, float(n) ** -dim).tobytes()
+        assert even.inverse(spectrum).tobytes() == want
+        assert even.inverse(spectrum, np.empty(even.shape())).tobytes() == want
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (2, 8), (2, 64), (2, 256), (3, 8), (3, 64)])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+def test_even_view_symbols_are_bitwise_the_full_grid_corners(dim, n, alpha):
+    grid = SpectralGrid(dim, n, 10.0)
+    even = EvenGrid(grid)
+    corner = (slice(0, n // 2 + 1),) * dim
+    for got, full in ((even.symbol_exponent(alpha), grid.symbol_exponent(alpha)),
+                      (even.dealias_mask(), grid.dealias_mask())):
+        want = full[corner]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    # one array per alpha, shared by every caller of the view
+    assert even.symbol_exponent(alpha) is even.symbol_exponent(alpha)
+    assert even.dealias_mask() is even.dealias_mask()
+
+
 @pytest.mark.parametrize("dim, n, half_length, alpha, t", [
     (1, 64, 10.0, 1.5, 1.0), (2, 32, 10.0, 1.5, 1.0), (2, 64, 15.0, 1.0, 1.0),
     (2, 256, 40.0, 1.5, 1.0), (2, 128, 20.0, 0.8, 2.0), (3, 32, 8.0, 2.0, 1.0),

@@ -17,11 +17,12 @@ from fracsys import solver as solver_module
 from fracsys.config import RETIRED, sha256_file
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import EvenGrid, KernelSpec, SpectralGrid, density_profile, eval_density_grid
-from fracsys.solver import (Divergence, FieldPair, InitialData, NormSeries, RunConfig,
+from fracsys.solver import (GAUSS_X, Divergence, FieldPair, InitialData, NormSeries, RunConfig,
                             SnapshotFormatError, StepDiagnostics, StepRejected, TimeMesh,
                             _grid_norms, _Plan, _power, make_initial_data, mesh_grading,
                             _HEADER, read_snapshot, recommended_half_length, solve, step,
                             write_artifact, write_snapshot)
+from fracsys.verify import envelope_ratios
 
 PARAMS_B4 = SystemParams((2, 2), (4, 4), (1, 1), (0, 0), 1)
 PARAMS_B2 = SystemParams((2, 2), (2, 2), (1, 1), (0, 0), 1)
@@ -385,8 +386,9 @@ def test_plan_transforms_bitwise_equal_numpy(dim, n, dealias):
     assert grid.inverse(spectrum, plan.work) is plan.work
     assert np.array_equal(plan.work, want)
     fresh = plan.multiplier(1, 0.3)
-    assert plan.multiplier(1, 0.3, out=plan.full) is plan.full
-    assert np.array_equal(plan.full, fresh)
+    out = plan.component(1)[1][0]
+    assert plan.multiplier(1, 0.3, out=out) is out
+    assert np.array_equal(out, fresh)
     assert np.array_equal(fresh, np.exp(-0.3 * plan.symb[1]))
 
 
@@ -408,7 +410,7 @@ def test_step_result_survives_later_steps():
         later, _ = step(later, t_next, plan)
     for got, want in zip(pair.components(), kept.components()):
         assert np.array_equal(got, want)
-    workspace = [plan.full, plan.hat, plan.work, plan.scratch, *plan.base,
+    workspace = [plan.hat, plan.work, plan.scratch, *plan.base,
                  *plan.coef[0], *plan.coef[1]]
     assert not any(np.shares_memory(u, w) for u in later.components() for w in workspace)
 
@@ -996,7 +998,7 @@ def test_carried_step_matches_a_fresh_forward_step(case):
             want = view.forward(u)
             assert spectrum.shape == want.shape and spectrum.dtype == want.dtype
             assert np.max(np.abs(spectrum - want)) <= 1e-14 * np.max(np.abs(want))
-        workspace = [plan.full, plan.hat, plan.work, plan.scratch, *plan.base,
+        workspace = [plan.hat, plan.work, plan.scratch, *plan.base,
                      *plan.coef[0], *plan.coef[1]]
         assert not any(np.shares_memory(s, w) for s in f_diag.spectra for w in workspace)
         pair, spectra = fresh, f_diag.spectra
@@ -1063,6 +1065,60 @@ def test_solve_carries_spectra_only_between_its_own_steps(monkeypatch):
     assert res.status.completed
     assert seen[0] is None
     assert all(given is returned for returned, given in zip(seen[1:-1:2], seen[2::2]))
+
+
+# ---------------------------------------------------------------------------
+# the workspace a run makes
+
+# (params, grid, epsilon) of symmetric runs on the full grid and the even view
+SYMMETRIC_RUNS = {
+    "1d_full": (SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 1), GRID, 1.0),
+    "2d_even": (SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 2),
+                SpectralGrid(2, 64, 20.0), 5.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIC_RUNS))
+def test_aliased_solve_makes_no_workspace_for_component_1(monkeypatch, case):
+    plans = []
+
+    class Recording(_Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(solver_module, "_Plan", Recording)
+    params, grid, epsilon = SYMMETRIC_RUNS[case]
+    cfg = _config(params=params, grid=grid, init=InitialData("stable_kernel", epsilon=epsilon),
+                  horizon=0.6, steps=6, snapshot_stride=1)
+    res = solve(cfg)
+    (plan,) = plans
+    assert res.status.completed and res.norms.t.size == 7
+    assert all(s.u1 is s.u2 for s in res.snapshots)
+    assert plan.base[1] is None and plan.coef[1] is None
+    assert plan.base[0] is not None and len(plan.coef[0]) == GAUSS_X.size
+    # an unaliased pair on the same plan makes component 1's workspace and
+    # steps bitwise as the aliased pair did
+    last, prev = res.snapshots[-1], res.snapshots[-2]
+    start = FieldPair(prev.u1, prev.u1.copy(), prev.time)
+    got, _ = step(start, last.time, plan)
+    assert plan.base[1] is not None and plan.coef[1] is not None
+    assert got.u1.tobytes() == got.u2.tobytes() == step(prev, last.time, plan)[0].u1.tobytes()
+
+
+def test_even_solve_builds_no_full_grid_symbol():
+    # a grid no other test builds, so the caches cannot hold it already
+    params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 2)
+    grid = SpectralGrid(2, 32, 17.25)
+    caches = (SpectralGrid.symbol_exponent, SpectralGrid.dealias_mask)
+    before = [f.cache_info() for f in caches]
+    cfg = _config(params=params, grid=grid, init=InitialData("stable_kernel", epsilon=1.0),
+                  horizon=0.6, steps=6)
+    res = solve(cfg)
+    envelope_ratios(res.snapshots, params, res.grid)
+    assert isinstance(res.grid, EvenGrid) and res.status.completed
+    assert [(f.cache_info().misses, f.cache_info().currsize) for f in caches] \
+        == [(info.misses, info.currsize) for info in before]
 
 
 # ---------------------------------------------------------------------------

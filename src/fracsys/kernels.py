@@ -569,11 +569,12 @@ def eval_density_grid(spec: KernelSpec, t: float, grid, *, clamp: bool = True) -
     return raw
 
 
-def grid_mass(values: np.ndarray, grid) -> float:
+def grid_mass(values: np.ndarray, grid, out: Optional[np.ndarray] = None) -> float:
     """Riemann-sum mass h^d * sum(values) over the whole grid; on an
-    :class:`EvenGrid` each sample counts with its multiplicity."""
+    :class:`EvenGrid` each sample counts with its multiplicity, and the
+    weighted samples go to ``out`` (may be ``values``) if it is given."""
     if grid.weights is not None:
-        values = values * grid.weights
+        values = np.multiply(values, grid.weights, out=out)
     return float(values.sum() * grid.cell_volume)
 
 

@@ -17,7 +17,7 @@ import hashlib
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -158,11 +158,14 @@ class FieldPair:
     On a symmetric run (see :func:`solve`) ``u1`` and ``u2`` are the same
     array.  The arrays of a solve's snapshots and of a step's result are
     read-only; :meth:`copy` gives two independent, writable arrays.
+    ``spectra`` holds per component the read-only spectrum of the field, or
+    None; only :func:`step` sets it, on the pair it returns.
     """
 
     u1: np.ndarray
     u2: np.ndarray
     time: float
+    spectra: tuple = field(default=(None, None), repr=False, compare=False)
 
     def components(self):
         return (self.u1, self.u2)
@@ -176,9 +179,6 @@ class StepDiagnostics:
     iterations: int
     changes: list          # successive iterate distances
     clamped: int
-    # per component the read-only spectrum of the returned field, or None
-    # where the clamp touched it; the next step's ``spectra`` argument
-    spectra: tuple = (None, None)
 
 
 @dataclass
@@ -333,8 +333,8 @@ class _Plan:
         p = self.config.params
         return all(v[0] == v[1] for v in (p.alpha, p.beta, p.rho, p.sigma))
 
-    def multiplier(self, i: int, tau: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """exp(-tau |xi|^alpha_i), written into ``out`` or a fresh array."""
+    def multiplier(self, i: int, tau: float, out: np.ndarray) -> np.ndarray:
+        """exp(-tau |xi|^alpha_i), written into ``out``."""
         out = np.multiply(self.symb[i], -tau, out=out)
         return np.exp(out, out=out)
 
@@ -351,28 +351,28 @@ def _clamp(values: np.ndarray, weights: Optional[np.ndarray] = None):
     return values, count
 
 
-def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
+def step(pair: FieldPair, t_next: float, plan: _Plan):
     """Advance both components from pair.time to t_next by Picard iteration
     of the local integral form.
 
     The coupling integral uses 2-point Gauss quadrature in the graded
     variable tau = s^(1/gamma), gamma the plan's grading; the integrand
     value of the other component at interior quadrature times is
-    interpolated linearly in tau between the cell endpoints.  Propagation is a linear Fourier multiplier, so the node
-    terms are weighted, masked by the two-thirds rule, propagated to t_next
-    and summed in Fourier space, and each component takes one inverse
-    transform per iteration (exponential quadrature).
+    interpolated linearly in tau between the cell endpoints, with weights
+    in (0, 1), so from nonnegative fields (clamped by a step or checked by
+    :func:`make_initial_data`) it needs no clamp.  Propagation is a linear
+    Fourier multiplier, so the node terms are weighted, masked by the
+    two-thirds rule, propagated to t_next and summed in Fourier space, and
+    each component takes one inverse transform per iteration (exponential
+    quadrature).
 
     Each iterate is the inverse of its spectrum: the propagated start
     spectrum ``base`` plus the coupling terms, summed in the step's own
-    spectrum per component, which no inverse writes into.
-    ``diag.spectra`` returns that of the last iterate per component,
-    read-only, unless the clamp touched the returned field (then None).
-    Passing it back as ``spectra`` with the returned pair
-    lets the next step skip the forward transform of its start fields;
-    without it (None, or None for a component) the fields are transformed.
-    The caller passes only spectra of the fields as this function returned
-    them, as ``solve`` does.
+    spectrum per component, which no inverse writes into.  The returned
+    pair carries that of the last iterate per component as its
+    ``spectra``, unless the clamp touched the field (then None).  A step
+    starts from ``pair.spectra`` where they are given and transforms the
+    other start fields.
 
     The fields live on the plan's grid view, the full grid or its
     :class:`EvenGrid`, whose clamp counts take the multiplicity weights.
@@ -386,7 +386,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     in place, and each iterate is inverted straight into its output field.
     The only fresh arrays are two output field sets and one spectrum per
     computed component each step, and on the full grid in d >= 2 the
-    out-of-place first pass of each inverse, so the returned pair and
+    out-of-place first pass of each inverse, so the returned fields and
     spectra never alias the plan and stay valid after later steps.  Both
     are read-only, so a carried spectrum always describes its field.  Clamped fields are
     nonnegative, so one ``max`` per component gives the peak, the scale of
@@ -413,7 +413,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     theta_q = (tau_q - tau_a) / (tau_b - tau_a)
     jac_q = half * gamma * tau_q ** (gamma - 1.0)
 
-    cur = pair.components()
+    cur, spectra = pair.components(), pair.spectra
     shared = plan.symmetric and pair.u1 is pair.u2
     comps = (0,) if shared else (0, 1)
     grid, hat, work, scratch = plan.grid, plan.hat, plan.work, plan.scratch
@@ -423,7 +423,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
         base[i], coef[i] = plan.component(i)
         rho_i = params.rho[i]
         cell = plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=coef[i][0])
-        if spectra is None or spectra[i] is None:
+        if spectra[i] is None:
             grid.forward(cur[i], base[i])
             base[i] *= cell
         else:
@@ -450,7 +450,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
 
     changes = []
     iterations = 0
-    touched = [False, False]
+    carried = [None, None]
     for _ in range(PICARD_MAX_ITER):
         iterations += 1
         for i in comps:
@@ -458,7 +458,6 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
             for q in range(s_q.size):
                 np.multiply(cur[j], 1.0 - theta_q[q], out=work)
                 work += np.multiply(v[j], theta_q[q], out=scratch)
-                np.maximum(work, 0.0, out=work)
                 spectrum = grid.forward(_power(work, params.beta[i], scratch),
                                         spec[i] if q == 0 else hat)
                 spectrum *= coef[i][q]
@@ -467,7 +466,7 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
             spec[i] += base[i]
             grid.inverse(spec[i], new[i])
             count = _clamp(new[i], grid.weights)[1]
-            touched[i] = count > 0
+            carried[i] = None if count else spec[i]
             clamped += clamp_weight * count
 
         peaks = [float(new[i].max(initial=0.0)) for i in comps]
@@ -489,24 +488,23 @@ def step(pair: FieldPair, t_next: float, plan: _Plan, spectra=None):
     for i in comps:
         v[i].flags.writeable = spec[i].flags.writeable = False
     if shared:
-        touched[1] = touched[0]
-    carried = tuple(None if touched[i] else spec[i] for i in (0, 1))
-    return FieldPair(v[0], v[1], t_next), StepDiagnostics(iterations, changes, clamped, carried)
+        carried[1] = carried[0]
+    return FieldPair(v[0], v[1], t_next, tuple(carried)), StepDiagnostics(iterations, changes, clamped)
 
 
 def _grid_norms(values: np.ndarray, grid, order: Optional[float], buf: np.ndarray):
     """(sup norm, L^order norm or NaN, mass) of ``values`` on the grid view
-    ``grid``; ``buf`` is a field-shaped scratch array that is overwritten."""
+    ``grid``; ``buf`` is field-shaped scratch, which the weighted sums also use."""
+    mass = grid_mass(values, grid, out=buf)
     np.abs(values, out=buf)
     linf = float(buf.max(initial=0.0))
-    mass = grid_mass(values, grid)
     if order is None:
         return linf, math.nan, mass
-    total = grid_mass(np.power(buf, order, out=buf), grid)
+    total = grid_mass(np.power(buf, order, out=buf), grid, out=buf)
     if total < np.finfo(float).tiny and linf > 0.0:
         # u^s underflowed: scale by the peak (only here, so other runs keep their bytes)
         np.divide(np.abs(values, out=buf), linf, out=buf)
-        total = grid_mass(np.power(buf, order, out=buf), grid)
+        total = grid_mass(np.power(buf, order, out=buf), grid, out=buf)
         return linf, linf * total ** (1.0 / order), mass
     return linf, total ** (1.0 / order), mass
 
@@ -525,13 +523,11 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     x_a -> -x_a, so the solution stays even.  Norms and clamp counts take
     the view's multiplicity weights.  ``from_file`` data need not be even,
     and in 1-D a DCT-I on n/2 + 1 points costs what an rfft on n does, so
-    those runs take the full grid.  The snapshots are the step results
-    themselves, on the view ``result.grid``; ``result.grid.expand`` gives
-    a full-grid field, as :func:`write_snapshot` writes it.
-
-    Each step hands the spectra of its unclamped, read-only fields to the
-    next (``diag.spectra``, see :func:`step`), which then skips their
-    forward transforms.
+    those runs take the full grid.  Each step starts from the pair the last
+    one returned, and so from its spectra (see :func:`step`).  The
+    snapshots hold the step results' arrays, without their spectra, on the
+    view ``result.grid``; ``result.grid.expand`` gives a full-grid field,
+    as :func:`write_snapshot` writes it.
 
     A symmetric run, where both components share alpha, beta, rho, sigma
     and byte-equal initial fields, computes one component: every snapshot
@@ -588,10 +584,9 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     status = SolveStatus("completed", float(nodes[-1]))
     recorded = 1
 
-    spectra = None
     for k in range(1, n_nodes):
         try:
-            pair, diag = step(pair, float(nodes[k]), plan, spectra)
+            pair, diag = step(pair, float(nodes[k]), plan)
         except Divergence as exc:
             status = SolveStatus("diverged", exc.time)
             log.warning("divergence signal at t=%.6g", exc.time)
@@ -600,12 +595,12 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
             status = SolveStatus("step_rejected", exc.time)
             log.warning("step rejected at t=%.6g (last change %.3e)", exc.time, exc.diff)
             break
-        spectra = diag.spectra
         total_clamped += diag.clamped
         record(k, pair, diag.iterations)
         recorded = k + 1
         if k % config.snapshot_stride == 0 or k == n_nodes - 1:
-            snapshots.append(pair)
+            # a kept spectrum would only hold memory
+            snapshots.append(replace(pair, spectra=(None, None)))
 
     norms = NormSeries(t=t_arr[:recorded], linf=linf[:recorded], ls=ls[:recorded],
                        scaled=scaled[:recorded], mass=mass[:recorded],

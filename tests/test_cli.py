@@ -698,12 +698,44 @@ VERIFY_KERNEL_123_GOLDEN = "b2751d909fa704b1b0f711c06c151d412f005174abe313c318d5
 VERIFY_KERNEL_DEFAULT_GOLDEN = "28bbae6b7bcaedc2e9b73e4f7eb6d4a84aa15279a9011e8f7a24ac2afa2d3b7a"
 
 
+# a small symmetric 2-D alpha = 1.5 solve at epsilon = 1: frac2d's path, an
+# aliased pair on the even view whose steps 2-10 start from the carried spectrum
+SYM_2D = """
+alpha1 = 1.5
+alpha2 = 1.5
+beta1 = 3.0
+beta2 = 3.0
+rho1 = 1.0
+rho2 = 1.0
+sigma1 = 0.0
+sigma2 = 0.0
+dim = 2
+grid_n = 64
+half_length = 20.0
+horizon = 2.0
+steps = 10
+snapshot_stride = 2
+init = stable_kernel
+epsilon = 1.0
+run_id = sym
+"""
+
+# taken as ASYM_2D_GOLDEN was, before a field pair carried its own spectra
+SYM_2D_GOLDEN = {
+    "norms.csv": "ed096099e5e7c68c2c795e204b1c9835539164c3b758b70a705b3a16fbb20145",
+    "verification.txt": "b48cecd3fb3c707c0ba3ae8996092208e4e3d741af1f7de90fd41d34f197185a",
+    "manifest.txt": "ef0edfacfad3bd08bfbfcf32d877ccb4eb87ca2a83ffeb87341017dd2f404d20",
+}
+
+
 def test_asymmetric_2d_artifact_bytes_are_frozen(tmp_path):
-    cfg = _write(tmp_path, ASYM_2D)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    for name, digest in ASYM_2D_GOLDEN.items():
-        data = (tmp_path / "o" / "asym" / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, name
+    # and those of the symmetric twin, SYM_2D
+    for text, run_id, golden in ((ASYM_2D, "asym", ASYM_2D_GOLDEN), (SYM_2D, "sym", SYM_2D_GOLDEN)):
+        cfg = _write(tmp_path, text, run_id + ".cfg")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        for name, digest in golden.items():
+            data = (tmp_path / "o" / run_id / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (run_id, name)
 
 
 def test_log_level_adds_log_lines_and_no_artifact_byte(tmp_path, caplog):

@@ -4,6 +4,7 @@ trajectory invariants, and the snapshot/norm file formats."""
 import math
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -102,7 +103,7 @@ def test_propagate_identity_when_times_equal():
     # linear part is a transform round trip
     u = eval_density_grid(KernelSpec(2.0, 1), 1.0, GRID)
     plan = _Plan(_config())
-    assert np.all(plan.multiplier(0, 0.0) == 1.0)
+    assert np.all(plan.multiplier(0, 0.0, np.empty_like(plan.symb[0])) == 1.0)
     out = GRID.inverse(GRID.forward(u, plan.hat), plan.work)
     assert np.max(np.abs(out - u)) < 1e-14
 
@@ -190,11 +191,21 @@ def test_nonlinear_term_fractional_power_refinement_oracle():
     assert np.max(np.abs(ends[0] - ends[1][::4])) < 1e-8
 
 
-def test_nonlinear_term_guards():
-    # negative values are clamped before the power is taken
-    pair = FieldPair(np.full(GRID.shape(), -1.0), np.zeros(GRID.shape()), 0.0)
-    out, _ = step(pair, 0.1, _Plan(_config()))
-    assert not out.u1.any() and not out.u2.any()
+def test_nonlinear_term_guards(monkeypatch):
+    # no negative value reaches the power, in a run whose steps clamp: a step
+    # interpolates clamped iterates or checked initial data with weights in (0, 1)
+    seen = []
+    real = solver_module._power
+
+    def recording(x, beta, scratch):
+        seen.append(float(x.min()))
+        return real(x, beta, scratch)
+
+    monkeypatch.setattr(solver_module, "_power", recording)
+    params, grid, init = CLAMP_CASE
+    res = solve(_config(params=params, grid=grid, init=init, horizon=0.6, steps=6))
+    assert res.status.completed and res.diagnostics["clamped_values"] > 0
+    assert seen and min(seen) >= 0.0
     # the singular weight s^sigma is never sampled at s = 0
     params = SystemParams((2, 2), (2, 2), (1, 1), (-0.5, -0.5), 1)
     u = eval_density_grid(KernelSpec(2.0, 1), 1.0, GRID)
@@ -293,10 +304,10 @@ def _step_reference(pair, t_next, plan):
     base, weights, node_mult = [], [], []
     for i in (0, 1):
         rho_i = params.rho[i]
-        g_full = plan.multiplier(i, t_next**rho_i - t_cur**rho_i)
+        g_full = np.exp(-(t_next**rho_i - t_cur**rho_i) * plan.symb[i])
         base.append(inverse(g_full * hat_cur[i]))
         weights.append(jac_q * s_q ** params.sigma[i])
-        node_mult.append([plan.multiplier(i, t_next**rho_i - s**rho_i) for s in s_q])
+        node_mult.append([np.exp(-(t_next**rho_i - s**rho_i) * plan.symb[i]) for s in s_q])
 
     cur = [pair.u1, pair.u2]
     v = [np.maximum(b, 0.0) for b in base]
@@ -385,11 +396,9 @@ def test_plan_transforms_bitwise_equal_numpy(dim, n, dealias):
     assert np.array_equal(grid.inverse(spectrum), want)
     assert grid.inverse(spectrum, plan.work) is plan.work
     assert np.array_equal(plan.work, want)
-    fresh = plan.multiplier(1, 0.3)
     out = plan.component(1)[1][0]
     assert plan.multiplier(1, 0.3, out=out) is out
-    assert np.array_equal(out, fresh)
-    assert np.array_equal(fresh, np.exp(-0.3 * plan.symb[1]))
+    assert np.array_equal(out, np.exp(-0.3 * plan.symb[1]))
 
 
 def _stepper(beta=3.0, epsilon=5.0, steps=6):
@@ -616,9 +625,13 @@ def test_even_run_keeps_its_step_results_on_the_view(monkeypatch, case):
     cfg = _config(params=params, grid=grid, init=init, horizon=0.6, steps=6, snapshot_stride=2)
     res = solve(cfg)
     assert res.status.completed and isinstance(res.grid, EvenGrid) and res.grid.full == grid
-    # the kept snapshots are the step results themselves, not copies
+    # the kept snapshots hold the step results' arrays, not copies, and no spectra
     assert len(res.snapshots) == 4
-    assert all(snap is returned[k - 1] for k, snap in zip((2, 4, 6), res.snapshots[1:]))
+    for k, snap in zip((2, 4, 6), res.snapshots[1:]):
+        got = returned[k - 1]
+        assert snap.u1 is got.u1 and snap.u2 is got.u2 and snap.time == got.time
+        assert any(s is not None for s in got.spectra)
+        assert all(s is None for s in snap.spectra)
     symmetric = _Plan(cfg).symmetric
     assert symmetric == ("asymmetric" not in case)
     for snap in res.snapshots:
@@ -928,10 +941,12 @@ def test_stop_time_brackets_the_blowup_time(tmp_path, beta, sigma, c, horizon, s
 
 
 def _grid_norms_reference(values, grid, order):
-    """The norms as first written, with fresh temporaries."""
+    """The norms as first written, with fresh temporaries; an EvenGrid's
+    samples count with its multiplicity weights."""
+    weights = 1.0 if grid.weights is None else grid.weights
     linf = float(np.abs(values).max(initial=0.0))
-    mass = float(values.sum() * grid.cell_volume)
-    ls = float((np.abs(values) ** order).sum() * grid.cell_volume) ** (1.0 / order)
+    mass = float((values * weights).sum() * grid.cell_volume)
+    ls = float((np.abs(values) ** order * weights).sum() * grid.cell_volume) ** (1.0 / order)
     return linf, ls, mass
 
 
@@ -945,6 +960,22 @@ def test_grid_norms_bitwise_equal_temporaries(order):
     assert values.tobytes() == kept.tobytes()
     linf, ls, mass = _grid_norms(values, GRID, None, buf)
     assert (linf, mass) == _grid_norms_reference(values, GRID, order)[::2] and math.isnan(ls)
+
+
+def test_even_grid_norms_allocate_no_field():
+    # the weighted sums of the 65^3 view of a 3-D 128^3 run go through buf
+    view = EvenGrid(SpectralGrid(3, 128, 20.0))
+    values = np.random.default_rng(6).uniform(-0.1, 2.0, view.shape())
+    kept, buf = values.copy(), np.empty_like(values)
+    want = _grid_norms_reference(values, view, 5.0)
+    tracemalloc.start()
+    try:
+        got = _grid_norms(values, view, 5.0, buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and values.tobytes() == kept.tobytes()
+    assert peak < values.nbytes / 16
 
 
 # ---------------------------------------------------------------------------
@@ -975,15 +1006,33 @@ def _carry_run(params, grid, init, even):
 
 
 @pytest.mark.parametrize("case", sorted(CARRY_VIEWS))
-def test_carried_step_matches_a_fresh_forward_step(case):
+def test_carried_step_matches_a_fresh_forward_step(monkeypatch, case):
     cfg, plan, pair, times = _carry_run(*CARRY_VIEWS[case])
     view = plan.grid
-    spectra, carried, kept = None, 0, []
+    forwards = []
+    real_forward = type(view).forward
+
+    def counting(self, values, out=None):
+        forwards.append(values)
+        return real_forward(self, values, out)
+
+    monkeypatch.setattr(type(view), "forward", counting)
+    carried, kept = 0, []
     for t_next in times:
-        fresh, f_diag = step(pair, t_next, plan)
-        if spectra is not None:
+        # the same fields without their spectra are transformed afresh
+        forwards.clear()
+        fresh, f_diag = step(replace(pair, spectra=(None, None)), t_next, plan)
+        assert sum(v is u for v in forwards for u in pair.components()) == 2
+        n_fresh = len(forwards)
+        spectra = pair.spectra
+        if pair.time > 0.0:
+            assert all(s is not None for s in spectra)
             before = [s.tobytes() for s in spectra]
-            got, diag = step(pair, t_next, plan, spectra)
+            forwards.clear()
+            got, diag = step(pair, t_next, plan)
+            # the carried spectra stand in for the start fields' transforms
+            assert len(forwards) == n_fresh - 2
+            assert not any(v is u for v in forwards for u in pair.components())
             # the carried spectra are read-only inputs, never written
             assert [s.tobytes() for s in spectra] == before
             assert not any(s.flags.writeable for s in spectra)
@@ -994,14 +1043,14 @@ def test_carried_step_matches_a_fresh_forward_step(case):
             kept.append((spectra, [s.copy() for s in spectra]))
         assert f_diag.clamped == 0 and f_diag.iterations > 2          # the coupling acts
         assert not any(u.flags.writeable for u in fresh.components())
-        for spectrum, u in zip(f_diag.spectra, fresh.components()):
+        for spectrum, u in zip(fresh.spectra, fresh.components()):
             want = view.forward(u)
             assert spectrum.shape == want.shape and spectrum.dtype == want.dtype
             assert np.max(np.abs(spectrum - want)) <= 1e-14 * np.max(np.abs(want))
         workspace = [plan.hat, plan.work, plan.scratch, *plan.base,
                      *plan.coef[0], *plan.coef[1]]
-        assert not any(np.shares_memory(s, w) for s in f_diag.spectra for w in workspace)
-        pair, spectra = fresh, f_diag.spectra
+        assert not any(np.shares_memory(s, w) for s in fresh.spectra for w in workspace)
+        pair = fresh
     assert carried == len(times) - 1
     # spectra stay valid after later steps
     for spectra, copies in kept:
@@ -1020,15 +1069,14 @@ def test_carry_is_dropped_after_a_clamped_accepted_iterate(monkeypatch, even):
 
     monkeypatch.setattr(solver_module, "_clamp", recording)
     cfg, plan, pair, times = _carry_run(*CLAMP_CASE, even)
-    spectra, outcomes = None, []
+    outcomes = []
     for t_next in times:
         counts.clear()
-        pair, diag = step(pair, t_next, plan, spectra)
+        pair, diag = step(pair, t_next, plan)
         # the last clamp of each component is that of its accepted iterate
-        for spectrum, count in zip(diag.spectra, counts[-2:]):
+        for spectrum, count in zip(pair.spectra, counts[-2:]):
             assert (spectrum is None) == (count > 0)
             outcomes.append(spectrum is None)
-        spectra = diag.spectra
     assert any(outcomes) and not all(outcomes)
 
 
@@ -1038,33 +1086,35 @@ def test_aliased_step_carries_one_spectrum_for_both():
                                         InitialData("stable_kernel", epsilon=5.0), True)
     assert plan.symmetric
     alias = FieldPair(pair.u1, pair.u1, 0.0)
-    a_spectra = f_spectra = None
     for t_next in times:
-        alias, a_diag = step(alias, t_next, plan, a_spectra)
-        pair, f_diag = step(pair, t_next, plan, f_spectra)
-        assert a_diag.spectra[0] is a_diag.spectra[1] is not None
+        alias, _ = step(alias, t_next, plan)
+        pair, _ = step(pair, t_next, plan)
+        assert alias.spectra[0] is alias.spectra[1] is not None
         assert alias.u1.tobytes() == pair.u1.tobytes() == pair.u2.tobytes()
-        assert all(a_diag.spectra[0].tobytes() == s.tobytes() for s in f_diag.spectra)
-        a_spectra, f_spectra = a_diag.spectra, f_diag.spectra
+        assert all(alias.spectra[0].tobytes() == s.tobytes() for s in pair.spectra)
 
 
 def test_solve_carries_spectra_only_between_its_own_steps(monkeypatch):
-    # every step of a solve gets exactly the spectra the previous step returned
+    # every step of a solve gets exactly the pair, and so the spectra, that
+    # the previous step returned, and no snapshot keeps a spectrum
     seen = []
     real = solver_module.step
 
-    def recording(pair, t_next, plan, spectra=None):
-        seen.append(spectra)
-        out = real(pair, t_next, plan, spectra)
-        seen.append(out[1].spectra)
+    def recording(pair, t_next, plan):
+        seen.append(pair)
+        out = real(pair, t_next, plan)
+        seen.append(out[0])
         return out
 
     monkeypatch.setattr(solver_module, "step", recording)
     params, grid, init, _ = CARRY_VIEWS["2d_even"]
-    res = solve(_config(params=params, grid=grid, init=init, horizon=0.6, steps=6))
+    res = solve(_config(params=params, grid=grid, init=init, horizon=0.6, steps=6,
+                        snapshot_stride=1))
     assert res.status.completed
-    assert seen[0] is None
+    assert all(s is None for s in seen[0].spectra)
     assert all(given is returned for returned, given in zip(seen[1:-1:2], seen[2::2]))
+    assert all(s is not None for given in seen[2::2] for s in given.spectra)
+    assert len(res.snapshots) == 7 and all(s is None for snap in res.snapshots for s in snap.spectra)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
@@ -139,16 +140,6 @@ class SpectralGrid:
         the half axis last."""
         return (np.fft.fftfreq,) * (self.dim - 1) + (np.fft.rfftfreq,)
 
-    @lru_cache(maxsize=32)
-    def symbol_exponent(self, alpha: float) -> np.ndarray:
-        """|xi|^alpha on the rfftn layout; cached per grid and alpha, so read-only."""
-        return _symbol_exponent(self, alpha)
-
-    @lru_cache(maxsize=8)
-    def dealias_mask(self) -> np.ndarray:
-        """Two-thirds rule on the rfftn layout; cached per grid, so read-only."""
-        return _dealias_mask(self)
-
     def forward(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """rfftn of ``values``, into ``out`` when given, one axis pass at a
         time in numpy's own order, so the bits equal ``np.fft.rfftn``."""
@@ -192,18 +183,29 @@ def _radius(ax: np.ndarray, dim: int) -> np.ndarray:
     return np.sqrt(sum(m * m for m in mesh))
 
 
-def _symbol_exponent(view, alpha: float) -> np.ndarray:
-    """|xi|^alpha, read-only, meshed from the per-axis frequency functions
-    ``view._freqs`` of a grid view."""
-    k = [2.0 * np.pi * f(view.n, d=view.spacing) for f in view._freqs]
-    out = sum(m * m for m in np.meshgrid(*k, indexing="ij", sparse=True)) ** (alpha / 2.0)
-    out.flags.writeable = False
-    return out
+# per live grid view, its symbols by alpha; the view's death drops its entry
+_SYMBOLS = weakref.WeakKeyDictionary()
 
 
-def _dealias_mask(view) -> np.ndarray:
+def symbol_exponent(view, alpha: float) -> np.ndarray:
+    """|xi|^alpha on a grid view, meshed from its per-axis frequency
+    functions ``view._freqs``.  Built once per view and alpha and kept
+    only while the view lives, so read-only.  A :class:`SpectralGrid`
+    hashes by value, so an equal grid shares the array while the first
+    one lives."""
+    symbols = _SYMBOLS.setdefault(view, {})
+    if alpha not in symbols:
+        k = [2.0 * np.pi * f(view.n, d=view.spacing) for f in view._freqs]
+        out = sum(m * m for m in np.meshgrid(*k, indexing="ij", sparse=True)) ** (alpha / 2.0)
+        out.flags.writeable = False
+        symbols[alpha] = out
+    return symbols[alpha]
+
+
+def dealias_mask(view) -> np.ndarray:
     """The two-thirds rule |k| <= n // 3 on every axis, read-only, meshed
-    from the per-axis frequency functions ``view._freqs`` of a grid view."""
+    from the per-axis frequency functions ``view._freqs`` of a grid view;
+    built afresh on each call (a run makes it once)."""
     keep = [np.abs(f(view.n) * view.n) <= view.n // 3 for f in view._freqs]
     out = reduce(np.logical_and, np.meshgrid(*keep, indexing="ij", sparse=True))
     out.flags.writeable = False
@@ -222,11 +224,11 @@ class EvenGrid:
     part.  :meth:`inverse` is the same passes scaled by 1/n per axis.  Both
     equal the full grid's transforms of the field re-centred at x = 0,
     whose spectrum differs from the full grid's by (-1)^k per axis, a sign
-    every radial multiplier and the mask commute with.  The symbols and the
-    mask are built on the view from ``rfftfreq`` on every axis and kept,
-    one read-only array per alpha: they are the ``[:n/2+1]`` corners of
-    the full grid's bit for bit, since -n/2, the full grid's Nyquist
-    frequency, squares as n/2 does, and the full grid's are never built.
+    every radial multiplier and the mask commute with.  The view's
+    :func:`symbol_exponent` and :func:`dealias_mask` take ``rfftfreq`` on
+    every axis: they are the ``[:n/2+1]`` corners of the full grid's bit
+    for bit, since -n/2, the full grid's Nyquist frequency, squares as n/2
+    does, and the full grid's are never built.
     The view keeps x = 0 at index 0, where the transforms put it, so
     :meth:`centered` moves nothing, and its spacing and half-length are
     the full grid's.  A sum over the full grid weights each sample by its
@@ -259,23 +261,9 @@ class EvenGrid:
                                  lead + (slice(m - 2, 0, -1),)))
         self._spectrum = np.empty(self.shape(), dtype=complex)
         self._freqs = (np.fft.rfftfreq,) * grid.dim
-        self._symbols = {}
-        self._mask = None
 
     def shape(self) -> tuple:
         return (self.n // 2 + 1,) * self.dim
-
-    def symbol_exponent(self, alpha: float) -> np.ndarray:
-        """|xi|^alpha on the view; built once per alpha, so read-only."""
-        if alpha not in self._symbols:
-            self._symbols[alpha] = _symbol_exponent(self, alpha)
-        return self._symbols[alpha]
-
-    def dealias_mask(self) -> np.ndarray:
-        """Two-thirds rule on the view; built once, so read-only."""
-        if self._mask is None:
-            self._mask = _dealias_mask(self)
-        return self._mask
 
     def centered(self, values: np.ndarray) -> np.ndarray:
         return values
@@ -552,7 +540,7 @@ def eval_density_grid(spec: KernelSpec, t: float, grid, *, clamp: bool = True) -
         raise ValueError(f"t must be positive, got {t}")
     if grid.dim != spec.dim:
         raise ValueError(f"grid dim {grid.dim} != kernel dim {spec.dim}")
-    symbol = np.exp(-t * grid.symbol_exponent(spec.alpha)).astype(grid.spectral_dtype, copy=False)
+    symbol = np.exp(-t * symbol_exponent(grid, spec.alpha)).astype(grid.spectral_dtype, copy=False)
     raw = grid.inverse(symbol) * (grid.n**grid.dim / (2.0 * grid.half_length) ** grid.dim)
     raw = grid.centered(raw)
     peak = raw.max()

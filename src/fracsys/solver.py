@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .exponents import SystemParams, _fmt
-from .kernels import (NEG_TOL, EvenGrid, KernelSpec, SpectralGrid, eval_density_grid, grid_mass,
-                      tail_mass_bound)
+from .kernels import (NEG_TOL, EvenGrid, KernelSpec, SpectralGrid, dealias_mask, eval_density_grid,
+                      grid_mass, symbol_exponent, tail_mass_bound)
 
 log = logging.getLogger(__name__)
 
@@ -157,7 +157,7 @@ class FieldPair:
 
     On a symmetric run (see :func:`solve`) ``u1`` and ``u2`` are the same
     array.  The arrays of a solve's snapshots and of a step's result are
-    read-only; :meth:`copy` gives two independent, writable arrays.
+    read-only.
     ``spectra`` holds per component the read-only spectrum of the field, or
     None; only :func:`step` sets it, on the pair it returns.
     """
@@ -169,9 +169,6 @@ class FieldPair:
 
     def components(self):
         return (self.u1, self.u2)
-
-    def copy(self) -> "FieldPair":
-        return FieldPair(self.u1.copy(), self.u2.copy(), self.time)
 
 
 @dataclass
@@ -240,7 +237,9 @@ def make_initial_data(init: InitialData, grid, params: SystemParams) -> FieldPai
     """Nonnegative, integrable, bounded initial data at t = 0 on the grid
     view ``grid``: a :class:`SpectralGrid`, or for radial kinds also its
     :class:`EvenGrid`, where the fields are the x >= 0 corner.  Gaussian
-    data the grid cannot hold (see :class:`UnresolvedData`) raise."""
+    data the grid cannot hold (see :class:`UnresolvedData`) raise, as do
+    ``from_file`` data with a value that is negative or not finite or with
+    a component of zero mass (:class:`SnapshotFormatError`)."""
     if init.kind == "stable_kernel":
         def density(alpha):
             return init.epsilon * eval_density_grid(KernelSpec(alpha, grid.dim), 1.0, grid)
@@ -271,6 +270,9 @@ def make_initial_data(init: InitialData, grid, params: SystemParams) -> FieldPai
             raise SnapshotFormatError(
                 f"{init.path}: initial data must be nonnegative and finite; {name} has "
                 f"{bad.size} values that are not, the first {float(u.flat[bad[0]])} at index {bad[0]}")
+        if not grid_mass(u, grid) > 0.0:
+            raise SnapshotFormatError(f"{init.path}: initial data must have positive mass; "
+                                      f"{name} has grid mass 0")
     pair.time = 0.0
     return pair
 
@@ -311,8 +313,8 @@ class _Plan:
         self.config = config
         self.grading = mesh_grading(config.params.sigma)
         self.grid = grid = config.grid if grid is None else grid
-        self.symb = [grid.symbol_exponent(config.params.alpha[i]) for i in (0, 1)]
-        self.mask = grid.dealias_mask()
+        self.symb = [symbol_exponent(grid, config.params.alpha[i]) for i in (0, 1)]
+        self.mask = dealias_mask(grid)
 
         self.hat = np.empty(self.symb[0].shape, dtype=grid.spectral_dtype)
         self.work = np.empty(grid.shape())
@@ -532,8 +534,7 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     A symmetric run, where both components share alpha, beta, rho, sigma
     and byte-equal initial fields, computes one component: every snapshot
     then has ``u1 is u2``, and its norms are taken once when the norm
-    orders agree.  Snapshots are read-only; use :meth:`FieldPair.copy` for
-    writable arrays.
+    orders agree.  Snapshots are read-only.
     """
     orders, xi = (None, None), None
     if exponents is not None and exponents.s is not None:

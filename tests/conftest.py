@@ -11,6 +11,7 @@ import pytest
 
 from fracsys.config import ExperimentConfig, parse_config_text
 from fracsys.exponents import SystemParams, classify
+from fracsys.kernels import symbol_exponent
 from fracsys.solver import NORM_COLUMNS, FieldPair, NormSeries, SolveResult
 
 
@@ -62,7 +63,7 @@ def propagate_reference(values, grid, alpha, rho, t_from, t_to):
     """The linear flow exp(-(t_to^rho - t_from^rho)|xi|^alpha) applied with
     numpy's n-D transforms: the oracle for small-data runs."""
     tau = t_to**rho - t_from**rho
-    spectrum = np.exp(-tau * grid.symbol_exponent(alpha)) * np.fft.rfftn(values)
+    spectrum = np.exp(-tau * symbol_exponent(grid, alpha)) * np.fft.rfftn(values)
     return np.fft.irfftn(spectrum, s=grid.shape(), axes=tuple(range(grid.dim)))
 
 

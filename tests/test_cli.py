@@ -395,13 +395,15 @@ def test_solve_rejects_bad_initial_data(tmp_path, capsys, swap):
 
 # one value of a snapshot that breaks the hypotheses on the data
 BAD_VALUES = {"nan": math.nan, "inf": math.inf, "negative": -0.5}
+# a u1 of zero mass: the paper takes positive data
+ZERO_U1 = {"zero_u1": 0.0, "negative_zero_u1": -0.0}
 
 
 def _bad_data(tmp_path, kind):
     """A config whose initial data cannot be made: a corrupt snapshot file, a
     snapshot of another grid, a snapshot with one value that is not finite
-    or is negative or one header constant out of range, or kernel data the
-    box truncates."""
+    or is negative, a snapshot whose u1 is zero, one header constant out of
+    range, or kernel data the box truncates."""
     if kind == "truncated":
         return BASE.replace("alpha1 = 2.0", "alpha1 = 1.5").replace("alpha2 = 2.0", "alpha2 = 1.5") \
             .replace("grid_n = 512", "grid_n = 8").replace("half_length = 30.0", "half_length = 200")
@@ -417,6 +419,8 @@ def _bad_data(tmp_path, kind):
         pair = solver.make_initial_data(cfg.run.init, cfg.run.grid, cfg.params)
         if kind in BAD_VALUES:
             pair.u2[100] = BAD_VALUES[kind]
+        if kind in ZERO_U1:
+            pair.u1[:] = ZERO_U1[kind]
         solver.write_snapshot(path, pair, cfg.run.grid, cfg.params)
         if kind in BAD_HEADER_VALUES:
             raw = bytearray(path.read_bytes())
@@ -425,7 +429,7 @@ def _bad_data(tmp_path, kind):
     return BASE.replace("init = stable_kernel", f"init = from_file\ninit_path = {path}")
 
 
-@pytest.mark.parametrize("kind", ["corrupt", "other_grid", "truncated", *BAD_VALUES,
+@pytest.mark.parametrize("kind", ["corrupt", "other_grid", "truncated", *BAD_VALUES, *ZERO_U1,
                                   *BAD_HEADER_VALUES])
 def test_solve_bad_initial_data_fails_cleanly(tmp_path, capsys, kind):
     cfg = _write(tmp_path, _bad_data(tmp_path, kind))

@@ -20,9 +20,10 @@ from scipy.special import j0
 
 import fracsys.kernels as K
 from fracsys.kernels import (EvenGrid, KernelSpec, SpectralGrid, TruncationError,
-                             check_monotone_domination, check_scaling, density_profile,
-                             eval_density_grid, grid_mass, lp_norm, lp_norm_slope,
-                             semigroup_residual, tail_mass_bound)
+                             check_monotone_domination, check_scaling, dealias_mask,
+                             density_profile, eval_density_grid, grid_mass, lp_norm,
+                             lp_norm_slope, semigroup_residual, symbol_exponent,
+                             tail_mass_bound)
 
 GOLD_P15_AT_ZERO = 0.2873527514521644      # Gamma(5/3)/pi
 GOLD_CROSS_2_1 = 1.6744958308895501        # 2 sqrt(pi) e^{-3/4}
@@ -401,7 +402,7 @@ def test_dealias_mask_keeps_the_lower_two_thirds(dim, n):
     # |k| <= n // 3 on every axis of the rfftn layout: 2 keep + 1 modes on a
     # full axis, keep + 1 on the half axis
     keep = n // 3
-    mask = SpectralGrid(dim, n, 10.0).dealias_mask()
+    mask = dealias_mask(SpectralGrid(dim, n, 10.0))
     assert mask.dtype == bool and not mask.flags.writeable
     assert mask.shape == (n,) * (dim - 1) + (n // 2 + 1,)
     assert mask.sum() == (2 * keep + 1) ** (dim - 1) * (keep + 1)
@@ -428,8 +429,8 @@ def test_even_grid_is_the_full_grid_on_even_fields(dim, n):
     out = np.empty(even.shape())
     assert even.inverse(spectrum, out) is out
     assert np.max(np.abs(out - q)) <= 1e-15 * q.max()
-    assert np.array_equal(even.symbol_exponent(1.5), grid.symbol_exponent(1.5)[corner])
-    assert np.array_equal(even.dealias_mask(), grid.dealias_mask()[corner])
+    assert np.array_equal(symbol_exponent(even, 1.5), symbol_exponent(grid, 1.5)[corner])
+    assert np.array_equal(dealias_mask(even), dealias_mask(grid)[corner])
 
 
 def _corner_ix(values, n):
@@ -532,15 +533,35 @@ def test_even_view_symbols_are_bitwise_the_full_grid_corners(dim, n, alpha):
     grid = SpectralGrid(dim, n, 10.0)
     even = EvenGrid(grid)
     corner = (slice(0, n // 2 + 1),) * dim
-    for got, full in ((even.symbol_exponent(alpha), grid.symbol_exponent(alpha)),
-                      (even.dealias_mask(), grid.dealias_mask())):
+    for got, full in ((symbol_exponent(even, alpha), symbol_exponent(grid, alpha)),
+                      (dealias_mask(even), dealias_mask(grid))):
         want = full[corner]
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
-    # one array per alpha, shared by every caller of the view
-    assert even.symbol_exponent(alpha) is even.symbol_exponent(alpha)
-    assert even.dealias_mask() is even.dealias_mask()
+    # one symbol per view and alpha, shared by every caller of the view
+    for view in (grid, even):
+        assert symbol_exponent(view, alpha) is symbol_exponent(view, alpha)
+    twin = SpectralGrid(dim, n, 10.0)
+    assert twin is not grid
+    assert symbol_exponent(twin, alpha).tobytes() == symbol_exponent(grid, alpha).tobytes()
+    assert dealias_mask(even).tobytes() == dealias_mask(even).tobytes()
+
+
+def test_symbol_memo_frees_each_symbol_with_its_grid():
+    # four full-grid symbols of 64 x 64 x 33 values, about 1.1 MB each
+    tracemalloc.start()
+    try:
+        grids = [SpectralGrid(3, 64, 10.0 + k) for k in range(4)]
+        size = symbol_exponent(grids[0], 1.5).nbytes
+        for grid in grids[1:]:
+            symbol_exponent(grid, 1.5)
+        built = tracemalloc.get_traced_memory()[0]
+        del grids, grid
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built >= 4 * size and held < size
 
 
 @pytest.mark.parametrize("dim, n, half_length, alpha, t", [

@@ -17,7 +17,9 @@ from conftest import BAD_HEADER_VALUES, SMALL, propagate_reference, read_norms_c
 from fracsys import solver as solver_module
 from fracsys.config import RETIRED, sha256_file
 from fracsys.exponents import SystemParams, classify
-from fracsys.kernels import EvenGrid, KernelSpec, SpectralGrid, density_profile, eval_density_grid
+from fracsys import kernels
+from fracsys.kernels import (EvenGrid, KernelSpec, SpectralGrid, dealias_mask, density_profile,
+                             eval_density_grid, symbol_exponent)
 from fracsys.solver import (GAUSS_X, Divergence, FieldPair, InitialData, NormSeries, RunConfig,
                             SnapshotFormatError, StepDiagnostics, StepRejected, TimeMesh,
                             _grid_norms, _Plan, _power, make_initial_data, mesh_grading,
@@ -135,7 +137,7 @@ def test_propagate_preserves_mass_and_rejects_backwards():
 
 def test_time_change_consistency():
     # multiplier over [0, t] equals [0, s] then [s, t]: additivity of t^rho - s^rho
-    symb = GRID.symbol_exponent(1.5)
+    symb = symbol_exponent(GRID, 1.5)
     rho = 0.7
     t, s = 2.5, 1.2
     direct = np.exp(-(t**rho) * symb)
@@ -356,7 +358,7 @@ def test_step_matches_per_node_reference_2d(dealias, beta, coupling):
     cfg = _config(params=params, grid=GRID_2D, horizon=0.4, steps=2,
                   init=InitialData("gaussian", epsilon=_amplitude(5.0, coupling), width=1.0))
     plan = _Plan(cfg)
-    assert plan.mask is cfg.grid.dealias_mask()
+    assert plan.mask.tobytes() == dealias_mask(cfg.grid).tobytes()
     pair = ref = make_initial_data(cfg.init, cfg.grid, cfg.params)
     for t_next in _times(cfg):
         pair, diag = step(pair, t_next, plan)
@@ -386,7 +388,7 @@ def test_plan_transforms_bitwise_equal_numpy(dim, n, dealias):
     params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), dim)
     grid = SpectralGrid(dim, n, 10.0)
     plan = _Plan(_config(params=params, grid=grid))
-    assert plan.mask is grid.dealias_mask()
+    assert plan.mask.tobytes() == dealias_mask(grid).tobytes()
     values = np.random.default_rng(dim).standard_normal((n,) * dim)
     spectrum = grid.forward(values, plan.hat)
     assert spectrum is plan.hat
@@ -413,7 +415,7 @@ def test_step_result_survives_later_steps():
     plan = _Plan(cfg)
     pair = make_initial_data(cfg.init, cfg.grid, cfg.params)
     pair, _ = step(pair, times[0], plan)
-    kept = pair.copy()
+    kept = FieldPair(pair.u1.copy(), pair.u2.copy(), pair.time)
     later = pair
     for t_next in times[1:3]:
         later, _ = step(later, t_next, plan)
@@ -544,7 +546,7 @@ def test_symmetric_solve_snapshots_are_read_only_and_copies_independent():
     assert len(res.snapshots) == 3
     for snap in res.snapshots:
         assert snap.u1 is snap.u2 and not snap.u1.flags.writeable
-        dup = snap.copy()
+        dup = FieldPair(snap.u1.copy(), snap.u2.copy(), snap.time)
         dup.u1 += 1.0
         assert dup.u1 is not dup.u2 and np.array_equal(dup.u2, snap.u1)
 
@@ -1157,18 +1159,13 @@ def test_aliased_solve_makes_no_workspace_for_component_1(monkeypatch, case):
 
 
 def test_even_solve_builds_no_full_grid_symbol():
-    # a grid no other test builds, so the caches cannot hold it already
     params = SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 2)
-    grid = SpectralGrid(2, 32, 17.25)
-    caches = (SpectralGrid.symbol_exponent, SpectralGrid.dealias_mask)
-    before = [f.cache_info() for f in caches]
-    cfg = _config(params=params, grid=grid, init=InitialData("stable_kernel", epsilon=1.0),
-                  horizon=0.6, steps=6)
+    cfg = _config(params=params, grid=SpectralGrid(2, 32, 17.25),
+                  init=InitialData("stable_kernel", epsilon=1.0), horizon=0.6, steps=6)
     res = solve(cfg)
     envelope_ratios(res.snapshots, params, res.grid)
     assert isinstance(res.grid, EvenGrid) and res.status.completed
-    assert [(f.cache_info().misses, f.cache_info().currsize) for f in caches] \
-        == [(info.misses, info.currsize) for info in before]
+    assert res.grid in kernels._SYMBOLS and cfg.grid not in kernels._SYMBOLS
 
 
 # ---------------------------------------------------------------------------

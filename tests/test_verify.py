@@ -10,7 +10,7 @@ import pytest
 from conftest import SMALL, unscaled
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid, lp_norm
-from fracsys.solver import InitialData, NormSeries, RunConfig, TimeMesh, solve
+from fracsys.solver import FieldPair, InitialData, NormSeries, RunConfig, TimeMesh, solve
 from fracsys.verify import (ComparisonReport, InsufficientData, RegimeMismatch,
                             comparison_check, decay_report, envelope_ratios, linf_bound_check,
                             selfsimilar_envelope_check)
@@ -276,7 +276,7 @@ def test_comparison_transitive_triple(run_small, run_half):
 
 
 def test_comparison_detects_violation(run_small):
-    bumped = [s.copy() for s in run_small.snapshots]
+    bumped = [FieldPair(s.u1.copy(), s.u2.copy(), s.time) for s in run_small.snapshots]
     bumped[1].u1 += 1.0
     rep = comparison_check(run_small.snapshots, bumped)
     assert not rep.ordered

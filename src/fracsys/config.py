@@ -225,6 +225,8 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     return config
 
 
+# no program path calls this (write_artifact hashes as it writes); it stays
+# while perfbench/tracing.py traces it
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())

@@ -27,7 +27,7 @@ __all__ = [
     "SystemParams", "Window", "ExponentReport",
     "REGIME_SMALL_DATA", "REGIME_SMALL_DATA_BOUNDED",
     "REGIME_SELF_SIMILAR", "REGIME_NO_GUARANTEE", "classify",
-    "DeltaOutsideWindow", "InadmissibleParams",
+    "DeltaOutsideWindow",
 ]
 
 REGIME_SMALL_DATA = "GlobalSmallData"
@@ -48,10 +48,6 @@ def _fmt(x) -> str:
 
 class DeltaOutsideWindow(ValueError):
     """Requested Delta does not lie strictly inside the admissible window."""
-
-
-class InadmissibleParams(ValueError):
-    """Parameter/Delta combination yields a nonpositive norm-order denominator."""
 
 
 @dataclass(frozen=True)
@@ -141,12 +137,6 @@ class _Calc:
         """The window (lo, hi) whose upper end takes the larger of the k-caps ``caps``."""
         return max(self.x_tilde), min(Fraction(1), *self.rho_tilde, max(caps))
 
-    def _order(self, name, i, den, delta):
-        if den <= 0:
-            raise InadmissibleParams(
-                f"{name}_{i + 1} denominator {float(den):.6g} is nonpositive at delta={float(delta):.17g}")
-        return self.norm_numerator / den
-
     def at(self, delta):
         """The pairs r, s, xi, delta_small and sup-norm exponent e at ``delta``,
         and the first role whose admissibility holds, or None.
@@ -155,8 +145,14 @@ class _Calc:
         - rho_i d beta_i / (alpha_i s_j) + 1 is -xi_i - rho_i d / (alpha_i s_i),
         and role i's strict beta_i/s_j - 1/s_i < alpha_i/d is delta_i < 1.
         """
-        r = [self._order("r", i, c + g * delta, delta) for i, (c, g) in enumerate(self.r_den)]
-        s = [self._order("s", i, c + g * delta, delta) for i, (c, g) in enumerate(self.s_den)]
+        # every Delta that classify evaluates lies in the open window (lo, hi),
+        # where each denominator is a sum of positive terms: with a = alpha_i rho_j
+        # and p = alpha_j rho_i, S_i = a (sigma_i + Delta) + beta_i p (sigma_j + Delta)
+        # and R_i = a (1 + sigma_i) + a beta_i (1 - Delta) + beta_i p (sigma_j + Delta),
+        # while hi <= 1 and lo = max_k x_tilde_k > -sigma_k, as x_tilde_k + sigma_k
+        # = (1 + beta_k)(1 + sigma_k) / (beta_k (1 + beta_l)) > 0
+        r = [self.norm_numerator / (c + g * delta) for c, g in self.r_den]
+        s = [self.norm_numerator / (c + g * delta) for c, g in self.s_den]
         # the paper's printed xi_i, reduced
         xi = [(1 - delta) * (1 + self.be[i]) / self.bb1 for i in (0, 1)]
         dsm = [self.d / self.al[i] * (self.be[i] / s[1 - i] - 1 / s[i]) for i in (0, 1)]

@@ -610,9 +610,9 @@ def check_monotone_domination(spec: KernelSpec, t: float, s: float, radii) -> fl
 def _lp_radial_cut(alpha: float, dim: int, t: float, mu: float) -> float:
     """Radius beyond which the analytic tail term is appended instead of
     quadrature (relative tail contribution about 1e-6)."""
-    core = _peak_value(alpha, dim, t) ** mu * t ** (dim / alpha)
     if alpha == 2.0:
         return math.sqrt(max(240.0 * t / mu, 100.0 * t))
+    core = _peak_value(alpha, dim, t) ** mu * t ** (dim / alpha)
     p_tail = mu * (dim + alpha) - dim
     cut = ((t * _tail_coeff(alpha, dim)) ** mu / (p_tail * 1e-6 * core)) ** (1.0 / p_tail)
     return max(cut, 8.0 * t ** (1.0 / alpha))

@@ -1,10 +1,11 @@
 """Post-processing checks of the solver's quantitative behaviour: the
 scaled-norm decay law, the sup-norm bound in the essentially-bounded regime,
-the self-similar envelope for kernel-shaped initial data, and the discrete
-comparison principle between runs.
+and the self-similar envelope for kernel-shaped initial data.  The discrete
+comparison principle between runs is a test's concern: its helper lives in
+``tests/conftest.py``.
 
-Each of the first three checks decides itself whether it applies: when its
-hypotheses fail it raises :class:`RegimeMismatch`, when the run is too short
+Each check decides itself whether it applies: when its hypotheses fail it
+raises :class:`RegimeMismatch`, when the run is too short
 :class:`InsufficientData`, and the message says why.  Otherwise it returns one
 report per component, whose fields after ``component`` are the keys of the
 ``verification.txt`` lines (``decay_slope_u1``, ``env_k_u2``, ...).
@@ -37,8 +38,6 @@ LINF_EXCESS_SLACK = 0.05
 ENVELOPE_EXCESS_SLACK = 0.10
 # envelope denominator mask threshold, relative to the kernel peak
 ENVELOPE_MASK = 1e-12
-# ordering tolerance of the comparison check, relative to the upper sup norm
-COMPARISON_TOL = 1e-9
 
 
 class InsufficientData(ValueError):
@@ -73,14 +72,6 @@ class EnvelopeReport:
     c: float
     violation: float
     verdict: bool
-
-
-@dataclass
-class ComparisonReport:
-    ordered: bool
-    worst_margin: float
-    worst_time: float
-    worst_index: tuple
 
 
 def _tail_window(t: np.ndarray) -> np.ndarray:
@@ -199,31 +190,3 @@ def selfsimilar_envelope_check(snapshots, params: SystemParams, exps: ExponentRe
         out.append(EnvelopeReport(component=i + 1, k=k_fit, c=c_fit, violation=violation,
                                   verdict=bool(k_fit > 0.0 and violation <= ENVELOPE_EXCESS_SLACK)))
     return tuple(out)
-
-
-def comparison_check(upper_snapshots, lower_snapshots) -> ComparisonReport:
-    """Pointwise ordering of two runs sharing grid view and mesh: every shared
-    snapshot must satisfy u >= v - tol with tol = COMPARISON_TOL * ||u||_inf."""
-    if len(upper_snapshots) != len(lower_snapshots):
-        raise ValueError("runs have different snapshot counts")
-    worst = math.inf
-    worst_t = math.nan
-    worst_idx = ()
-    ordered = True
-    for up, lo in zip(upper_snapshots, lower_snapshots):
-        if up.u1.shape != lo.u1.shape:
-            raise ValueError("snapshot grids do not match")
-        if up.time != lo.time:
-            raise ValueError(f"snapshot times differ: {up.time} vs {lo.time}")
-        for i, (a, b) in enumerate(zip(up.components(), lo.components())):
-            diff = a - b
-            m = float(diff.min())
-            if m < worst:
-                worst = m
-                worst_t = up.time
-                worst_idx = (i + 1,) + np.unravel_index(int(diff.argmin()), diff.shape)
-            tol = COMPARISON_TOL * float(np.abs(a).max(initial=0.0))
-            if m < -tol:
-                ordered = False
-    return ComparisonReport(ordered=ordered, worst_margin=worst,
-                            worst_time=worst_t, worst_index=worst_idx)

@@ -1,9 +1,10 @@
 """Shared fixtures and reference helpers: the reference experiment is
 expensive enough to run once per session and share across the verification
-and acceptance tests."""
+and acceptance tests.  The comparison check lives here because only tests call
+it: no program path compares two runs."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ REF_EPSILON = 1e-2
 # its fields times 1 / SMALL (exact in binary) are the linear flow of the
 # unscaled data.
 SMALL = 2.0**-100
+# ordering tolerance of the comparison check, relative to the upper sup norm
+COMPARISON_TOL = 1e-9
 
 # snapshot header constants the paper excludes, each as (byte offset, value):
 # alpha_1 lies at byte 32, beta_1 at 48, rho_1 at 64 and sigma_1 at 80 of
@@ -84,6 +87,42 @@ def read_norms_csv(path) -> NormSeries:
     arr = np.array([[float(v) if v else math.nan for v in line.split(",")] for line in rows[1:]])
     return NormSeries(t=arr[:, 0], linf=arr[:, 1:3], ls=arr[:, 3:5], scaled=arr[:, 5:7],
                       mass=arr[:, 7:9], picard_iters=arr[:, 9].astype(int))
+
+
+@dataclass
+class ComparisonReport:
+    ordered: bool
+    worst_margin: float
+    worst_time: float
+    worst_index: tuple
+
+
+def comparison_check(upper_snapshots, lower_snapshots) -> ComparisonReport:
+    """Pointwise ordering of two runs sharing grid view and mesh: every shared
+    snapshot must satisfy u >= v - tol with tol = COMPARISON_TOL * ||u||_inf."""
+    if len(upper_snapshots) != len(lower_snapshots):
+        raise ValueError("runs have different snapshot counts")
+    worst = math.inf
+    worst_t = math.nan
+    worst_idx = ()
+    ordered = True
+    for up, lo in zip(upper_snapshots, lower_snapshots):
+        if up.u1.shape != lo.u1.shape:
+            raise ValueError("snapshot grids do not match")
+        if up.time != lo.time:
+            raise ValueError(f"snapshot times differ: {up.time} vs {lo.time}")
+        for i, (a, b) in enumerate(zip(up.components(), lo.components())):
+            diff = a - b
+            m = float(diff.min())
+            if m < worst:
+                worst = m
+                worst_t = up.time
+                worst_idx = (i + 1,) + np.unravel_index(int(diff.argmin()), diff.shape)
+            tol = COMPARISON_TOL * float(np.abs(a).max(initial=0.0))
+            if m < -tol:
+                ordered = False
+    return ComparisonReport(ordered=ordered, worst_margin=worst,
+                            worst_time=worst_t, worst_index=worst_idx)
 
 
 def eta_theta_residuals(params, xi, delta_small):

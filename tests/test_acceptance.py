@@ -13,13 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (REF_EPSILON, SMALL, eta_theta_residuals, propagate_reference,
-                      reference_config)
+from conftest import (REF_EPSILON, SMALL, comparison_check, eta_theta_residuals,
+                      propagate_reference, reference_config)
 from fracsys.exponents import REGIME_NO_GUARANTEE, SystemParams, classify
 from fracsys.kernels import (KernelSpec, SpectralGrid, check_monotone_domination,
                              check_scaling, lp_norm_slope, semigroup_residual)
 from fracsys.solver import InitialData, RunConfig, TimeMesh, make_initial_data, solve
-from fracsys.verify import (comparison_check, decay_report, envelope_ratios, linf_bound_check,
+from fracsys.verify import (decay_report, envelope_ratios, linf_bound_check,
                             selfsimilar_envelope_check)
 
 

@@ -795,8 +795,9 @@ def test_verify_kernel_quick(capsys):
 
 
 def test_verify_kernel_reports_failed_case_and_continues(capsys):
-    # L = 15 is too small for the Cauchy tails in d = 3: that case fails, d = 3
-    # at alpha = 2 still runs
+    # the d = 3 grid's spacing h = 0.46875 does not resolve the Cauchy kernel at
+    # t = 0.5 (its symbol at pi/h is still 3.5e-2): that case fails, d = 3 at
+    # alpha = 2 still runs
     assert main(["verify-kernel", "--alpha", "1,2", "--dims", "3"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] alpha=1 d=3 TruncationError: " in out

@@ -79,6 +79,29 @@ def test_r_lower_bound_interval_is_its_typed_form():
             assert c.r_lower_bound_interval(lo, hi) == _r_lower_bound_interval_typed(c, lo, hi)
 
 
+@st.composite
+def _system_params(draw):
+    """A system over ``_random_params``' ranges whose constants have equal
+    components in about 30 % of the draws."""
+    pairs = []
+    for lo, hi in ((0.3, 2.0), (1.05, 6.0), (0.2, 3.0), (-0.9, 2.0)):
+        first = draw(st.floats(lo, hi))
+        pairs.append((first, first if draw(st.integers(0, 9)) < 3 else draw(st.floats(lo, hi))))
+    return SystemParams(*pairs, draw(st.integers(1, 6)))
+
+
+@given(params=_system_params())
+@settings(max_examples=300, deadline=None)
+def test_norm_order_denominators_are_positive_on_every_window(params):
+    # _Calc.at divides by R_i and S_i unchecked; both are affine in Delta, so
+    # positive values at the ends of a non-empty window cover all of it
+    c = _Calc(params)
+    for lo, hi in (c.window_bounds(c.k_tilde), c.window_bounds(map(min, c.k_tilde, c.k_hat))):
+        if lo < hi:
+            for const, slope in c.r_den + c.s_den:
+                assert const + slope * lo > 0 and const + slope * hi > 0, (lo, hi)
+
+
 def _delta_free_reference(params: SystemParams):
     """Each Delta-free pair typed out per component from its defining
     formula, and the Theorem-3 gate with its left-hand side typed out: the

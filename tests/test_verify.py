@@ -7,13 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import SMALL, unscaled
+from conftest import SMALL, comparison_check, unscaled
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid, lp_norm
 from fracsys.solver import FieldPair, InitialData, NormSeries, RunConfig, TimeMesh, solve
-from fracsys.verify import (ComparisonReport, InsufficientData, RegimeMismatch,
-                            comparison_check, decay_report, envelope_ratios, linf_bound_check,
-                            selfsimilar_envelope_check)
+from fracsys.verify import (InsufficientData, RegimeMismatch, decay_report, envelope_ratios,
+                            linf_bound_check, selfsimilar_envelope_check)
 
 PARAMS_B4 = SystemParams((2, 2), (4, 4), (1, 1), (0, 0), 1)
 GRID = SpectralGrid(1, 512, 30.0)

@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .exponents import SystemParams, _fmt
 from .kernels import SpectralGrid
-from .solver import InitialData, RunConfig, TimeMesh, mesh_grading, write_artifact
+from .solver import (PICARD_MAX_ITER, PICARD_TOL, InitialData, RunConfig, TimeMesh, mesh_grading,
+                     write_artifact)
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -87,11 +88,11 @@ _SWEPT = {key: (key,) for key, _, _, sweep in KEYS if sweep}
 _SWEPT.update({key[:-1]: (key, key[:-1] + "2") for key in list(_SWEPT) if key.endswith("1")})
 _INTEGER_KEYS = {key for key, kind, _, _ in KEYS if kind is INTEGER}
 # retired keys and the one value each still accepts, so that the manifest of
-# a run made before their retirement still reproduces it; the mesh grading
-# accepts the value derived from the system's sigma, so that a manifest whose
-# mesh would change is refused, never re-meshed
+# a run made before their retirement still reproduces it; the Picard keys
+# accept the solver's settings, the mesh grading the value the system's sigma
+# derives, so that a manifest whose mesh would change is refused, never re-meshed
 RETIRED = {"dealias": "two_thirds", "coupling_scale": 1.0,
-           "picard_tol": 1e-10, "picard_max_iter": 25,
+           "picard_tol": PICARD_TOL, "picard_max_iter": PICARD_MAX_ITER,
            "grading": lambda params: mesh_grading(params.sigma)}
 
 

@@ -157,20 +157,11 @@ class _Calc:
         xi = [(1 - delta) * (1 + self.be[i]) / self.bb1 for i in (0, 1)]
         dsm = [self.d / self.al[i] * (self.be[i] / s[1 - i] - 1 / s[i]) for i in (0, 1)]
         e = [-xi[i] - self.ro[i] * self.d / (self.al[i] * s[i]) for i in (0, 1)]
-
-        def admissible(i):
-            # role i's fixed-point and local-existence inequalities as the paper
-            # states them; inside the window only r >= 1 and s_j >= beta_i can
-            # fail: rho_i delta_i - sigma_i = Delta < rho_tilde_i gives delta_i < 1,
-            # xi_i = (d rho_i/alpha_i)(1/r_i - 1/s_i) > 0 gives s_i > r_i, and the
-            # s-denominators' beta_i S_j - S_i = alpha_i rho_j (beta_i beta_j - 1)
-            # (sigma_i + Delta) with Delta > x_tilde_i > -sigma_i give s_i beta_i > s_j
-            j = 1 - i
-            return (s[i] >= r[i] and s[j] >= self.be[i] and s[i] * self.be[i] >= s[j]
-                    and dsm[i] < 1 and s[j] >= r[j] and s[j] * self.be[j] >= r[i]
-                    and r[i] >= 1 and r[j] >= 1)
-
-        role = next((i + 1 for i in (0, 1) if admissible(i)), None)
+        # of role i's eight inequalities only r >= 1 and s_j >= beta_i can fail in
+        # the window: Delta < rho_tilde_i gives delta_i < 1, xi_i > 0 gives s_i > r_i,
+        # and beta_i S_j - S_i = alpha_i rho_j (beta_i beta_j - 1)(sigma_i + Delta) > 0
+        # gives s_i beta_i > s_j, so s_j beta_j > s_i > r_i
+        role = None if min(r) < 1 else next((i + 1 for i in (0, 1) if s[1 - i] >= self.be[i]), None)
         return r, s, xi, dsm, e, role
 
     def r_lower_bound_interval(self, lo, hi):

@@ -626,7 +626,8 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
     first-order |x|^(-d-alpha) asymptotic supplies the remainder (for
     alpha < 2; the Gaussian tail is negligible beyond the cut).  For
     alpha >= 1, ``_LP_CORE_PANELS`` uniform panels cover the core
-    [0, t^(1/alpha)]; for alpha < 1 one panel covers [0, cut 2^(-24)].
+    [0, t^(1/alpha)]; for alpha < 1 one panel covers [0, t^(1/alpha) 2^(-24)],
+    whose end, like the core's, follows the kernel's scale.
     Geometric panels, two per octave, run from there to the cut.  p(t, r)
     is evaluated band by band, each band on the node set
     :func:`_quad_panels` sizes for its largest radius: one band for the
@@ -647,8 +648,8 @@ def lp_norm(spec: KernelSpec, t: float, mu: float) -> float:
         lo = t ** (1.0 / a)
         head = np.linspace(0.0, lo, _LP_CORE_PANELS + 1)
     else:
-        # p(t, .) is only smooth at 0: the grading goes on 24 octaves below the cut
-        lo = rcut * 2.0 ** (-24)
+        # p(t, .) is only smooth at 0: the grading goes on 24 octaves below its scale
+        lo = t ** (1.0 / a) * 2.0 ** (-24)
         head = np.array([0.0, lo])
     halves = math.ceil(2.0 * math.log2(rcut / lo))
     r, w = _gauss_panels(np.concatenate([head, np.geomspace(lo, rcut, halves + 1)[1:]]))

@@ -439,6 +439,34 @@ def test_solve_bad_initial_data_fails_cleanly(tmp_path, capsys, kind):
     assert not (tmp_path / "bad").exists()
 
 
+def test_solve_refuses_a_snapshot_of_another_version(tmp_path, capsys):
+    cfg = parse_config_text(BASE)
+    path = tmp_path / "phi.bin"
+    solver.write_snapshot(path, solver.make_initial_data(cfg.run.init, cfg.run.grid, cfg.params),
+                          cfg.run.grid, cfg.params)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 4, 2)     # the header's version, after the magic
+    path.write_bytes(bytes(raw))
+    text = BASE.replace("init = stable_kernel", f"init = from_file\ninit_path = {path}")
+    out = tmp_path / "v2"
+    assert main(["solve", "--config", _write(tmp_path, text), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: unsupported version 2\n"
+    assert not out.exists()
+
+
+def test_solve_refuses_a_3d_grid_over_128_per_axis(tmp_path, capsys):
+    text = BASE.replace("dim = 1", "dim = 3").replace("grid_n = 512", "grid_n = 256")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "big3d"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}: dim 3 runs are limited to n <= 128 per axis\n"
+    assert not out.exists()
+
+
 def _unusable_path(tmp_path, case):
     """The arguments of a command whose input cannot be read or whose output
     directory cannot be made; ``file`` is a regular file."""
@@ -892,6 +920,16 @@ def test_sweep_rejects_a_fractional_dim_first(tmp_path, capsys, dynamics):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_parameter_it_cannot_sweep(tmp_path, capsys):
+    cfg = _write(tmp_path, BASE + "sweep_param = grid_n\nsweep_values = 256,1024\n")
+    out = tmp_path / "swg"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unsupported sweep parameter 'grid_n'\n"
+    assert not out.exists()
+
+
 def test_sweep_singleton_matches_regime(tmp_path, capsys):
     text = BASE + "sweep_param = beta\nsweep_values = 4.0\n"
     cfg = _write(tmp_path, text)
@@ -973,6 +1011,16 @@ def test_sweep_with_dynamics_row(tmp_path):
     assert row["status"] == "completed"
     assert float(row["sup_scaled_u1"]) > 0.0
     assert (out / "t-p0000" / "norms.csv").exists()
+
+
+def test_sweep_with_dynamics_names_its_runs_by_the_seed_id(tmp_path):
+    text = BASE.replace("horizon = 4.0", "horizon = 2.0").replace("steps = 40", "steps = 20")
+    cfg = _write(tmp_path, text + "sweep_param = epsilon\nsweep_values = 0.005\n")
+    out = tmp_path / "sws"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--with-dynamics",
+                 "--seed-id", "other"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["other-p0000", "points", "sweep.csv"]
+    assert "run_id = other-p0000" in (out / "other-p0000" / "manifest.txt").read_text().splitlines()
 
 
 def test_sweep_with_dynamics_rejects_bad_solver_settings_first(tmp_path, capsys):

@@ -277,25 +277,26 @@ def test_delta_outside_window_rejected():
             classify(params, delta=delta)
 
 
-def _admissibility_margins(params: SystemParams, r, s) -> dict:
-    """Float reference of the paper's fixed-point and local-existence
-    inequalities: {role (1 or 2): {name: (margin, strict)}}; an inequality
-    holds when its margin is > 0 (strict) or >= 0."""
-    d = float(params.dim)
+def _admissibility_margins(params: SystemParams, r, s, num=float) -> dict:
+    """Reference of the paper's fixed-point and local-existence inequalities,
+    in floats or, with ``num=Fraction`` and rational r and s, exactly:
+    {role (1 or 2): {name: (margin, strict)}}; an inequality holds when its
+    margin is > 0 (strict) or >= 0."""
+    d = num(params.dim)
     out = {}
     for i in (0, 1):
         j = 1 - i
-        bi, bj, ai = params.beta[i], params.beta[j], params.alpha[i]
+        bi, bj, ai = (num(float(v)) for v in (params.beta[i], params.beta[j], params.alpha[i]))
         I, J = i + 1, j + 1
         out[I] = {
             f"s_{I} >= r_{I}": (s[i] - r[i], False),
             f"s_{J} >= beta_{I}": (s[j] - bi, False),
             f"s_{I}*beta_{I} >= s_{J}": (s[i] * bi - s[j], False),
-            f"beta_{I}/s_{J} - 1/s_{I} < alpha_{I}/d": (ai / d - (bi / s[j] - 1.0 / s[i]), True),
+            f"beta_{I}/s_{J} - 1/s_{I} < alpha_{I}/d": (ai / d - (bi / s[j] - 1 / s[i]), True),
             f"s_{J} >= r_{J}": (s[j] - r[j], False),
             f"s_{J}*beta_{J} >= r_{I}": (s[j] * bj - r[i], False),
-            f"r_{I} >= 1": (r[i] - 1.0, False),
-            f"r_{J} >= 1": (r[j] - 1.0, False),
+            f"r_{I} >= 1": (r[i] - 1, False),
+            f"r_{J} >= 1": (r[j] - 1, False),
         }
     return out
 
@@ -347,6 +348,30 @@ def test_role_matches_the_float_inequalities_away_from_ties():
             assert rep.role_i == _reference_role(margins), (params, rep.delta)
             roles[rep.role_i] += 1
     assert roles[2] >= 20 and roles[None] >= 3, roles
+
+
+_IMPLIED = ("s_{I} >= r_{I}", "s_{I}*beta_{I} >= s_{J}", "beta_{I}/s_{J} - 1/s_{I} < alpha_{I}/d",
+            "s_{J} >= r_{J}", "s_{J}*beta_{J} >= r_{I}")
+
+
+@given(params=_system_params())
+@settings(max_examples=300, deadline=None)
+def test_role_is_the_exact_inequalities_at_both_window_ends(params):
+    # _Calc.at checks only r >= 1 and s_j >= beta_i; the other five of each
+    # role hold strictly in the window, up to 1e-9 of either end
+    c = _Calc(params)
+    for lo, hi in (c.window_bounds(c.k_tilde), c.window_bounds(map(min, c.k_tilde, c.k_hat))):
+        if not lo < hi:
+            continue
+        gap = min(Fraction(1, 10**9), (hi - lo) / 2)
+        for delta in (lo + gap, hi - gap):
+            r, s, _, _, _, role = c.at(delta)
+            margins = _admissibility_margins(params, r, s, Fraction)
+            assert role == _reference_role(margins), (lo, hi, delta)
+            for I, J in ((1, 2), (2, 1)):
+                for name in _IMPLIED:
+                    name = name.format(I=I, J=J)
+                    assert margins[I][name][0] > 0, (name, lo, hi, delta)
 
 
 # ---------------------------------------------------------------------------

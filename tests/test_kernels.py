@@ -676,6 +676,26 @@ def test_l1_norm_is_mass():
     assert lp_norm(KernelSpec(1.0, 2), 0.5, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.2, 1.5, 1.9])
+def test_l1_norm_is_mass_at_every_alpha(alpha, dim):
+    # below alpha = 1 the first panel must end below the kernel scale
+    # t^(1/alpha), not 24 octaves below the heavy-tail cut (3.9e11 at
+    # alpha = 0.5, d = 1, t = 1), which misses most of the mass
+    for t in (0.5, 1.0, 4.0):
+        assert lp_norm(KernelSpec(alpha, dim), t, 1.0) == pytest.approx(1.0, abs=1e-7), t
+
+
+@pytest.mark.parametrize("alpha,dim", [(0.5, 1), (0.8, 1), (0.8, 2)]
+                         + [(alpha, dim) for alpha in (1.0, 1.2, 1.5) for dim in (1, 2, 3)])
+def test_l2_norm_squared_is_the_peak_at_twice_the_time(alpha, dim):
+    # Chapman-Kolmogorov at the origin: ||p(t)||_2^2 = (p(t) * p(t))(0) = p(2t, 0)
+    spec = KernelSpec(alpha, dim)
+    for t in (0.5, 1.0, 4.0):
+        peak = K._peak_value(alpha, dim, 2.0 * t)
+        assert lp_norm(spec, t, 2.0) ** 2 == pytest.approx(peak, rel=1e-6), t
+
+
 def _lp_norm_one_node_set(spec, t, mu):
     """``lp_norm`` with every radius on the node set of the largest one: the
     form the octave bands replaced."""

@@ -563,7 +563,7 @@ def grid_mass(values: np.ndarray, grid, out: Optional[np.ndarray] = None) -> flo
     weighted samples go to ``out`` (may be ``values``) if it is given."""
     if grid.weights is not None:
         values = np.multiply(values, grid.weights, out=out)
-    return float(values.sum() * grid.cell_volume)
+    return float(values.sum()) * grid.cell_volume
 
 
 def tail_mass_bound(spec: KernelSpec, t: float, half_length: float) -> float:

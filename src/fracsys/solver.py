@@ -35,7 +35,7 @@ DIVERGENCE_LIMIT = 1e12
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 25
 # nodes of the 2-point Gauss rule on the reference cell [-1, 1]; its weights are 1
-GAUSS_X = np.array([-1.0, 1.0]) / math.sqrt(3.0)
+GAUSS_X = (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
 # recommended half-length in units of the largest dispersive spread
 HALF_LENGTH_SAFETY = 6.0
 
@@ -72,6 +72,10 @@ class SnapshotFormatError(ValueError):
     pass
 
 
+def _is_one(power) -> bool:
+    return abs(power - 1.0) <= 1e-12
+
+
 def mesh_grading(sigma) -> float:
     """The grading gamma of the time mesh for the weights s^sigma_i.
 
@@ -89,7 +93,7 @@ def mesh_grading(sigma) -> float:
     where gamma = 2, at order 1.9, errs 2.7e-6.
     """
     def resolved(power):
-        return abs(power - 1.0) <= 1e-12 or power >= 2.0 - 1e-12
+        return _is_one(power) or power >= 2.0 - 1e-12
 
     candidates = {1.0} | {k / (1.0 + s) for s in sigma for k in (1.0, 2.0)}
     # the largest candidate, max_i 2/(1 + sigma_i), always qualifies
@@ -114,6 +118,10 @@ class TimeMesh:
     def nodes(self, grading: float) -> np.ndarray:
         k = np.arange(self.steps + 1, dtype=float)
         return self.horizon * (k / self.steps) ** grading
+
+    def width(self, grading: float) -> float:
+        """The width T^(1/gamma) / K of every cell in tau = t^(1/gamma)."""
+        return self.horizon ** (1.0 / grading) / self.steps
 
 
 @dataclass(frozen=True)
@@ -208,14 +216,12 @@ class NormSeries:
         """Write the series as CSV through :func:`write_artifact`, one UTF-8
         chunk per row; returns the file's SHA-256 (hex)."""
         def rows():
-            yield NORM_COLUMNS
-            for k in range(self.t.size):
-                row = [_fmt(self.t[k])]
-                for pair in (self.linf, self.ls, self.scaled, self.mass):
-                    row += [_fmt(pair[k, 0]), _fmt(pair[k, 1])]
-                row.append(str(int(self.picard_iters[k])))
-                yield row
-        return write_artifact(path, ((",".join(row) + "\n").encode() for row in rows()))
+            yield ",".join(NORM_COLUMNS)
+            # each row as Python floats, which format faster than numpy scalars
+            values = np.column_stack([self.t, self.linf, self.ls, self.scaled, self.mass])
+            for row, iters in zip(values, self.picard_iters.tolist()):
+                yield f"{','.join(map(_fmt, row.tolist()))},{iters}"
+        return write_artifact(path, ((row + "\n").encode() for row in rows()))
 
 
 @dataclass
@@ -300,34 +306,97 @@ class _Plan:
 
     The workspace holds the spectrum ``hat`` and the real scratch fields
     ``work`` and ``scratch``, and per component i the spectrum ``base[i]``
-    of its propagated start field and its node coefficients
-    ``coef[i][q]``, both None until :meth:`component` makes them on the
-    first step that computes component i.  The workspace is overwritten by
-    every :func:`step`, so a plan serves one trajectory at a time; between
-    steps ``work`` is free scratch.  ``grid`` is the view the fields live
-    on: the config's grid, or its :class:`EvenGrid`.  ``grading`` is the
-    mesh grading of the config's sigma.
+    of its propagated start field, its cell propagator ``cell[i]`` and its
+    node coefficients ``coef[i][q]``, all None until :meth:`component`
+    makes them on the first step that computes component i; a uniform
+    component's last two are those of the times ``built[i]``.  The
+    workspace is overwritten by every :func:`step`, so a plan serves one
+    trajectory at a time; between steps ``work`` is free scratch.  ``grid``
+    is the view the fields live on: the config's grid, or its
+    :class:`EvenGrid`.  ``grading`` is the mesh grading gamma of the
+    config's sigma and ``width`` the mesh's tau-width; ``uniform[i]`` tells
+    whether component i's clock t^rho_i and weight s^sigma_i ds are uniform
+    in tau = t^(1/gamma) (gamma rho_i = gamma (1 + sigma_i) = 1).
     """
 
     def __init__(self, config: RunConfig, grid=None):
         self.config = config
-        self.grading = mesh_grading(config.params.sigma)
+        p = config.params
+        self.grading = gamma = mesh_grading(p.sigma)
+        self.width = config.mesh.width(gamma)
+        self.uniform = [_is_one(gamma * p.rho[i]) and _is_one(gamma * (1.0 + p.sigma[i]))
+                        for i in (0, 1)]
         self.grid = grid = config.grid if grid is None else grid
-        self.symb = [symbol_exponent(grid, config.params.alpha[i]) for i in (0, 1)]
+        self.symb = [symbol_exponent(grid, p.alpha[i]) for i in (0, 1)]
         self.mask = dealias_mask(grid)
 
         self.hat = np.empty(self.symb[0].shape, dtype=grid.spectral_dtype)
         self.work = np.empty(grid.shape())
         self.scratch = np.empty(grid.shape())
         self.base = [None, None]
+        self.cell = [None, None]
         self.coef = [None, None]
+        self.built = [None, None]
 
-    def component(self, i: int):
-        """(``base[i]``, ``coef[i]``), made on the first call for component i."""
+    def times(self, t_cur: float, t_next: float):
+        """(theta, times) of the cell [t_cur, t_next]: the interpolation
+        weights theta_q of the Gauss nodes tau_q, and per component the
+        (cell propagation time, node propagation times, node weights).
+
+        A uniform component's are w, w (1 - c_q) for the unit-cell node
+        c_q = (1 + x_q) / 2, and gamma w / 2, where w is the mesh's
+        tau-width if the cell's equals it to rounding (so that every cell of
+        the mesh has the same times) and the cell's own otherwise.  Any
+        other's are t_next^rho - t_cur^rho, t_next^rho - s_q^rho and the
+        half-width times gamma tau_q^(gamma - 1) s_q^sigma, whose powers
+        stay numpy's (its SIMD pow is not libm's) so that their bits stay
+        as they were.
+        """
+        p, gamma = self.config.params, self.grading
+        tau_a, tau_b = t_cur ** (1.0 / gamma), t_next ** (1.0 / gamma)
+        width = tau_b - tau_a
+        half, mid = 0.5 * width, 0.5 * (tau_a + tau_b)
+        tau_q = [mid + half * x for x in GAUSS_X]
+        theta = [(tau - tau_a) / width for tau in tau_q]
+        times = [None, None]
+        if any(self.uniform):
+            # a mesh cell's tau-width is off the mesh's by at most a few ulp of tau_b
+            w = self.width if abs(width - self.width) <= 1e-13 * tau_b else width
+            h = 0.5 * w
+            exact = (w, [h * (1.0 - x) for x in GAUSS_X], [gamma * h] * len(GAUSS_X))
+            times = [exact if u else None for u in self.uniform]
+        if not all(self.uniform):
+            tau = np.array(tau_q)
+            s_q = tau**gamma
+            jac = half * gamma * tau ** (gamma - 1.0)
+            for i in (0, 1):
+                if not self.uniform[i]:
+                    rho = p.rho[i]
+                    times[i] = (t_next**rho - t_cur**rho, [t_next**rho - s**rho for s in s_q.tolist()],
+                                (jac * s_q ** p.sigma[i]).tolist())
+        return theta, times
+
+    def component(self, i: int, times):
+        """(``base[i]``, ``cell[i]``, ``coef[i]``) for component i at the
+        ``times`` of :meth:`times`: the workspace is made on the first call
+        for component i, and the propagators are built on every call for a
+        component that is not uniform, and for a uniform one when ``times``
+        differ from those they hold."""
         if self.base[i] is None:
             self.base[i] = np.empty_like(self.hat)
+            self.cell[i] = np.empty(self.hat.shape)
             self.coef[i] = [np.empty(self.hat.shape) for _ in GAUSS_X]
-        return self.base[i], self.coef[i]
+        if not self.uniform[i] or times != self.built[i]:
+            self.built[i] = None        # a build cut short matches no times
+            cell_time, node_times, weights = times
+            self.multiplier(i, cell_time, out=self.cell[i])
+            # coef[i][q] = propagator from s_q to t_next x weight x two-thirds mask
+            for mult, tau, weight in zip(self.coef[i], node_times, weights):
+                self.multiplier(i, tau, out=mult)
+                mult *= weight
+                mult *= self.mask
+            self.built[i] = times
+        return self.base[i], self.cell[i], self.coef[i]
 
     @property
     def symmetric(self) -> bool:
@@ -366,7 +435,9 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     Fourier multiplier, so the node terms are weighted, masked by the
     two-thirds rule, propagated to t_next and summed in Fourier space, and
     each component takes one inverse transform per iteration (exponential
-    quadrature).
+    quadrature).  :meth:`_Plan.times` gives the cell's propagation times
+    and weights; on a uniform clock every cell of the mesh has the same,
+    so their propagators are built once.
 
     Each iterate is the inverse of its spectrum: the propagated start
     spectrum ``base`` plus the coupling terms, summed in the step's own
@@ -382,10 +453,9 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     for a component on the first step that computes it: an aliased pair
     never makes component 1's, and an unaliased pair may go to any plan.
     The start field is transformed straight into its ``base`` buffer and
-    multiplied there by the cell's propagator, which the first node
-    coefficient holds until its node overwrites it.  The
-    transforms fill given arrays axis by axis, interpolation and powers run
-    in place, and each iterate is inverted straight into its output field.
+    multiplied there by the cell's propagator.  The transforms fill given
+    arrays axis by axis, interpolation and powers run in place, and each
+    iterate is inverted straight into its output field.
     The only fresh arrays are two output field sets and one spectrum per
     computed component each step, and on the full grid in d >= 2 the
     out-of-place first pass of each inverse, so the returned fields and
@@ -407,34 +477,20 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     t_cur = pair.time
     if not t_next > t_cur:
         raise ValueError("t_next must exceed the current time")
-    gamma = plan.grading
-    tau_a, tau_b = t_cur ** (1.0 / gamma), t_next ** (1.0 / gamma)
-    half = 0.5 * (tau_b - tau_a)
-    tau_q = 0.5 * (tau_a + tau_b) + half * GAUSS_X
-    s_q = tau_q**gamma
-    theta_q = (tau_q - tau_a) / (tau_b - tau_a)
-    jac_q = half * gamma * tau_q ** (gamma - 1.0)
+    theta, times = plan.times(t_cur, t_next)
 
     cur, spectra = pair.components(), pair.spectra
     shared = plan.symmetric and pair.u1 is pair.u2
     comps = (0,) if shared else (0, 1)
     grid, hat, work, scratch = plan.grid, plan.hat, plan.work, plan.scratch
     base, coef = [None, None], [None, None]
-    # coef[i][q] = propagator from s_q to t_next x weight x two-thirds mask
     for i in comps:
-        base[i], coef[i] = plan.component(i)
-        rho_i = params.rho[i]
-        cell = plan.multiplier(i, t_next**rho_i - t_cur**rho_i, out=coef[i][0])
+        base[i], cell, coef[i] = plan.component(i, times[i])
         if spectra[i] is None:
             grid.forward(cur[i], base[i])
             base[i] *= cell
         else:
             np.multiply(spectra[i], cell, out=base[i])
-        weights = jac_q * s_q ** params.sigma[i]
-        for q, s in enumerate(s_q):
-            mult = plan.multiplier(i, t_next**rho_i - s**rho_i, out=coef[i][q])
-            mult *= weights[q]
-            mult *= plan.mask
 
     v = [np.empty(grid.shape()) for _ in comps]
     new = [np.empty_like(u) for u in v]
@@ -457,9 +513,9 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
         iterations += 1
         for i in comps:
             j = 1 - i
-            for q in range(s_q.size):
-                np.multiply(cur[j], 1.0 - theta_q[q], out=work)
-                work += np.multiply(v[j], theta_q[q], out=scratch)
+            for q, th in enumerate(theta):
+                np.multiply(cur[j], 1.0 - th, out=work)
+                work += np.multiply(v[j], th, out=scratch)
                 spectrum = grid.forward(_power(work, params.beta[i], scratch),
                                         spec[i] if q == 0 else hat)
                 spectrum *= coef[i][q]
@@ -494,6 +550,9 @@ def step(pair: FieldPair, t_next: float, plan: _Plan):
     return FieldPair(v[0], v[1], t_next, tuple(carried)), StepDiagnostics(iterations, changes, clamped)
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
 def _grid_norms(values: np.ndarray, grid, order: Optional[float], buf: np.ndarray):
     """(sup norm, L^order norm or NaN, mass) of ``values`` on the grid view
     ``grid``; ``buf`` is field-shaped scratch, which the weighted sums also use."""
@@ -503,7 +562,7 @@ def _grid_norms(values: np.ndarray, grid, order: Optional[float], buf: np.ndarra
     if order is None:
         return linf, math.nan, mass
     total = grid_mass(np.power(buf, order, out=buf), grid, out=buf)
-    if total < np.finfo(float).tiny and linf > 0.0:
+    if total < _TINY and linf > 0.0:
         # u^s underflowed: scale by the peak (only here, so other runs keep their bytes)
         np.divide(np.abs(values, out=buf), linf, out=buf)
         total = grid_mass(np.power(buf, order, out=buf), grid, out=buf)
@@ -549,8 +608,8 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
         log.info("full grid: %s", "1-D run" if view.dim == 1 else "from_file data")
     pair = make_initial_data(config.init, view, config.params)
     plan = _Plan(config, view)
-    nodes = config.mesh.nodes(plan.grading)
-    n_nodes = nodes.size
+    nodes = config.mesh.nodes(plan.grading).tolist()
+    n_nodes = len(nodes)
     # bytes, not values: -0.0 == 0.0 would alias fields that differ
     if plan.symmetric and pair.u1.tobytes() == pair.u2.tobytes():
         pair = FieldPair(pair.u1, pair.u1, pair.time)
@@ -559,12 +618,9 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
         u.flags.writeable = False
 
     t_arr = np.full(n_nodes, math.nan)
-    linf = np.full((n_nodes, 2), math.nan)
-    ls = np.full((n_nodes, 2), math.nan)
-    scaled = np.full((n_nodes, 2), math.nan)
-    mass = np.full((n_nodes, 2), math.nan)
     iters = np.zeros(n_nodes, dtype=int)
-
+    # per node and component: linf, ls, scaled, mass
+    table = np.full((n_nodes, 2, 4), math.nan)
     snapshots = []
     total_clamped = 0
 
@@ -575,19 +631,16 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
             if i == 0 or fp.u2 is not fp.u1 or orders[1] != orders[0]:
                 # the plan's scratch field is free between steps
                 li, lsi, mi = _grid_norms(fp.components()[i], view, orders[i], plan.work)
-            linf[k, i] = li
-            ls[k, i] = lsi
-            mass[k, i] = mi
-            scaled[k, i] = math.nan if xi is None else fp.time ** xi[i] * lsi
+            table[k, i] = (li, lsi, math.nan if xi is None else fp.time ** xi[i] * lsi, mi)
 
     record(0, pair, 0)
     snapshots.append(pair)
-    status = SolveStatus("completed", float(nodes[-1]))
     recorded = 1
+    status = SolveStatus("completed", nodes[-1])
 
     for k in range(1, n_nodes):
         try:
-            pair, diag = step(pair, float(nodes[k]), plan)
+            pair, diag = step(pair, nodes[k], plan)
         except Divergence as exc:
             status = SolveStatus("diverged", exc.time)
             log.warning("divergence signal at t=%.6g", exc.time)
@@ -603,8 +656,8 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
             # a kept spectrum would only hold memory
             snapshots.append(replace(pair, spectra=(None, None)))
 
-    norms = NormSeries(t=t_arr[:recorded], linf=linf[:recorded], ls=ls[:recorded],
-                       scaled=scaled[:recorded], mass=mass[:recorded],
+    linf, ls, scaled, mass = table[:recorded].transpose(2, 0, 1)
+    norms = NormSeries(t=t_arr[:recorded], linf=linf, ls=ls, scaled=scaled, mass=mass,
                        picard_iters=iters[:recorded])
     tail_budget = max(
         tail_mass_bound(KernelSpec(config.params.alpha[i], config.grid.dim),

@@ -160,7 +160,9 @@ def envelope_ratios(snapshots, params: SystemParams, grid):
         mask = prefac * kern >= ENVELOPE_MASK * peak
         denom = kern[mask]
         for i, u in enumerate(snap.components()):
-            ratios[k, i] = float((u[mask] / denom).max()) / prefac
+            # a symmetric run's aliased pair has one field
+            ratios[k, i] = ratios[k, 0] if i and u is snap.u1 \
+                else float((u[mask] / denom).max()) / prefac
     return times, ratios
 
 

@@ -136,7 +136,12 @@ def test_resolved_text_and_hash_are_frozen():
 # Re-taken when each iterate became the inverse of its whole spectrum and each step
 # started from the spectrum the last one carried: norms.csv, snapshots 1-5 and
 # verification.txt moved by round-off (norms within 8.7e-16 relative), so the
-# manifests of earlier versions reproduce their runs to 1e-13, not byte for byte
+# manifests of earlier versions reproduce their runs to 1e-13, not byte for byte.
+# Re-taken when a uniform clock (rho = 1, sigma = 0 here) took its propagation
+# times as exact multiples of the mesh's tau-width: norms.csv, snapshots 1-5 and
+# verification.txt moved by round-off, norms within 5.20e-16 relative and fields
+# within 4.8e-16 of the peak; the envelope fit moved 2.8e-4 relative, as its
+# ratios divide fields at their round-off floor by a denominator 1e-12 of its peak
 RETIRED_KEYS_MANIFEST = """# fracsys run manifest (feed back to --config to reproduce)
 # config_sha256 = e0b0aeb02c43612fd3903150831e478f793c5e9a61bbc3b7efae32e3ea3641aa
 alpha1 = 2
@@ -167,14 +172,14 @@ run_id = t
 output_dir = out
 sweep_param =
 sweep_values =
-# sha256 norms.csv = 210a86930830d6b2eea48d34e5e4f0fb787028028aac04fec3791aea3e8282bf
+# sha256 norms.csv = d8fec19025802a1b4ca68da36b32fc0da7cc898ab72b577419a383554c41157f
 # sha256 snap_000000.bin = b97b8678084b7d5db14f1bf20edb4f6458356dee211fa8a0e1ec5fb6dd6bba02
-# sha256 snap_000001.bin = 92fbabdbe78b728abcad23f96d68554d9964b1f6b7f08497eeb53e93cdc39fff
-# sha256 snap_000002.bin = 3105c5776283133a61b5ca3c6439b2fc2ecdb062aed17a6b3cfba4dbd3362533
-# sha256 snap_000003.bin = 03974a5955d3cdd975624ac1377a347d415aae1f98290f20ace9982e2732a3a0
-# sha256 snap_000004.bin = 9d80838cce41949ed558650d1e221ea2bb93232c05825d95c65be25e1f236758
-# sha256 snap_000005.bin = 407682020e35df80bc91d05adb1cba66edf7d4864139758ce3a629c530c1eb91
-# sha256 verification.txt = e095423eb09d90ca8b119862f9aafe6bc7f8f5548125b23d41182e59664c74d1
+# sha256 snap_000001.bin = 7c700bfcaf8a30f323480ca68e817dbb0f651145f67c8a650492e936d48d27ec
+# sha256 snap_000002.bin = 16a78316c2041ab97cda2d9c8740e48ac2a6ac0513e76f6ba1bcc88518e38de9
+# sha256 snap_000003.bin = ed838d609be5c8799dad9567d378042c17037b8539c188e48206938aecae3a17
+# sha256 snap_000004.bin = 8681018d72940da25bfd10c5ab230ca39f74919a78df58bb6984109d773c7dc6
+# sha256 snap_000005.bin = 608f05f637c629887549c90f69c0b4c739d58cb9cdcbd3517a5dee4694bb053e
+# sha256 verification.txt = 20478cd8e838ff464fa0093583220a133039d0a4e750c0e7d5848928c6c4c226
 """
 
 
@@ -702,11 +707,14 @@ run_id = asym
 # re-pinned when `grading` left the keys: it lost that line and its config hash.
 # All three were re-pinned when the initial data and the envelope kernel were made
 # on the even view and each step started from the carried spectrum of the last:
-# norms within 1.5e-15 relative of the earlier bytes.
+# norms within 1.5e-15 relative of the earlier bytes.  All three were re-pinned
+# when a uniform clock took its propagation times as exact multiples of the
+# mesh's tau-width, which component 1 (rho = 1, sigma = 0) has: norms within
+# 3.51e-16 relative.
 ASYM_2D_GOLDEN = {
-    "norms.csv": "a8760e4c579ec5acec4aa5a4669b3a6e7584e6ab96e9777a23f0c5d4f8971cef",
-    "verification.txt": "9d7aba3e49d6f7c5bd3c2b46521ebe6bd4444c160a9c953c8a1b125faea737d8",
-    "manifest.txt": "85c7067d2babb694c62c773aa46970f78af5affc82962eec265771a4618cf961",
+    "norms.csv": "61d87ca4ede15597b1b7226e77de8419b26afabbac55a69c46c0fb64d00d479a",
+    "verification.txt": "bc222bd1ffbbebe7a655703a820971a96e599b1dcc2fccb8f1f025d85ef27634",
+    "manifest.txt": "c8b2f4cf5b5087ee1194040aad6669143c875487eb4e6b9924d981d5eb81a811",
 }
 # Re-pinned when lp_norm took one node set per radius octave: one line moved,
 # alpha = 1.5, d = 3 l2_slope_rel_err, from 5.551115e-16 to 2.220446e-16 (a
@@ -752,11 +760,13 @@ epsilon = 1.0
 run_id = sym
 """
 
-# taken as ASYM_2D_GOLDEN was, before a field pair carried its own spectra
+# taken as ASYM_2D_GOLDEN was, before a field pair carried its own spectra;
+# norms.csv and manifest.txt re-pinned with it for the uniform clock, norms
+# within 2.22e-16 relative
 SYM_2D_GOLDEN = {
-    "norms.csv": "ed096099e5e7c68c2c795e204b1c9835539164c3b758b70a705b3a16fbb20145",
+    "norms.csv": "540ef0ecafda2d7bb195b92955b6a6dafe700ea0b72059674158660c8cbb0e48",
     "verification.txt": "b48cecd3fb3c707c0ba3ae8996092208e4e3d741af1f7de90fd41d34f197185a",
-    "manifest.txt": "ef0edfacfad3bd08bfbfcf32d877ccb4eb87ca2a83ffeb87341017dd2f404d20",
+    "manifest.txt": "a7f658f84b4c1726e22de37923d3a5834b1c2fa963de2d0277acbb2bb3085e00",
 }
 
 
@@ -768,6 +778,55 @@ def test_asymmetric_2d_artifact_bytes_are_frozen(tmp_path):
         for name, digest in golden.items():
             data = (tmp_path / "o" / run_id / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, (run_id, name)
+
+
+# an asymmetric 1-D solve on a graded mesh (gamma = 2 for sigma2 = 0.5), where no
+# component's clock is uniform in tau, so every step builds its propagators
+GRADED_1D = """
+alpha1 = 2.0
+alpha2 = 1.5
+beta1 = 4.0
+beta2 = 3.0
+rho1 = 1.0
+rho2 = 0.7
+sigma1 = 0.0
+sigma2 = 0.5
+dim = 1
+grid_n = 512
+half_length = 30.0
+horizon = 4.0
+steps = 40
+snapshot_stride = 8
+init = stable_kernel
+epsilon = 0.01
+run_id = graded1d
+"""
+
+# taken as ASYM_2D_GOLDEN was, before a uniform clock built its propagators once,
+# which must leave this run's bytes as they were
+GRADED_1D_GOLDEN = {
+    "norms.csv": "642b71906c860bc92b25ddd962fa4efdd981812ceafe6db3d08b997cf27aefb4",
+    "verification.txt": "7066e0b8bb55bbba651922453d4c57cfa6623c66b069daf97699e24431e20187",
+    "manifest.txt": "9e30a04facc1e0b5261c6d2e34dc652edbb1301073cc29c63ed6f803d505d05c",
+}
+
+
+def test_graded_solve_builds_every_step_and_keeps_its_bytes(tmp_path, monkeypatch):
+    built = []
+    real = solver._Plan.multiplier
+
+    def counting(self, i, tau, out):
+        built.append(i)
+        return real(self, i, tau, out)
+
+    monkeypatch.setattr(solver._Plan, "multiplier", counting)
+    cfg = _write(tmp_path, GRADED_1D)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    # a cell propagator and two node coefficients per component and step
+    assert len(built) == 3 * 2 * 40
+    for name, digest in GRADED_1D_GOLDEN.items():
+        data = (tmp_path / "o" / "graded1d" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_log_level_adds_log_lines_and_no_artifact_byte(tmp_path, caplog):

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from conftest import BAD_HEADER_VALUES, SMALL, propagate_reference, read_norms_csv
 from fracsys import solver as solver_module
 from fracsys.config import RETIRED, sha256_file
-from fracsys.exponents import SystemParams, classify
+from fracsys.exponents import SystemParams, _fmt, classify
 from fracsys import kernels
 from fracsys.kernels import (EvenGrid, KernelSpec, SpectralGrid, dealias_mask, density_profile,
                              eval_density_grid, symbol_exponent)
@@ -294,7 +294,7 @@ def _step_reference(pair, t_next, plan):
     gamma = plan.grading
     tau_a, tau_b = t_cur ** (1.0 / gamma), t_next ** (1.0 / gamma)
     half = 0.5 * (tau_b - tau_a)
-    tau_q = 0.5 * (tau_a + tau_b) + half * solver_module.GAUSS_X
+    tau_q = 0.5 * (tau_a + tau_b) + half * np.array(solver_module.GAUSS_X)
     s_q = tau_q**gamma
     theta_q = (tau_q - tau_a) / (tau_b - tau_a)
     jac_q = half * gamma * tau_q ** (gamma - 1.0)
@@ -398,7 +398,7 @@ def test_plan_transforms_bitwise_equal_numpy(dim, n, dealias):
     assert np.array_equal(grid.inverse(spectrum), want)
     assert grid.inverse(spectrum, plan.work) is plan.work
     assert np.array_equal(plan.work, want)
-    out = plan.component(1)[1][0]
+    out = np.empty(plan.symb[1].shape)
     assert plan.multiplier(1, 0.3, out=out) is out
     assert np.array_equal(out, np.exp(-0.3 * plan.symb[1]))
 
@@ -421,7 +421,7 @@ def test_step_result_survives_later_steps():
         later, _ = step(later, t_next, plan)
     for got, want in zip(pair.components(), kept.components()):
         assert np.array_equal(got, want)
-    workspace = [plan.hat, plan.work, plan.scratch, *plan.base,
+    workspace = [plan.hat, plan.work, plan.scratch, *plan.base, *plan.cell,
                  *plan.coef[0], *plan.coef[1]]
     assert not any(np.shares_memory(u, w) for u in later.components() for w in workspace)
 
@@ -1049,7 +1049,7 @@ def test_carried_step_matches_a_fresh_forward_step(monkeypatch, case):
             want = view.forward(u)
             assert spectrum.shape == want.shape and spectrum.dtype == want.dtype
             assert np.max(np.abs(spectrum - want)) <= 1e-14 * np.max(np.abs(want))
-        workspace = [plan.hat, plan.work, plan.scratch, *plan.base,
+        workspace = [plan.hat, plan.work, plan.scratch, *plan.base, *plan.cell,
                      *plan.coef[0], *plan.coef[1]]
         assert not any(np.shares_memory(s, w) for s in fresh.spectra for w in workspace)
         pair = fresh
@@ -1148,7 +1148,7 @@ def test_aliased_solve_makes_no_workspace_for_component_1(monkeypatch, case):
     assert res.status.completed and res.norms.t.size == 7
     assert all(s.u1 is s.u2 for s in res.snapshots)
     assert plan.base[1] is None and plan.coef[1] is None
-    assert plan.base[0] is not None and len(plan.coef[0]) == GAUSS_X.size
+    assert plan.base[0] is not None and len(plan.coef[0]) == len(GAUSS_X)
     # an unaliased pair on the same plan makes component 1's workspace and
     # steps bitwise as the aliased pair did
     last, prev = res.snapshots[-1], res.snapshots[-2]
@@ -1156,6 +1156,89 @@ def test_aliased_solve_makes_no_workspace_for_component_1(monkeypatch, case):
     got, _ = step(start, last.time, plan)
     assert plan.base[1] is not None and plan.coef[1] is not None
     assert got.u1.tobytes() == got.u2.tobytes() == step(prev, last.time, plan)[0].u1.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# propagators: built once on a uniform clock, every step on any other
+
+# (params, multiplier calls of a solve of k steps): a uniform clock
+# (gamma rho_i = 1 and gamma (1 + sigma_i) = 1) builds a computed component's
+# cell propagator and two node coefficients once, any other clock every step
+BUILD_CASES = {
+    "uniform_aliased": (SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 1),
+                        lambda k: 3),
+    "uniform_pair": (SystemParams((1.5, 2.0), (3.0, 3.0), (1.0, 1.0), (0.0, 0.0), 1),
+                     lambda k: 6),
+    # gamma = 2, so t^rho = tau and s^sigma ds = 2 dtau
+    "uniform_graded_mesh": (SystemParams((1.5, 1.5), (3.0, 3.0), (0.5, 0.5), (-0.5, -0.5), 1),
+                            lambda k: 3),
+    "mixed": (SystemParams((1.5, 1.5), (3.0, 3.0), (1.0, 0.7), (0.0, 0.0), 1),
+              lambda k: 3 + 3 * k),
+    "graded": (SystemParams((2.0, 1.5), (4.0, 3.0), (1.0, 0.7), (0.0, 0.5), 1),
+               lambda k: 6 * k),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_solve_builds_uniform_propagators_once(monkeypatch, case):
+    params, calls = BUILD_CASES[case]
+    cfg = _config(params=params, init=InitialData("stable_kernel", epsilon=1.0),
+                  horizon=0.6, steps=6, snapshot_stride=1)
+    # step by step on the same mesh
+    plan = _Plan(cfg)
+    pair = make_initial_data(cfg.init, cfg.grid, params)
+    if plan.symmetric:
+        pair = FieldPair(pair.u1, pair.u1, 0.0)
+    per_cell = []
+    for t_next in _times(cfg):
+        pair, diag = step(pair, t_next, plan)
+        per_cell.append((pair, diag.iterations))
+
+    built = []
+    real = _Plan.multiplier
+
+    def counting(self, i, tau, out):
+        built.append(i)
+        return real(self, i, tau, out)
+
+    monkeypatch.setattr(_Plan, "multiplier", counting)
+    res = solve(cfg)
+    assert res.status.completed and len(built) == calls(6)
+    for snap, iters, (want, want_iters) in zip(res.snapshots[1:], res.norms.picard_iters[1:], per_cell):
+        assert iters == want_iters
+        for got, ref in zip(snap.components(), want.components()):
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_plan_times_on_a_uniform_clock_are_multiples_of_the_width():
+    params = SystemParams((1.5, 1.5), (3.0, 3.0), (0.5, 1.0), (-0.5, 0.0), 1)
+    plan = _Plan(_config(params=params, horizon=0.6, steps=6))
+    assert plan.grading == 2.0 and plan.uniform == [True, False]
+    assert plan.width == 0.6**0.5 / 6
+
+    def exact(w):
+        h = 0.5 * w
+        return (w, [h * (1.0 - x) for x in GAUSS_X], [2.0 * h, 2.0 * h])
+
+    nodes = plan.config.mesh.nodes(2.0).tolist()
+    for t_cur, t_next in zip(nodes, nodes[1:]):
+        theta, times = plan.times(t_cur, t_next)
+        # every cell of the mesh: the mesh's width, so the same times
+        assert times[0] == exact(plan.width)
+        assert theta == pytest.approx([(1.0 + x) / 2.0 for x in GAUSS_X], rel=1e-12)
+    # any other cell: its own width
+    theta, times = plan.times(0.3**2, 0.4**2)
+    assert times[0] == exact(0.4 - 0.3)
+    # component 1's times are differences of the cell's times
+    rho, s_q = 1.0, [(0.35 + 0.05 * x) ** 2 for x in GAUSS_X]
+    assert times[1][0] == pytest.approx(0.4**2 - 0.3**2, rel=1e-14)
+    assert times[1][1] == pytest.approx([0.4**2 - s**rho for s in s_q], rel=1e-14)
+    # a plan that holds one cell's propagators rebuilds them for another
+    pair = make_initial_data(plan.config.init, plan.config.grid, params)
+    step(FieldPair(pair.u1, pair.u2, nodes[1]), nodes[2], plan)
+    other = FieldPair(pair.u1, pair.u2, 0.3**2)
+    got, want = (step(other, 0.4**2, p)[0] for p in (plan, _Plan(plan.config)))
+    assert got.u1.tobytes() == want.u1.tobytes() and got.u2.tobytes() == want.u2.tobytes()
 
 
 def test_even_solve_builds_no_full_grid_symbol():
@@ -1203,6 +1286,36 @@ def test_norm_series_digest_is_the_written_file(tmp_path):
     res = solve(_config(horizon=1.0, steps=10), classify(PARAMS_B4, delta=0.3))
     path = tmp_path / "norms.csv"
     assert res.norms.write_csv(path) == sha256_file(path)
+
+
+def _csv_reference(series):
+    """The norms CSV as first written: ``_fmt`` of each numpy scalar cell."""
+    lines = [",".join(solver_module.NORM_COLUMNS)]
+    for k in range(series.t.size):
+        row = [_fmt(series.t[k])]
+        for pair in (series.linf, series.ls, series.scaled, series.mass):
+            row += [_fmt(pair[k, 0]), _fmt(pair[k, 1])]
+        row.append(str(int(series.picard_iters[k])))
+        lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_norm_series_csv_text_is_the_per_cell_format(tmp_path):
+    odd = [math.nan, -0.0, 5e-324, 2.2250738585072009e-308, 1e300, 0.1, 1.0, -2.5]
+    rng = np.random.default_rng(11)
+    cols = [np.array(odd + rng.standard_normal(4).tolist()).reshape(-1, 2)[::-1] for _ in range(4)]
+    series = NormSeries(t=np.array([0.0, -0.0, 5e-324, 1e300, math.nan, 0.1]),
+                        linf=cols[0], ls=cols[1][:, ::-1], scaled=cols[2], mass=cols[3],
+                        picard_iters=np.array([0, 25, 2**31, 2**53 + 1, 2**62, 7]))
+    path = tmp_path / "norms.csv"
+    digest = series.write_csv(path)
+    text = path.read_text()
+    assert text == _csv_reference(series) and digest == sha256_file(path)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0", "-0", "4.9406564584124654e-324",
+                                    "1.0000000000000001e+300", "", "0.10000000000000001"]
+    assert [r[-1] for r in rows] == ["0", "25", "2147483648", "9007199254740993",
+                                     "4611686018427387904", "7"]
 
 
 def test_snapshot_header_layout(tmp_path):

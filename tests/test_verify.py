@@ -185,6 +185,14 @@ def test_envelope_initial_ratio_is_epsilon(run_small):
     assert ratios[0] == pytest.approx([EPS, EPS], abs=1e-10)
 
 
+def test_envelope_ratios_of_an_aliased_pair_are_those_of_its_copy(run_small):
+    # the one field of an aliased pair is divided once
+    aliased = [FieldPair(s.u1, s.u1, s.time) for s in run_small.snapshots]
+    copied = [FieldPair(s.u1, s.u1.copy(), s.time) for s in run_small.snapshots]
+    got, want = (envelope_ratios(snaps, PARAMS_B4, GRID) for snaps in (aliased, copied))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
 def _shape_ratios(snapshots, mask_threshold):
     """max_x u_i(t, x) / p(1 + t, x) per snapshot and component, over the
     points where p(1 + t, x) is at least ``mask_threshold`` of its peak."""

@@ -81,15 +81,21 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
     Returns (exit_code, summary_row, solve_result).
     """
     report = classify(cfg.params, delta=cfg.delta)
-    result = solve(cfg.run, report)
     run_dir = out_base / cfg.values.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-
     # every writer returns the SHA-256 of the bytes it wrote
-    artifacts = {"norms.csv": result.norms.write_csv(run_dir / "norms.csv")}
-    for idx, snap in enumerate(result.snapshots):
-        name = f"snap_{idx:06d}.bin"
-        artifacts[name] = write_snapshot(run_dir / name, snap, result.grid, cfg.params)
+    artifacts, times, ratios = {}, [], []
+
+    def on_snapshot(pair, view):
+        if not artifacts:   # after the data's checks, so refused data leave no run directory
+            run_dir.mkdir(parents=True, exist_ok=True)
+        name = f"snap_{len(artifacts):06d}.bin"
+        artifacts[name] = write_snapshot(run_dir / name, pair, view, cfg.params)
+        if verify.envelope_mismatch(report, cfg.run.init) is None:
+            times.append(pair.time)
+            ratios.append(verify.envelope_ratios(pair, cfg.params, view))
+
+    result = solve(cfg.run, report, on_snapshot)
+    artifacts["norms.csv"] = result.norms.write_csv(run_dir / "norms.csv")
 
     status = result.status
     entries = dict(report.flat_items())
@@ -100,7 +106,7 @@ def run_experiment(cfg: ExperimentConfig, out_base: Path, append_summary: bool =
     checks = (("decay", "decay", lambda: verify.decay_report(result.norms, report)),
               ("linf", "linf", lambda: verify.linf_bound_check(result.norms, report)),
               ("env", "envelope", lambda: verify.selfsimilar_envelope_check(
-                  result.snapshots, cfg.params, report, cfg.run.init, result.grid)))
+                  times, ratios, report, cfg.run.init)))
     verdicts = []
     for prefix, name, check in checks:
         if not status.completed:

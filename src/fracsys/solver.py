@@ -17,7 +17,7 @@ import hashlib
 import logging
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -157,6 +157,16 @@ class RunConfig:
             raise ValueError("grid dimension does not match system dimension")
         if self.grid.dim == 3 and self.grid.n > 128:
             raise ValueError("dim 3 runs are limited to n <= 128 per axis")
+        # the clock T^rho_i at the horizon T and the kernel scale (1 + T^rho_i)^(d/alpha_i)
+        horizon = self.mesh.horizon
+        for i, (rho, alpha) in enumerate(zip(self.params.rho, self.params.alpha), start=1):
+            try:
+                scale = (1.0 + horizon ** rho) ** (self.params.dim / alpha)
+            except OverflowError:
+                scale = math.inf
+            if not math.isfinite(scale):
+                raise ValueError(f"horizon {_fmt(horizon)} overflows the clock: horizon ** rho{i} "
+                                 f"(rho{i} = {_fmt(rho)}) or its kernel scale is out of range")
 
 
 @dataclass
@@ -164,8 +174,8 @@ class FieldPair:
     """Both solution components sampled on the grid at one time.
 
     On a symmetric run (see :func:`solve`) ``u1`` and ``u2`` are the same
-    array.  The arrays of a solve's snapshots and of a step's result are
-    read-only.
+    array.  The arrays of a step's result, and so of every snapshot a solve
+    hands its sink, are read-only.
     ``spectra`` holds per component the read-only spectrum of the field, or
     None; only :func:`step` sets it, on the pair it returns.
     """
@@ -226,8 +236,6 @@ class NormSeries:
 
 @dataclass
 class SolveResult:
-    snapshots: list        # FieldPair at every stride-th node (first and last always)
-    grid: object           # the view the snapshots live on (see solve)
     norms: NormSeries
     status: SolveStatus
     diagnostics: dict = field(default_factory=dict)
@@ -570,9 +578,10 @@ def _grid_norms(values: np.ndarray, grid, order: Optional[float], buf: np.ndarra
     return linf, total ** (1.0 / order), mass
 
 
-def solve(config: RunConfig, exponents=None) -> SolveResult:
-    """March the graded mesh, recording norms at every node and field
-    snapshots every ``snapshot_stride`` nodes (first and last included).
+def solve(config: RunConfig, exponents=None, on_snapshot=None) -> SolveResult:
+    """March the graded mesh, recording norms at every node and handing a
+    snapshot to ``on_snapshot(pair, view)`` every ``snapshot_stride`` nodes
+    (first and last included); without a sink the snapshots are dropped.
 
     ``exponents`` is an ExponentReport; when given (and carrying norm
     orders, so ``exponents.s`` is not None) the ls and scaled columns use
@@ -585,15 +594,15 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     the view's multiplicity weights.  ``from_file`` data need not be even,
     and in 1-D a DCT-I on n/2 + 1 points costs what an rfft on n does, so
     those runs take the full grid.  Each step starts from the pair the last
-    one returned, and so from its spectra (see :func:`step`).  The
-    snapshots hold the step results' arrays, without their spectra, on the
-    view ``result.grid``; ``result.grid.expand`` gives a full-grid field,
-    as :func:`write_snapshot` writes it.
+    one returned, and so from its spectra (see :func:`step`).  The sink gets
+    that read-only pair, spectra included, and the view it lives on
+    (``view.expand`` gives a full-grid field, as :func:`write_snapshot`
+    writes it); solve holds no pair past the step that follows it.
 
     A symmetric run, where both components share alpha, beta, rho, sigma
     and byte-equal initial fields, computes one component: every snapshot
     then has ``u1 is u2``, and its norms are taken once when the norm
-    orders agree.  Snapshots are read-only.
+    orders agree.
     """
     orders, xi = (None, None), None
     if exponents is not None and exponents.s is not None:
@@ -621,7 +630,6 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
     iters = np.zeros(n_nodes, dtype=int)
     # per node and component: linf, ls, scaled, mass
     table = np.full((n_nodes, 2, 4), math.nan)
-    snapshots = []
     total_clamped = 0
 
     def record(k, fp, n_iter):
@@ -632,9 +640,10 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
                 # the plan's scratch field is free between steps
                 li, lsi, mi = _grid_norms(fp.components()[i], view, orders[i], plan.work)
             table[k, i] = (li, lsi, math.nan if xi is None else fp.time ** xi[i] * lsi, mi)
+        if on_snapshot is not None and (k % config.snapshot_stride == 0 or k == n_nodes - 1):
+            on_snapshot(fp, view)
 
     record(0, pair, 0)
-    snapshots.append(pair)
     recorded = 1
     status = SolveStatus("completed", nodes[-1])
 
@@ -652,9 +661,6 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
         total_clamped += diag.clamped
         record(k, pair, diag.iterations)
         recorded = k + 1
-        if k % config.snapshot_stride == 0 or k == n_nodes - 1:
-            # a kept spectrum would only hold memory
-            snapshots.append(replace(pair, spectra=(None, None)))
 
     linf, ls, scaled, mass = table[:recorded].transpose(2, 0, 1)
     norms = NormSeries(t=t_arr[:recorded], linf=linf, ls=ls, scaled=scaled, mass=mass,
@@ -669,8 +675,7 @@ def solve(config: RunConfig, exponents=None) -> SolveResult:
         "tail_mass_budget": tail_budget,
         "recommended_half_length": recommended_half_length(config.params, config.mesh.horizon),
     }
-    return SolveResult(snapshots=snapshots, grid=view, norms=norms, status=status,
-                       diagnostics=diagnostics)
+    return SolveResult(norms=norms, status=status, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

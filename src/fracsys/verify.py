@@ -139,46 +139,44 @@ def linf_bound_check(series: NormSeries, exps: ExponentReport):
     return tuple(out)
 
 
-def envelope_ratios(snapshots, params: SystemParams, grid):
-    """Snapshot times and the envelope ratios R_i(t) = max_x u_i(t, x) / D(t, x),
-    one column per component, taken over the grid points where the envelope
-    denominator D(t, x) = (1 + t^rho)^(d/alpha) p(1 + t^rho, x) is at least
-    ``ENVELOPE_MASK`` * p(1 + t^rho, 0).  Kernel-shaped data give R_i(0) = eps.
-
-    ``grid`` is the view the snapshots live on (``SolveResult.grid``): the
-    kernel is evaluated there and the fields are read as they are.
-    """
-    alpha, rho, d = params.alpha[0], params.rho[0], params.dim
-    spec = KernelSpec(alpha, d)
-    times = np.array([s.time for s in snapshots], dtype=float)
-    ratios = np.zeros((times.size, 2))
-    for k, snap in enumerate(snapshots):
-        t = snap.time
-        kern = eval_density_grid(spec, 1.0 + t**rho, grid)
-        peak = float(kern.max())
-        prefac = (1.0 + t**rho) ** (d / alpha)
-        mask = prefac * kern >= ENVELOPE_MASK * peak
-        denom = kern[mask]
-        for i, u in enumerate(snap.components()):
-            # a symmetric run's aliased pair has one field
-            ratios[k, i] = ratios[k, 0] if i and u is snap.u1 \
-                else float((u[mask] / denom).max()) / prefac
-    return times, ratios
-
-
-def selfsimilar_envelope_check(snapshots, params: SystemParams, exps: ExponentReport,
-                               init: InitialData, grid):
-    """Fit the envelope ratios of :func:`envelope_ratios` as c*eps*(1+t)^(-k)
-    over t >= 1; ``grid`` is the view the snapshots live on.  Needs the
-    Theorem 3 hypothesis and kernel-shaped initial data.  Verdict: fitted
-    k > 0 and no snapshot exceeds the fit by more than 10%.
-    """
+def envelope_mismatch(exps: ExponentReport, init: InitialData):
+    """Why the self-similar envelope does not apply, or None: it needs the
+    Theorem 3 hypothesis and kernel-shaped initial data."""
     if not exps.theorem3_applicable:
-        raise RegimeMismatch("self-similar envelope hypothesis does not hold for these parameters")
+        return "self-similar envelope hypothesis does not hold for these parameters"
     if init.kind != "stable_kernel":
-        raise RegimeMismatch(f"self-similar envelope needs stable_kernel initial data, "
-                             f"got {init.kind}")
-    times, ratios = envelope_ratios(snapshots, params, grid)
+        return f"self-similar envelope needs stable_kernel initial data, got {init.kind}"
+
+
+def envelope_ratios(pair, params: SystemParams, grid):
+    """The envelope ratios (R_1(t), R_2(t)) of one snapshot, t = pair.time:
+    R_i(t) = max_x u_i(t, x) / D(t, x) over the grid points where the
+    envelope denominator D(t, x) = (1 + t^rho)^(d/alpha) p(1 + t^rho, x) is
+    at least ``ENVELOPE_MASK`` * p(1 + t^rho, 0).  Kernel-shaped data give
+    R_i(0) = eps.  ``grid`` is the view the pair lives on, as ``solve``
+    hands both to its sink: the kernel is evaluated there.
+    """
+    alpha, rho, d, t = params.alpha[0], params.rho[0], params.dim, pair.time
+    kern = eval_density_grid(KernelSpec(alpha, d), 1.0 + t**rho, grid)
+    peak = float(kern.max())
+    prefac = (1.0 + t**rho) ** (d / alpha)
+    mask = prefac * kern >= ENVELOPE_MASK * peak
+    denom = kern[mask]
+    r1 = float((pair.u1[mask] / denom).max()) / prefac
+    # a symmetric run's aliased pair has one field
+    return r1, r1 if pair.u2 is pair.u1 else float((pair.u2[mask] / denom).max()) / prefac
+
+
+def selfsimilar_envelope_check(times, ratios, exps: ExponentReport, init: InitialData):
+    """Fit the snapshot times and their :func:`envelope_ratios` as
+    c*eps*(1+t)^(-k) over t >= 1, where :func:`envelope_mismatch` finds no
+    reason against it.  Verdict: fitted k > 0 and no snapshot exceeds the
+    fit by more than 10%.
+    """
+    reason = envelope_mismatch(exps, init)
+    if reason is not None:
+        raise RegimeMismatch(reason)
+    times, ratios = np.array(times, dtype=float), np.array(ratios, dtype=float)
     fit = times >= 1.0
     if int(fit.sum()) < 3:
         raise InsufficientData("need at least 3 snapshots with t >= 1 to fit the envelope")

@@ -13,7 +13,8 @@ import pytest
 from fracsys.config import ExperimentConfig, parse_config_text
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import symbol_exponent
-from fracsys.solver import NORM_COLUMNS, FieldPair, NormSeries, SolveResult
+from fracsys.solver import NORM_COLUMNS, FieldPair, NormSeries, SolveResult, solve
+from fracsys.verify import envelope_ratios
 
 
 REF_EPSILON = 1e-2
@@ -70,14 +71,37 @@ def propagate_reference(values, grid, alpha, rho, t_from, t_to):
     return np.fft.irfftn(spectrum, s=grid.shape(), axes=tuple(range(grid.dim)))
 
 
-def unscaled(result: SolveResult) -> SolveResult:
-    """A solve from data scaled by SMALL with its fields and norms scaled
-    back: the linear flow of the unscaled data."""
+class Kept(list):
+    """An ``on_snapshot`` sink for :func:`fracsys.solver.solve` that keeps
+    every pair it is handed, in order; ``view`` is the grid view they live on."""
+
+    view = None
+
+    def __call__(self, pair, view):
+        self.append(pair)
+        self.view = view
+
+
+def solve_kept(config, exponents=None):
+    """(result, snapshots) of a solve whose sink keeps every snapshot."""
+    kept = Kept()
+    return solve(config, exponents, kept), kept
+
+
+def unscaled(result: SolveResult, snapshots=()):
+    """A solve from data scaled by SMALL and its kept snapshots, with norms
+    and fields scaled back: the linear flow of the unscaled data."""
     n = result.norms
     norms = replace(n, linf=n.linf / SMALL, ls=n.ls / SMALL, scaled=n.scaled / SMALL,
                     mass=n.mass / SMALL)
-    snapshots = [FieldPair(s.u1 / SMALL, s.u2 / SMALL, s.time) for s in result.snapshots]
-    return replace(result, snapshots=snapshots, norms=norms)
+    return (replace(result, norms=norms),
+            [FieldPair(s.u1 / SMALL, s.u2 / SMALL, s.time) for s in snapshots])
+
+
+def envelope_series(snapshots, params, grid):
+    """The snapshot times and their envelope ratios on the view ``grid``:
+    what a run's sink collects for the envelope check."""
+    return [s.time for s in snapshots], [envelope_ratios(s, params, grid) for s in snapshots]
 
 
 def read_norms_csv(path) -> NormSeries:
@@ -177,11 +201,9 @@ def ref_linear_run(ref_report):
     scaled by SMALL, scaled back."""
     import time
 
-    from fracsys.solver import solve
-
     start = time.perf_counter()
     cfg = reference_config(epsilon=REF_EPSILON * SMALL)
-    result = unscaled(solve(cfg.run, ref_report))
+    result, _ = unscaled(solve(cfg.run, ref_report))
     assert result.status.completed
     result.diagnostics["elapsed"] = time.perf_counter() - start
     return result

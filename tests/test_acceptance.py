@@ -13,14 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (REF_EPSILON, SMALL, comparison_check, eta_theta_residuals,
-                      propagate_reference, reference_config)
+from conftest import (REF_EPSILON, SMALL, comparison_check, envelope_series, eta_theta_residuals,
+                      propagate_reference, reference_config, solve_kept)
 from fracsys.exponents import REGIME_NO_GUARANTEE, SystemParams, classify
 from fracsys.kernels import (KernelSpec, SpectralGrid, check_monotone_domination,
                              check_scaling, lp_norm_slope, semigroup_residual)
-from fracsys.solver import InitialData, RunConfig, TimeMesh, make_initial_data, solve
-from fracsys.verify import (decay_report, envelope_ratios, linf_bound_check,
-                            selfsimilar_envelope_check)
+from fracsys.solver import InitialData, RunConfig, TimeMesh, make_initial_data, read_snapshot
+from fracsys.verify import decay_report, linf_bound_check, selfsimilar_envelope_check
 
 
 def _report(num, ok, desc, elapsed, budget):
@@ -28,6 +27,13 @@ def _report(num, ok, desc, elapsed, budget):
     print(f"[{status}] criterion {num:2d} ({elapsed:6.1f}s / {budget:.0f}s budget): {desc}")
     assert ok, f"criterion {num} failed: {desc}"
     assert elapsed < budget, f"criterion {num} exceeded its runtime budget"
+
+
+def _ref_snapshots(ref_run):
+    """The reference run's snapshot files read back, in order; its 1-D
+    grid is the view they were taken on."""
+    run_dir = ref_run["dir"] / ref_run["config"].values.run_id
+    return [read_snapshot(path)[0] for path in sorted(run_dir.glob("snap_*.bin"))]
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +164,10 @@ def test_criterion_04_solver_linear_exactness():
         grid = SpectralGrid(1, 1024, 40.0)
         cfg = RunConfig(params, grid, TimeMesh(4.0, 40), InitialData("gaussian", SMALL, 1.0),
                         snapshot_stride=1)
-        res = solve(cfg)
+        res, snapshots = solve_kept(cfg)
         assert res.status.completed
         phi = make_initial_data(cfg.init, grid, params)
-        for snap in res.snapshots[1:]:
+        for snap in snapshots[1:]:
             ref = propagate_reference(phi.u1, grid, alpha, rho, 0.0, snap.time)
             rel = float(np.linalg.norm(snap.u1 - ref) / np.linalg.norm(ref))
             worst = max(worst, rel)
@@ -204,9 +210,8 @@ def test_criterion_07_selfsimilar_envelope(ref_run, ref_report):
     start = time.perf_counter()
     assert ref_report.theorem3_applicable     # 1/3 < 1/2
     cfg = ref_run["config"]
-    snapshots = ref_run["result"].snapshots
-    reps = selfsimilar_envelope_check(snapshots, cfg.params, ref_report, cfg.run.init, cfg.run.grid)
-    _, ratios = envelope_ratios(snapshots, cfg.params, cfg.run.grid)
+    times, ratios = envelope_series(_ref_snapshots(ref_run), cfg.params, cfg.run.grid)
+    reps = selfsimilar_envelope_check(times, ratios, ref_report, cfg.run.init)
     init_ok = all(abs(r - REF_EPSILON) <= 1e-10 for r in ratios[0])
     ok = init_ok and all(r.verdict and r.k > 0.0 for r in reps)
     _report(7, ok, f"envelope: R(0)=eps to 1e-10, fitted k={reps[0].k:.3f} > 0, "
@@ -216,19 +221,19 @@ def test_criterion_07_selfsimilar_envelope(ref_run, ref_report):
 
 def test_criterion_08_comparison_principle(ref_run):
     start = time.perf_counter()
-    runs = [ref_run["result"]]
+    runs = [_ref_snapshots(ref_run)]
     for eps in (REF_EPSILON / 2, REF_EPSILON / 4):
         cfg = reference_config(epsilon=eps)
-        res = solve(cfg.run, classify(cfg.params, delta=0.3))
+        res, snapshots = solve_kept(cfg.run, classify(cfg.params, delta=0.3))
         assert res.status.completed
-        runs.append(res)
+        runs.append(snapshots)
     pairs = [(0, 1), (1, 2), (0, 2)]
     worst_rel = 0.0
     ok = True
     for a, b in pairs:
-        rep = comparison_check(runs[a].snapshots, runs[b].snapshots)
+        rep = comparison_check(runs[a], runs[b])
         ok &= rep.ordered
-        scale = max(float(np.abs(s.u1).max()) for s in runs[a].snapshots)
+        scale = max(float(np.abs(s.u1).max()) for s in runs[a])
         worst_rel = min(worst_rel, rep.worst_margin / scale)
     _report(8, ok, f"snapshots of eps, eps/2, eps/4 runs pointwise ordered; "
             f"worst margin {worst_rel:.1e} of ||u||_inf >= -1e-9",
@@ -242,9 +247,9 @@ def test_criterion_09_convergence_order():
         params = SystemParams((2, 2), (2, 2), (1, 1), (sigma, sigma), 1)
         cfg = RunConfig(params, SpectralGrid(1, 256, 30.0), TimeMesh(1.0, steps),
                         InitialData("gaussian", 0.5, 1.0), snapshot_stride=10**9)
-        res = solve(cfg)
+        res, snapshots = solve_kept(cfg)
         assert res.status.completed
-        return res.snapshots[-1].u1
+        return snapshots[-1].u1
 
     # the solver derives the grading: 1, 2 and 4/3 for these sigma
     sigmas = (0.0, -0.5, 0.5)

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_HEADER_VALUES, SMALL, read_norms_csv
 import fracsys
-from fracsys import cli, solver
+from fracsys import cli, solver, verify
 from fracsys.cli import main
 from fracsys.config import ConfigError, parse_config, parse_config_text
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid
@@ -353,13 +354,14 @@ def test_solve_linear_norms_match_closed_form(tmp_path):
         assert series.ls[k, 0] / SMALL == pytest.approx(ref_ls, rel=1e-10)
 
 
+# BASE with Gaussian data of epsilon = 30 and beta = 2: diverges at t = 0.125
+DIVERGING = BASE.replace("beta1 = 4.0", "beta1 = 2.0").replace("beta2 = 4.0", "beta2 = 2.0") \
+    .replace("init = stable_kernel", "init = gaussian").replace("epsilon = 0.01", "epsilon = 30.0") \
+    .replace("delta = 0.3", "delta =").replace("horizon = 4.0", "horizon = 5.0")
+
+
 def test_solve_divergence_exit_code(tmp_path):
-    text = BASE.replace("beta1 = 4.0", "beta1 = 2.0").replace("beta2 = 4.0", "beta2 = 2.0")
-    text = text.replace("init = stable_kernel", "init = gaussian")
-    text = text.replace("epsilon = 0.01", "epsilon = 30.0")
-    text = text.replace("delta = 0.3", "delta =")
-    text = text.replace("dim = 1", "dim = 1").replace("horizon = 4.0", "horizon = 5.0")
-    cfg = _write(tmp_path, text)
+    cfg = _write(tmp_path, DIVERGING)
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "d")])
     assert code == 2
     # NoGuarantee regime: the s-norm columns stay blank
@@ -545,15 +547,48 @@ def test_solve_gaussian_data_the_grid_cannot_hold_fail_cleanly(tmp_path, capsys,
 
 
 def test_manifest_digests_are_the_artifacts_bytes(tmp_path):
-    cfg = _write(tmp_path, BASE)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    run = tmp_path / "o" / "t"
-    recorded = dict(line.removeprefix("# sha256 ").split(" = ")
-                    for line in (run / "manifest.txt").read_text().splitlines()
-                    if line.startswith("# sha256 "))
-    assert sorted(recorded) == sorted(p.name for p in run.iterdir() if p.name != "manifest.txt")
-    for name, digest in recorded.items():
-        assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
+    # a completed run, and a diverged one whose snapshots were streamed to
+    # their files before the run stopped
+    for text, code, snapshots in ((BASE, 0, 6), (DIVERGING, 2, 1)):
+        out = tmp_path / f"exit{code}"
+        assert main(["solve", "--config", _write(tmp_path, text), "--out", str(out)]) == code
+        run = out / "t"
+        recorded = dict(line.removeprefix("# sha256 ").split(" = ")
+                        for line in (run / "manifest.txt").read_text().splitlines()
+                        if line.startswith("# sha256 "))
+        assert sorted(recorded) == sorted(p.name for p in run.iterdir() if p.name != "manifest.txt")
+        assert sum(name.startswith("snap_") for name in recorded) == snapshots
+        for name, digest in recorded.items():
+            assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_run_memory_does_not_grow_with_the_snapshot_count(tmp_path):
+    # a 3-D run from two off-centre Gaussians in a file, so on the full 32^3
+    # grid: its snapshots go to their files as they are taken, so a run that
+    # takes 21 of them peaks where one that takes 2 does, within one pair
+    grid = SpectralGrid(3, 32, 10.0)
+    x = np.meshgrid(*[grid.axis()] * 3, indexing="ij")
+    u1, u2 = (scale * np.exp(-sum((xa - ca) ** 2 for xa, ca in zip(x, centre)) / 2.0)
+              for scale, centre in ((0.5, (2, 0, -1)), (0.3, (-1, 2, 1))))
+    text = BASE
+    for line in ("alpha1 = 1.5", "alpha2 = 1.5", "beta1 = 3", "beta2 = 3", "dim = 3", "grid_n = 32",
+                 "half_length = 10", "horizon = 2", "steps = 20", "init = from_file",
+                 f"init_path = {tmp_path / 'phi.bin'}", "delta ="):
+        text = _set(text, line)
+    cfg = parse_config(_write(tmp_path, text))
+    solver.write_snapshot(tmp_path / "phi.bin", solver.FieldPair(u1, u2, 0.0), grid, cfg.params)
+    peaks = {}
+    for stride in (20, 1):
+        tracemalloc.start()
+        try:
+            code, _, _ = cli.run_experiment(cfg.with_values(snapshot_stride=stride),
+                                            tmp_path / f"s{stride}")
+            peaks[stride] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(list((tmp_path / f"s{stride}" / "t").glob("snap_*.bin"))) == 20 // stride + 1
+    assert abs(peaks[1] - peaks[20]) <= 2 * 32**3 * 8, peaks
 
 
 def _set(text, line):
@@ -587,17 +622,25 @@ def test_bad_numbers_are_configuration_errors(tmp_path, capsys, command, case):
 
 
 # settings that parse but fail a RunConfig or TimeMesh check, or set the
-# retired grading away from the value that sigma = 0 derives, 1
-BAD_SOLVER_SETTINGS = ["snapshot_stride = 0", "steps = 0", "grading = 0.5"]
+# retired grading away from the value that sigma = 0 derives, 1, or a
+# horizon whose clock t^rho overflows (set at rho1 = rho2 = 2)
+BAD_SOLVER_SETTINGS = ["snapshot_stride = 0", "steps = 0", "grading = 0.5", "horizon = 1e200"]
+
+
+def _bad_solver_config(setting):
+    text = _set(_set(BASE, "rho1 = 2"), "rho2 = 2") if setting.startswith("horizon") else BASE
+    return _set(text, setting)
 
 
 @pytest.mark.parametrize("setting", BAD_SOLVER_SETTINGS)
 def test_solve_rejects_bad_solver_settings(tmp_path, capsys, setting):
-    cfg = _write(tmp_path, _set(BASE, setting))
+    cfg = _write(tmp_path, _bad_solver_config(setting))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert setting.partition(" ")[0] in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert setting.partition(" ")[0] in captured.err
+    assert not setting.startswith("horizon") or "rho1" in captured.err
     assert not (tmp_path / "bad").exists()
 
 
@@ -855,21 +898,49 @@ def test_verify_kernel_output_bytes_are_frozen(capsys):
 
 
 def test_symmetric_solve_writes_the_general_path_artifacts(tmp_path, monkeypatch):
+    written = []
+    real = cli.write_snapshot
+
+    def recording(path, pair, *rest):
+        written.append(pair)
+        return real(path, pair, *rest)
+
+    monkeypatch.setattr(cli, "write_snapshot", recording)
     cfg = parse_config(_write(tmp_path, BASE))
     code, _, aliased = cli.run_experiment(cfg, tmp_path / "alias")
     assert code == 0
-    assert all(snap.u1 is snap.u2 for snap in aliased.snapshots)
+    assert len(written) == 6 and all(snap.u1 is snap.u2 for snap in written)
     assert aliased.diagnostics["clamped_values"] > 0
     monkeypatch.setattr(solver._Plan, "symmetric", False)
+    written.clear()
     code, _, general = cli.run_experiment(cfg, tmp_path / "general")
     assert code == 0
-    assert all(snap.u1 is not snap.u2 for snap in general.snapshots)
+    assert len(written) == 6 and all(snap.u1 is not snap.u2 for snap in written)
     names = sorted(p.name for p in (tmp_path / "alias" / "t").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "general" / "t").iterdir())
     assert "verification.txt" in names and len(names) == 9
     for name in names:
         assert (tmp_path / "alias" / "t" / name).read_bytes() \
             == (tmp_path / "general" / "t" / name).read_bytes(), name
+
+
+def test_envelope_ratios_are_taken_only_where_the_check_applies(tmp_path, monkeypatch):
+    taken = []
+    real = verify.envelope_ratios
+
+    def recording(pair, *rest):
+        taken.append(pair.time)
+        return real(pair, *rest)
+
+    monkeypatch.setattr(verify, "envelope_ratios", recording)
+    cfg = parse_config(_write(tmp_path, BASE))
+    assert cli.run_experiment(cfg, tmp_path / "kernel")[0] == 0
+    assert taken == [0.0, 0.8, 1.6, 2.4, 3.2, 4.0]
+    lines = (tmp_path / "kernel" / "t" / "verification.txt").read_text().splitlines()
+    assert "env_verdict_u1 = true" in lines
+    taken.clear()
+    assert cli.run_experiment(cfg.with_values(init="gaussian"), tmp_path / "gaussian")[0] == 0
+    assert taken == []
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1155,7 @@ def test_sweep_with_dynamics_names_its_runs_by_the_seed_id(tmp_path):
 
 def test_sweep_with_dynamics_rejects_bad_solver_settings_first(tmp_path, capsys):
     for setting in BAD_SOLVER_SETTINGS:
-        text = _set(BASE, setting) + "sweep_param = epsilon\nsweep_values = 0.005,0.01\n"
+        text = _bad_solver_config(setting) + "sweep_param = epsilon\nsweep_values = 0.005,0.01\n"
         cfg = _write(tmp_path, text)
         out = tmp_path / "swn"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--with-dynamics"]) == 1

@@ -2,12 +2,13 @@
 self-similar envelope, and the discrete comparison principle."""
 
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import SMALL, comparison_check, unscaled
+from conftest import SMALL, comparison_check, envelope_series, solve_kept, unscaled
 from fracsys.exponents import SystemParams, classify
 from fracsys.kernels import KernelSpec, SpectralGrid, eval_density_grid, lp_norm
 from fracsys.solver import FieldPair, InitialData, NormSeries, RunConfig, TimeMesh, solve
@@ -25,12 +26,16 @@ def report():
     return classify(PARAMS_B4, delta=0.3)
 
 
-def _run(epsilon=EPS, horizon=6.0, steps=60, stride=5):
+# a completed run's norm series and the snapshots its sink kept
+Run = namedtuple("Run", "norms snapshots")
+
+
+def _run(epsilon=EPS, horizon=6.0, steps=60, stride=5, scale=lambda res, kept: (res, kept)):
     cfg = RunConfig(PARAMS_B4, GRID, TimeMesh(horizon, steps),
                     InitialData("stable_kernel", epsilon=epsilon), snapshot_stride=stride)
-    res = solve(cfg, classify(PARAMS_B4, delta=0.3))
+    res, snapshots = scale(*solve_kept(cfg, classify(PARAMS_B4, delta=0.3)))
     assert res.status.completed
-    return res
+    return Run(res.norms, snapshots)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +51,7 @@ def run_half():
 @pytest.fixture(scope="module")
 def run_linear():
     """The linear flow of run_small's data."""
-    return unscaled(_run(epsilon=EPS * SMALL))
+    return _run(epsilon=EPS * SMALL, scale=unscaled)
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +185,17 @@ def test_linf_bound_alpha_equals_dim_boundary():
 # self-similar envelope
 
 def test_envelope_initial_ratio_is_epsilon(run_small):
-    times, ratios = envelope_ratios(run_small.snapshots, PARAMS_B4, GRID)
-    assert times[0] == 0.0
-    assert ratios[0] == pytest.approx([EPS, EPS], abs=1e-10)
+    first = run_small.snapshots[0]
+    assert first.time == 0.0
+    assert envelope_ratios(first, PARAMS_B4, GRID) == pytest.approx([EPS, EPS], abs=1e-10)
 
 
 def test_envelope_ratios_of_an_aliased_pair_are_those_of_its_copy(run_small):
     # the one field of an aliased pair is divided once
-    aliased = [FieldPair(s.u1, s.u1, s.time) for s in run_small.snapshots]
-    copied = [FieldPair(s.u1, s.u1.copy(), s.time) for s in run_small.snapshots]
-    got, want = (envelope_ratios(snaps, PARAMS_B4, GRID) for snaps in (aliased, copied))
-    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    for s in run_small.snapshots:
+        got, want = (envelope_ratios(FieldPair(s.u1, u2, s.time), PARAMS_B4, GRID)
+                     for u2 in (s.u1, s.u1.copy()))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def _shape_ratios(snapshots, mask_threshold):
@@ -221,23 +226,23 @@ def test_envelope_linear_run_flat_shape(run_linear, report):
         bound = math.exp(intercept) * (1.0 + times) ** slope
         assert float(np.max(ratios / bound)) - 1.0 <= 1e-8
     # the check at its own mask fits the same decay
-    for rep in selfsimilar_envelope_check(run_linear.snapshots, PARAMS_B4, report, KERNEL_DATA,
-                                          GRID):
+    for rep in selfsimilar_envelope_check(*envelope_series(run_linear.snapshots, PARAMS_B4, GRID),
+                                          report, KERNEL_DATA):
         assert rep.k == pytest.approx(0.5, rel=0.05)
 
 
 def test_envelope_default_mask_still_passes_verdict(run_linear, report):
     # at the default mask floor the far-tail clamp noise inflates ratios by well
     # under the 10% slack
-    for rep in selfsimilar_envelope_check(run_linear.snapshots, PARAMS_B4, report, KERNEL_DATA,
-                                          GRID):
+    for rep in selfsimilar_envelope_check(*envelope_series(run_linear.snapshots, PARAMS_B4, GRID),
+                                          report, KERNEL_DATA):
         assert rep.verdict
         assert rep.violation <= 0.05
 
 
 def test_envelope_small_data_verdict(run_small, report):
-    for rep in selfsimilar_envelope_check(run_small.snapshots, PARAMS_B4, report, KERNEL_DATA,
-                                          GRID):
+    for rep in selfsimilar_envelope_check(*envelope_series(run_small.snapshots, PARAMS_B4, GRID),
+                                          report, KERNEL_DATA):
         assert rep.k > 0.0
         assert rep.verdict
 
@@ -245,14 +250,15 @@ def test_envelope_small_data_verdict(run_small, report):
 def test_envelope_requires_matching_generators(run_small):
     mixed = SystemParams((2, 1), (4, 4), (1, 1), (0, 0), 1)
     with pytest.raises(RegimeMismatch, match="hypothesis does not hold"):
-        selfsimilar_envelope_check(run_small.snapshots, mixed, classify(mixed), KERNEL_DATA, GRID)
+        selfsimilar_envelope_check(*envelope_series(run_small.snapshots, mixed, GRID),
+                                   classify(mixed), KERNEL_DATA)
 
 
 def test_envelope_requires_kernel_shaped_data(run_small, report):
     assert report.theorem3_applicable
     with pytest.raises(RegimeMismatch, match="stable_kernel initial data, got gaussian"):
-        selfsimilar_envelope_check(run_small.snapshots, PARAMS_B4, report,
-                                   InitialData("gaussian", epsilon=EPS), GRID)
+        selfsimilar_envelope_check(*envelope_series(run_small.snapshots, PARAMS_B4, GRID), report,
+                                   InitialData("gaussian", epsilon=EPS))
 
 
 # ---------------------------------------------------------------------------
